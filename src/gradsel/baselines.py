@@ -26,7 +26,7 @@ from .selector import (
     silverman_bandwidth,
     subset_size,
 )
-from .tinylm.model import Model, forward, loss_and_grads, loss_positions_of
+from .tinylm.model import Model, batches, forward, loss_and_grads
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -196,9 +196,10 @@ def dsir_select(ids: list[str], candidates: list[list[str]],
 def representation_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVector]:
     """Final-layer hidden state at each sequence's last position."""
     out = []
-    for seq in seqs:
-        trace = forward(model, seq)
-        out.append(FeatureVector(seq.instance_id, trace.hf[-1].copy(), "representation"))
+    for chunk, batch in batches(seqs):
+        trace = forward(model, batch, last_only=True)
+        for seq, row in zip(chunk, trace.rows):
+            out.append(FeatureVector(seq.instance_id, trace.hf[row].copy(), "representation"))
     return out
 
 
@@ -209,15 +210,15 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVe
     does not depend on response length.
     """
     out = []
-    for seq in seqs:
-        trace = forward(model, seq)
-        res = loss_and_grads(model, seq, trace, want_param_grads=False)
-        content = [t for t, r in enumerate(seq.roles) if r != "special"]
-        emb_part = res.g_emb[content].mean(axis=0)
-        lm_rows = res.g_lm[res.loss_positions] / res.weight
-        lm_part = lm_rows.mean(axis=0)
-        out.append(FeatureVector(seq.instance_id,
-                                 np.concatenate([emb_part, lm_part]), "gradient"))
+    for chunk, batch in batches(seqs):
+        res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
+        starts = batch.row_starts
+        for b, seq in enumerate(chunk):
+            content = [t for t, r in enumerate(seq.roles) if r != "special"]
+            emb_part = res.g_emb[b, content].mean(axis=0)
+            lm_part = (res.g_lm[starts[b] : starts[b + 1]] / batch.w[b]).mean(axis=0)
+            out.append(FeatureVector(seq.instance_id,
+                                     np.concatenate([emb_part, lm_part]), "gradient"))
     return out
 
 
@@ -300,9 +301,11 @@ def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> Sel
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:
-    from .tinylm.model import perplexity
-
-    return [perplexity(model, s) for s in seqs]
+    """exp(mean response-token cross-entropy) of each sequence."""
+    out: list[float] = []
+    for _, batch in batches(seqs):
+        out += map(math.exp, forward(model, batch).losses.tolist())
+    return out
 
 
 def write_features(feats: list[FeatureVector], path: str,

@@ -11,11 +11,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .corpus import Tokenizer, TokenSequence
 from .gradstats import GradientRecord
-from .tinylm.model import Model, forward, loss_positions_of, sequence_loss
+from .tinylm.model import Batch, Model, batches, forward
 
 METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
@@ -30,22 +29,31 @@ class MetricReport:
     config: dict
 
 
-def greedy_decode(model: Model, prompt_tokens: list[int], max_new: int,
-                  eos_id: int = Tokenizer.eos) -> list[int]:
-    """Argmax continuation of the prompt; stops at EOS or the budget."""
-    ids = list(prompt_tokens)
-    out: list[int] = []
-    for _ in range(max_new):
-        if len(ids) >= model.cfg.max_seq_len:
-            break
-        seq = TokenSequence("decode", tuple(ids), ("special",) * len(ids))
-        trace = forward(model, seq)
-        nxt = int(np.argmax(trace.logits[-1]))  # argmax takes the lowest id on ties
-        if nxt == eos_id:
-            break
-        out.append(nxt)
-        ids.append(nxt)
-    return out
+def greedy_decode(model: Model, prompts: list[list[int]], max_new: list[int],
+                  eos_id: int = Tokenizer.eos) -> list[list[int]]:
+    """Argmax continuation of each prompt; each stops at EOS or its budget.
+
+    Prompts of equal length decode together, so every step is one batched
+    forward over the group members still decoding.
+    """
+    outs: list[list[int]] = [[] for _ in prompts]
+    groups: dict[int, list[int]] = {}
+    for i, prompt in enumerate(prompts):
+        groups.setdefault(len(prompt), []).append(i)
+    for length, members in sorted(groups.items()):
+        ids = np.array([prompts[i] for i in members], dtype=np.int64).reshape(-1, length)
+        live = [r for r, i in enumerate(members) if max_new[i] > 0]
+        while live and ids.shape[1] < model.cfg.max_seq_len:
+            trace = forward(model, Batch(ids[live]), last_only=True)
+            nxt = np.full(len(members), eos_id)
+            nxt[live] = trace.logits.argmax(axis=1)  # argmax takes the lowest id on ties
+            ids = np.concatenate([ids, nxt[:, None]], axis=1)
+            for r in live:
+                if nxt[r] != eos_id:
+                    outs[members[r]].append(int(nxt[r]))
+            live = [r for r in live if nxt[r] != eos_id
+                    and len(outs[members[r]]) < max_new[members[r]]]
+    return outs
 
 
 def _ngram_counts(tokens: list, n: int) -> Counter:
@@ -285,36 +293,44 @@ def pilot_deciles(records: list[GradientRecord], seqs: list[TokenSequence],
     if missing:
         raise ValueError(f"records not covered by dataset: {missing[:3]}")
     ranked = sorted(records, key=lambda r: (-r.g_grads, r.instance_id))
-    sizes = decile_slices(len(ranked))
+    losses: list[float] = []
+    correct: list[int] = []
+    targets: list[int] = []
+    for _, batch in batches([by_id[r.instance_id] for r in ranked]):
+        trace = forward(base_model, batch)
+        losses += trace.losses.tolist()
+        hits = trace.logits.argmax(axis=1) == batch.targets
+        correct += np.add.reduceat(hits, batch.row_starts[:-1]).tolist()
+        targets += np.diff(batch.row_starts).tolist()
     mean_loss = []
     token_acc = []
     mean_grad = []
-    counts = []
     pos = 0
+    sizes = decile_slices(len(ranked))
     for size in sizes:
-        chunk = ranked[pos : pos + size]
+        chunk = slice(pos, pos + size)
         pos += size
-        losses = []
-        correct = 0
-        total = 0
-        for rec in chunk:
-            seq = by_id[rec.instance_id]
-            trace = forward(base_model, seq)
-            positions = loss_positions_of(seq)
-            losses.append(sequence_loss(base_model, seq))
-            for t in positions:
-                total += 1
-                if int(np.argmax(trace.logits[t])) == seq.tokens[t + 1]:
-                    correct += 1
-        mean_loss.append(float(np.mean(losses)))
-        token_acc.append(correct / total if total else 0.0)
-        mean_grad.append(float(np.mean([r.g_grads for r in chunk])))
-        counts.append(size)
-    rho = float(spearmanr(mean_grad, mean_loss).statistic)
+        mean_loss.append(float(np.mean(losses[chunk])))
+        token_acc.append(sum(correct[chunk]) / sum(targets[chunk]))
+        mean_grad.append(float(np.mean([r.g_grads for r in ranked[chunk]])))
     return DecileReport(
         mean_loss=tuple(mean_loss),
         token_acc=tuple(token_acc),
         mean_gradient=tuple(mean_grad),
-        counts=tuple(counts),
-        loss_gradient_spearman=rho,
+        counts=tuple(sizes),
+        loss_gradient_spearman=spearman(mean_grad, mean_loss),
     )
+
+
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation: Pearson over average ranks (nan if constant)."""
+    rx = _average_ranks(x) - (len(x) + 1) / 2.0
+    ry = _average_ranks(y) - (len(y) + 1) / 2.0
+    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    return float(rx @ ry) / denom if denom > 0 else float("nan")

@@ -608,19 +608,18 @@ def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
     content fidelity uniformly across strategies.
     """
     tok = prep.tok
-    cands: list[list[str]] = []
+    prompts: list[list[int]] = []
     refs: list[list[str]] = []
     for seq in prep.seqs_for(ids):
         sep_pos = seq.tokens.index(tok.sep)
-        prompt = list(seq.tokens[: sep_pos + 1])
-        ref = [
+        prompts.append(list(seq.tokens[: sep_pos + 1]))
+        refs.append([
             tok.id_to_token[t]
             for t, r in zip(seq.tokens, seq.roles)
             if r == ROLE_RESPONSE
-        ]
-        out = greedy_decode(model, prompt, max_new=len(ref))
-        cands.append([tok.id_to_token[t] for t in out])
-        refs.append(ref)
+        ])
+    outs = greedy_decode(model, prompts, [len(ref) for ref in refs])
+    cands = [[tok.id_to_token[t] for t in out] for out in outs]
     return {
         "bleu": bleu(cands, refs).corpus_score,
         "rouge_l": rouge_report(cands, refs).corpus_score,

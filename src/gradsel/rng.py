@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 # Role constants for substream derivation (ASCII tags as 64-bit values).
@@ -54,6 +56,24 @@ class SplitMix64:
         u1 = max(self.random(), 2.0**-53)
         u2 = self.random()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, n: int) -> np.ndarray:
+        """n normal() draws at once, bit-identical and leaving the same state.
+
+        The integer stream and the uniforms are vectorised in uint64. log and
+        cos stay in `math`, one call per draw: numpy's SIMD log is not
+        correctly rounded and differs from math.log in the last bit. sqrt and
+        the products are IEEE-exact either way.
+        """
+        steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + steps * np.uint64(self.GOLDEN)
+        self.state = (self.state + 2 * n * self.GOLDEN) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        log_u1 = np.array(list(map(math.log, np.maximum(u[0::2], 2.0**-53).tolist())))
+        cos_u2 = np.array(list(map(math.cos, (2.0 * math.pi * u[1::2]).tolist())))
+        return np.sqrt(-2.0 * log_u1) * cos_u2
 
     def gumbel(self) -> float:
         """Standard Gumbel draw, -ln(-ln(u)), with u clamped away from 0."""

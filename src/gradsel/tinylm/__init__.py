@@ -1,61 +1,23 @@
 from .model import (
-    BackwardResult,
-    ForwardTrace,
+    Batch,
     Model,
     ModelConfig,
-    config_from_dict,
-    config_to_dict,
     forward,
     init_model,
-    lm_head_matrix,
     load_checkpoint,
     loss_and_grads,
     loss_positions_of,
     model_fingerprint,
     param_shapes,
-    perplexity,
+    param_views,
     save_checkpoint,
-    sequence_loss,
 )
 from .training import (
-    LR_PROFILES,
-    AdamState,
-    GradientBundle,
     TrainHyper,
     Trainer,
     extract_epoch,
     total_update_steps,
-    train,
     train_steps,
     warmup_lr,
 )
 
-__all__ = [
-    "BackwardResult",
-    "ForwardTrace",
-    "Model",
-    "ModelConfig",
-    "config_from_dict",
-    "config_to_dict",
-    "forward",
-    "init_model",
-    "lm_head_matrix",
-    "load_checkpoint",
-    "loss_and_grads",
-    "loss_positions_of",
-    "model_fingerprint",
-    "param_shapes",
-    "perplexity",
-    "save_checkpoint",
-    "sequence_loss",
-    "LR_PROFILES",
-    "AdamState",
-    "GradientBundle",
-    "TrainHyper",
-    "Trainer",
-    "extract_epoch",
-    "total_update_steps",
-    "train",
-    "train_steps",
-    "warmup_lr",
-]

@@ -1,10 +1,20 @@
 """Miniature decoder-only transformer with exact hand-derived backprop.
 
-Everything is float64 numpy. The model is small enough that clarity and
-auditability beat speed: forward caches every intermediate the backward pass
-needs, and the backward pass mirrors the forward line by line. The payoff is
-exact per-token gradients w.r.t. the embedding vectors and the logits, which
+Everything is float64 numpy. Forward and backward run on a right-padded
+(B, T) batch; one sequence is a batch of one. Forward caches every
+intermediate the backward pass needs, and the backward pass mirrors the
+forward line by line. The payoff is exact per-token gradients w.r.t. the
+embedding vectors and the logits of every instance in the batch (the
+per-example gradient trick of Goodfellow 2015, arXiv:1510.01799), which
 downstream code aggregates into per-instance scores.
+
+Right padding is exact: attention is causal, so padded positions never feed
+real ones; layer norm works row by row; padded positions carry no loss
+weight. Each instance's loss, embedding gradient and logit gradient are
+bit-identical to its batch-of-one result: key-axis sums and dot products
+run over each sequence's own length, each sequence's LM head is a GEMM of
+its own, and x @ w.T runs in fixed row blocks, so neither the padding nor
+the batch mates change a rounding.
 
 Architecture: token + learned positional embeddings, pre-layer-norm blocks
 (LN -> causal multi-head attention -> residual; LN -> GELU MLP -> residual),
@@ -14,15 +24,16 @@ final layer norm, untied linear LM head.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from ..corpus import TokenSequence
+from ..corpus import Tokenizer, TokenSequence
 from ..rng import ROLE_INIT, substream
 
 LN_EPS = 1e-5
@@ -57,41 +68,28 @@ class ModelConfig:
 
 
 class Model:
-    """Parameter container: an ordered name -> float64 array dict."""
+    """Parameters in one contiguous float64 vector; `params` holds named views
+    into it in declared order, so an Adam step is a few vector operations."""
 
-    def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.params = params
+        self.flat = np.zeros(_layout(cfg)[-1][2])
+        self.params = param_views(cfg, self.flat)
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.flat.size
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Declared tensor order; init, checkpoints, and Adam all follow it."""
+    """Declared tensor order; init, checkpoints, and the flat layout follow it."""
     d, ff, V, S = cfg.d_model, cfg.d_ff, cfg.vocab_size, cfg.max_seq_len
-    shapes: dict[str, tuple[int, ...]] = {
-        "emb": (V, d),
-        "pos": (S, d),
-    }
+    layer = (("ln1.g", (d,)), ("ln1.b", (d,)), ("wq", (d, d)), ("bq", (d,)),
+             ("wk", (d, d)), ("bk", (d,)), ("wv", (d, d)), ("bv", (d,)),
+             ("wo", (d, d)), ("bo", (d,)), ("ln2.g", (d,)), ("ln2.b", (d,)),
+             ("w1", (d, ff)), ("b1", (ff,)), ("w2", (ff, d)), ("b2", (d,)))
+    shapes: dict[str, tuple[int, ...]] = {"emb": (V, d), "pos": (S, d)}
     for i in range(cfg.n_layers):
-        p = f"l{i}."
-        shapes[p + "ln1.g"] = (d,)
-        shapes[p + "ln1.b"] = (d,)
-        shapes[p + "wq"] = (d, d)
-        shapes[p + "bq"] = (d,)
-        shapes[p + "wk"] = (d, d)
-        shapes[p + "bk"] = (d,)
-        shapes[p + "wv"] = (d, d)
-        shapes[p + "bv"] = (d,)
-        shapes[p + "wo"] = (d, d)
-        shapes[p + "bo"] = (d,)
-        shapes[p + "ln2.g"] = (d,)
-        shapes[p + "ln2.b"] = (d,)
-        shapes[p + "w1"] = (d, ff)
-        shapes[p + "b1"] = (ff,)
-        shapes[p + "w2"] = (ff, d)
-        shapes[p + "b2"] = (d,)
+        shapes.update((f"l{i}.{name}", shape) for name, shape in layer)
     shapes["lnf.g"] = (d,)
     shapes["lnf.b"] = (d,)
     if not cfg.tie_lm_head:
@@ -99,35 +97,99 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(cfg: ModelConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of every tensor in the flat vector."""
+    shapes = param_shapes(cfg)
+    stops = np.cumsum([math.prod(s) for s in shapes.values()]).tolist()
+    return tuple(zip(shapes, [0] + stops[:-1], stops, shapes.values()))
+
+
+def param_views(cfg: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views of a parameter-sized vector (parameters or gradients)."""
+    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in _layout(cfg)}
+
+
 def init_model(cfg: ModelConfig) -> Model:
     """Scaled normal init, deterministic under cfg.init_seed.
 
     Weight matrices get std 0.02; residual-output projections (wo, w2) are
     shrunk by 1/sqrt(2 * n_layers) so residual variance stays bounded with
-    depth. Biases start at zero, layer-norm gains at one.
+    depth. Biases start at zero, layer-norm gains at one. The weights draw
+    from one stream in declared tensor order.
     """
     cfg.validate()
+    model = Model(cfg)
     rng = substream(cfg.init_seed, ROLE_INIT)
     residual_scale = 1.0 / math.sqrt(2.0 * cfg.n_layers)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
+    for name, p in model.params.items():
         leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("g",):
-            params[name] = np.ones(shape)
-        elif leaf in ("b",) or leaf.startswith("b"):
-            params[name] = np.zeros(shape)
-        else:
-            std = 0.02
-            if leaf in ("wo", "w2"):
-                std *= residual_scale
-            flat = np.array([rng.normal() for _ in range(int(np.prod(shape)))])
-            params[name] = (flat * std).reshape(shape)
-    return Model(cfg, params)
+        if leaf == "g":
+            p[...] = 1.0
+        elif not leaf.startswith("b"):
+            std = 0.02 * residual_scale if leaf in ("wo", "w2") else 0.02
+            p[...] = (rng.normals(p.size) * std).reshape(p.shape)
+    return model
 
 
+def loss_positions_of(seq: TokenSequence) -> list[int]:
+    """Positions t whose next token is a response token (the SFT loss mask)."""
+    return [t for t in range(len(seq) - 1) if seq.roles[t + 1] == "response"]
+
+
+class Batch:
+    """Right-padded (B, T) token ids with per-position loss weights.
+
+    weights[b, t] is 1/n_b where the next token is one of sequence b's n_b
+    response tokens (the SFT loss mask), and 0 elsewhere and on padding. The
+    loss rows are the flat positions b*T + t of nonzero weight in (b, t)
+    order; sequence b owns loss rows row_starts[b]:row_starts[b + 1].
+    """
+
+    def __init__(self, tokens: np.ndarray, lengths: np.ndarray | None = None,
+                 weights: np.ndarray | None = None, ids=None):
+        B, T = tokens.shape
+        self.tokens = tokens
+        self.lengths = np.full(B, T) if lengths is None else lengths
+        self.weights = np.zeros((B, T)) if weights is None else weights
+        self.ids = tuple(f"#{b}" for b in range(B)) if ids is None else tuple(ids)
+        self.w = self.weights.max(axis=1)  # each instance's uniform weight
+        self.loss_rows = np.flatnonzero(self.weights)
+        self.targets = tokens.reshape(-1)[self.loss_rows + 1]
+        counts = np.count_nonzero(self.weights, axis=1)
+        self.row_starts = np.concatenate(([0], np.cumsum(counts)))
+
+    @classmethod
+    def of(cls, seqs: list[TokenSequence]) -> Batch:
+        T = max(len(s) for s in seqs)
+        tokens = np.full((len(seqs), T), Tokenizer.pad, dtype=np.int64)
+        weights = np.zeros((len(seqs), T))
+        for b, seq in enumerate(seqs):
+            tokens[b, : len(seq)] = seq.tokens
+            positions = loss_positions_of(seq)
+            if positions:
+                weights[b, positions] = 1.0 / len(positions)
+        return cls(tokens, np.array([len(s) for s in seqs]), weights,
+                   [s.instance_id for s in seqs])
+
+
+# Sequences per forward pass where nothing is trained (features, scores).
+SCORE_BATCH = 16
+
+
+def batches(seqs: list[TokenSequence], size: int = SCORE_BATCH):
+    """Consecutive (sequences, Batch) chunks of at most size sequences."""
+    for lo in range(0, len(seqs), size):
+        chunk = seqs[lo : lo + size]
+        yield chunk, Batch.of(chunk)
+
+
+# Row means are written as sum / n: the same bits as ndarray.mean, without
+# its Python-level overhead on these small arrays.
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     return xhat * g + b, xhat, inv
@@ -135,24 +197,20 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 def _layernorm_backward(dy, xhat, inv, g):
     # dL/dx for y = g*xhat + b with xhat = (x-mu)/sigma
+    n = dy.shape[-1]
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
-    return inv * (dxhat - m1 - xhat * m2), dg, db
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    return inv * (dxhat - m1 - xhat * m2)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+def _gelu_grad(x: np.ndarray, erf1: np.ndarray) -> np.ndarray:
+    """GELU'(x), given erf1 = 1 + erf(x / sqrt 2) from the forward pass."""
+    return 0.5 * erf1 + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -161,35 +219,77 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Two attention reductions run over the key axis, whose length is the padded
+# one. Numpy's pairwise sums regroup at 8 or more terms, and OpenBLAS rounds
+# x @ y.T by the number of columns, so the padding would change the bits of a
+# shorter sequence; each such sequence's block is recomputed from its own rows.
+def _key_sum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums over the key axis of (B, H, T, T), each sequence over its length."""
+    out = x.sum(axis=-1, keepdims=True)
+    for b, n in enumerate(lengths.tolist()):
+        if n < x.shape[-1]:
+            out[b, :, :n] = x[b, :, :n, :n].sum(axis=-1, keepdims=True)
+    return out
+
+
+def _dot_keys(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """x @ y^T for (B, H, T, dh) pairs, each sequence over its length."""
+    out = np.matmul(x, y.transpose(0, 1, 3, 2))
+    for b, n in enumerate(lengths.tolist()):
+        if n < x.shape[2]:
+            out[b, :, :n, :n] = np.matmul(x[b, :, :n], y[b, :, :n].transpose(0, 2, 1))
+    return out
+
+
+def _times_wt(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T in blocks of 16 rows. OpenBLAS picks its kernel for x @ w.T by
+    the number of rows, and its kernels round differently; fixed blocks keep
+    each row's bits independent of the batch around it."""
+    n, k = x.shape
+    pad = -n % 16
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, k))])
+    return np.matmul(x.reshape(-1, 16, k), w.T).reshape(n + pad, -1)[:n]
+
+
+def _split_heads(x: np.ndarray, B: int, T: int, H: int) -> np.ndarray:
+    return x.reshape(B, T, H, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    B, H, T, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B * T, H * dh)
+
+
 @dataclass
 class LayerTrace:
-    h_in: np.ndarray
-    a: np.ndarray           # ln1 output
+    a: np.ndarray            # ln1 output, (B*T, d)
     a_xhat: np.ndarray
     a_inv: np.ndarray
-    q: np.ndarray            # (H, T, dh)
+    q: np.ndarray            # (B, H, T, dh)
     k: np.ndarray
     v: np.ndarray
-    att: np.ndarray          # (H, T, T)
-    ctx: np.ndarray          # (T, d), heads re-merged
-    h_mid: np.ndarray        # after attention residual
+    att: np.ndarray          # (B, H, T, T)
+    ctx: np.ndarray          # (B*T, d), heads re-merged
     bmlp: np.ndarray         # ln2 output
     b_xhat: np.ndarray
     b_inv: np.ndarray
     f1: np.ndarray           # pre-GELU
+    erf1: np.ndarray         # 1 + erf(f1 / sqrt 2)
     gact: np.ndarray         # post-GELU
 
 
 @dataclass
 class ForwardTrace:
-    e: np.ndarray            # (T, d) embedding-layer output actually used
+    e: np.ndarray            # (B, T, d) embedding-layer output actually used
     layers: list[LayerTrace]
-    hf: np.ndarray           # final hidden states, pre-LN nomenclature below
+    hf: np.ndarray           # (B*T, d) final layer-norm output
     hf_xhat: np.ndarray
     hf_inv: np.ndarray
-    h_last: np.ndarray       # input to the final layer norm
-    logits: np.ndarray       # (T, V)
-    probs: np.ndarray        # (T, V)
+    rows: np.ndarray         # (R,) flat positions that have logits
+    logits: np.ndarray       # (R, V)
+    probs: np.ndarray        # (R, V)
+    losses: np.ndarray | None  # (B,) per instance; None with last_only
 
 
 def lm_head_matrix(model: Model) -> np.ndarray:
@@ -198,223 +298,198 @@ def lm_head_matrix(model: Model) -> np.ndarray:
     return model.params["lm_head"]
 
 
-def forward(model: Model, seq: TokenSequence,
-            e_override: np.ndarray | None = None) -> ForwardTrace:
-    """Run the model over one sequence, caching activations for backprop.
+def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
+            last_only: bool = False) -> ForwardTrace:
+    """Run the model over a batch, caching activations for backprop.
 
-    e_override substitutes the embedding-layer output (token + positional
-    rows); the finite-difference gradient checks perturb it directly.
+    Logits and probabilities exist only on the rows that need them: the loss
+    rows, or with last_only the final position of every sequence (decoding);
+    without last_only every instance needs a response. Each sequence's LM
+    head is a GEMM over its own rows, as in a batch of one: OpenBLAS rounds a
+    row of the product by its position among the rows. e_override
+    substitutes the (B, T, d) embedding-layer output; the finite-difference
+    gradient checks perturb it.
     """
     cfg = model.cfg
-    tokens = np.asarray(seq.tokens, dtype=np.int64)
-    T = tokens.shape[0]
+    tokens = batch.tokens
+    B, T = tokens.shape
     if T > cfg.max_seq_len:
-        raise ValueError(f"sequence length {T} exceeds max_seq_len {cfg.max_seq_len}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise ValueError("token id out of range")
+        longest = batch.ids[int(np.argmax(batch.lengths))]
+        raise ValueError(f"instance {longest}: sequence length {T} exceeds "
+                         f"max_seq_len {cfg.max_seq_len}")
+    bad = ((tokens < 0) | (tokens >= cfg.vocab_size)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"instance {batch.ids[int(np.argmax(bad))]}: token id out of range")
+    if not (last_only or batch.w.all()):
+        raise ValueError(f"empty response: {batch.ids[int(np.argmin(batch.w))]}")
     P = model.params
-    H = cfg.n_heads
-    dh = cfg.d_model // H
-    scale = 1.0 / math.sqrt(dh)
+    d, H = cfg.d_model, cfg.n_heads
+    scale = 1.0 / math.sqrt(d // H)
 
-    if e_override is not None:
-        e = np.array(e_override, dtype=np.float64)
-    else:
-        e = P["emb"][tokens] + P["pos"][:T]
-    h = e
+    e = (P["emb"][tokens] + P["pos"][:T] if e_override is None
+         else np.array(e_override, dtype=np.float64))
+    h = e.reshape(B * T, d)
     layers: list[LayerTrace] = []
     mask = np.triu(np.ones((T, T), dtype=bool), k=1)
     for i in range(cfg.n_layers):
         p = f"l{i}."
         a, a_xhat, a_inv = _layernorm(h, P[p + "ln1.g"], P[p + "ln1.b"])
-        q = (a @ P[p + "wq"] + P[p + "bq"]).reshape(T, H, dh).transpose(1, 0, 2)
-        k = (a @ P[p + "wk"] + P[p + "bk"]).reshape(T, H, dh).transpose(1, 0, 2)
-        v = (a @ P[p + "wv"] + P[p + "bv"]).reshape(T, H, dh).transpose(1, 0, 2)
-        scores = np.matmul(q, k.transpose(0, 2, 1)) * scale
-        scores = np.where(mask, -np.inf, scores)
-        att = _softmax_rows(scores)
-        ctx = np.matmul(att, v).transpose(1, 0, 2).reshape(T, cfg.d_model)
+        q, k, v = (_split_heads(a @ P[p + "w" + x] + P[p + "b" + x], B, T, H) for x in "qkv")
+        scores = np.where(mask, -np.inf, _dot_keys(q, k, batch.lengths) * scale)
+        ez = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = ez / _key_sum(ez, batch.lengths)
+        ctx = _merge_heads(np.matmul(att, v))
         h_mid = h + (ctx @ P[p + "wo"] + P[p + "bo"])
         b, b_xhat, b_inv = _layernorm(h_mid, P[p + "ln2.g"], P[p + "ln2.b"])
         f1 = b @ P[p + "w1"] + P[p + "b1"]
-        gact = _gelu(f1)
-        h_out = h_mid + (gact @ P[p + "w2"] + P[p + "b2"])
-        layers.append(LayerTrace(h, a, a_xhat, a_inv, q, k, v, att, ctx,
-                                 h_mid, b, b_xhat, b_inv, f1, gact))
-        h = h_out
+        erf1 = 1.0 + erf(f1 * _INV_SQRT2)
+        gact = 0.5 * f1 * erf1  # GELU
+        h = h_mid + (gact @ P[p + "w2"] + P[p + "b2"])
+        layers.append(LayerTrace(a, a_xhat, a_inv, q, k, v, att, ctx,
+                                 b, b_xhat, b_inv, f1, erf1, gact))
     hf, hf_xhat, hf_inv = _layernorm(h, P["lnf.g"], P["lnf.b"])
-    logits = hf @ lm_head_matrix(model)
+    W = lm_head_matrix(model)
+    starts = batch.row_starts.tolist()
+    if last_only:
+        rows = np.arange(B) * T + batch.lengths - 1
+        logits = hf[rows] @ W
+    else:
+        rows = batch.loss_rows
+        logits = np.empty((rows.size, W.shape[1]))
+        for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            own = slice(b * T, b * T + batch.lengths[b])
+            logits[lo:hi] = (hf[own] @ W)[rows[lo:hi] - b * T]
     probs = _softmax_rows(logits)
-    return ForwardTrace(e, layers, hf, hf_xhat, hf_inv, h, logits, probs)
+    losses = None
+    if not last_only:
+        # math.log, not numpy's SIMD log, which is not correctly rounded
+        p = probs[np.arange(rows.size), batch.targets].tolist()
+        logp = np.array([math.log(x) if x != 0.0 else -math.inf for x in p])
+        losses = np.array([-w * logp[lo:hi].sum()
+                           for w, lo, hi in zip(batch.w.tolist(), starts, starts[1:])])
+    return ForwardTrace(e, layers, hf, hf_xhat, hf_inv, rows, logits, probs, losses)
 
 
 @dataclass
 class BackwardResult:
-    loss: float
-    g_emb: np.ndarray                  # (T, d): dLoss/de[t] for every position
-    g_lm: np.ndarray                   # (T, V): zero rows off loss positions
-    loss_positions: list[int]
-    weight: float                      # uniform per-position loss weight
-    param_grads: dict[str, np.ndarray] = field(default_factory=dict)
+    losses: np.ndarray               # (B,) mean response-token cross-entropy
+    g_emb: np.ndarray                # (B, T, d): dLoss_b/de[b, t], zero on padding
+    g_lm: np.ndarray                 # (R, V): one row per loss row
+    param_grads: np.ndarray | None   # batch mean of the instance gradients
 
 
-def loss_positions_of(seq: TokenSequence) -> list[int]:
-    """Positions t whose next token is a response token (the SFT loss mask)."""
-    return [t for t in range(len(seq) - 1) if seq.roles[t + 1] == "response"]
-
-
-def loss_and_grads(model: Model, seq: TokenSequence, trace: ForwardTrace,
+def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
                    want_param_grads: bool = True) -> BackwardResult:
-    """Mean response-token cross-entropy and its exact gradients.
+    """Each instance's mean response-token cross-entropy and its exact gradients.
 
     The backward pass differentiates w.r.t. pre-softmax logits (form p - y,
-    scaled by the uniform position weight). When cfg.lm_grad_space == "probs"
-    the *recorded* g_lm instead holds d loss / d probs, which is -w/p at the
-    target coordinate and zero elsewhere; everything else is unchanged.
+    scaled by the instance's uniform position weight). When cfg.lm_grad_space
+    == "probs" the *recorded* g_lm instead holds d loss / d probs, which is
+    -w/p at the target coordinate and zero elsewhere; everything else is
+    unchanged. param_grads, laid out like model.flat, is the mean of the
+    instance gradients, summed in batch order: the same bits as accumulating
+    (1/B) * gradient one instance at a time.
     """
     cfg = model.cfg
-    tokens = np.asarray(seq.tokens, dtype=np.int64)
-    T = tokens.shape[0]
-    positions = loss_positions_of(seq)
-    if not positions:
-        raise ValueError(f"empty response: {seq.instance_id}")
-    w = 1.0 / len(positions)
-    targets = tokens[[t + 1 for t in positions]]
-
-    logp = np.zeros(len(positions))
-    dlogits = np.zeros_like(trace.logits)
-    for row, (t, y) in enumerate(zip(positions, targets)):
-        p = trace.probs[t]
-        logp[row] = math.log(p[y])
-        dlogits[t] = w * p
-        dlogits[t, y] -= w
-    loss = float(-w * logp.sum())
-
+    B, T = batch.tokens.shape
+    d, H = cfg.d_model, cfg.n_heads
+    scale = 1.0 / math.sqrt(d // H)
+    rows = trace.rows
+    target = (np.arange(rows.size), batch.targets)
+    w = batch.weights.reshape(-1)[rows]
+    dlogits = w[:, None] * trace.probs
+    dlogits[target] -= w
     if cfg.lm_grad_space == "probs":
-        g_lm = np.zeros_like(trace.logits)
-        for t, y in zip(positions, targets):
-            g_lm[t, y] = -w / trace.probs[t, y]
+        g_lm = np.zeros_like(trace.probs)
+        g_lm[target] = -w / trace.probs[target]
     else:
-        g_lm = dlogits.copy()
+        g_lm = dlogits
 
     P = model.params
-    H = cfg.n_heads
-    hd = cfg.d_model // H
-    scale = 1.0 / math.sqrt(hd)
-    grads: dict[str, np.ndarray] = {}
+    grads = np.zeros_like(model.flat) if want_param_grads else None
+    G = param_views(cfg, grads) if want_param_grads else {}
+    inv = 1.0 / B
 
-    def acc(name: str, g: np.ndarray) -> None:
-        if name in grads:
-            grads[name] += g
-        else:
-            grads[name] = g
+    def put(name: str, per_instance_grads: np.ndarray) -> None:
+        # batch mean, summed in batch order like one instance at a time
+        per_instance_grads *= inv
+        np.add.reduce(per_instance_grads, axis=0, out=G[name])
+
+    def per_instance(x: np.ndarray) -> np.ndarray:  # (B*T, n) -> (B, T, n)
+        return x.reshape(B, T, -1)
+
+    def linear_grads(p: str, s: str, x: np.ndarray, dy: np.ndarray) -> None:
+        # y = x @ w<s> + b<s> in layer p
+        put(p + "w" + s, np.matmul(per_instance(x).transpose(0, 2, 1), per_instance(dy)))
+        put(p + "b" + s, per_instance(dy).sum(axis=1))
+
+    def layernorm_grads(prefix: str, dy: np.ndarray, xhat: np.ndarray) -> None:
+        put(prefix + ".g", per_instance(dy * xhat).sum(axis=1))
+        put(prefix + ".b", per_instance(dy).sum(axis=1))
 
     Wlm = lm_head_matrix(model)
-    dhf = dlogits @ Wlm.T
+    head = np.zeros((B,) + Wlm.shape) if want_param_grads else None  # per instance
+    dhf = np.zeros((B * T, d))
+    starts = batch.row_starts.tolist()
+    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        own = slice(b * T, b * T + batch.lengths[b])
+        dlogits_own = np.zeros((batch.lengths[b], Wlm.shape[1]))
+        dlogits_own[rows[lo:hi] - b * T] = dlogits[lo:hi]
+        dhf[own] = dlogits_own @ Wlm.T
+        if want_param_grads:
+            head[b] = trace.hf[own].T @ dlogits_own
     if want_param_grads:
-        if cfg.tie_lm_head:
-            acc("emb", (trace.hf.T @ dlogits).T)
-        else:
-            acc("lm_head", trace.hf.T @ dlogits)
-    dh, dg, db = _layernorm_backward(dhf, trace.hf_xhat, trace.hf_inv, P["lnf.g"])
-    if want_param_grads:
-        acc("lnf.g", dg)
-        acc("lnf.b", db)
+        if not cfg.tie_lm_head:
+            put("lm_head", head)
+        layernorm_grads("lnf", dhf, trace.hf_xhat)
+    dh = _layernorm_backward(dhf, trace.hf_xhat, trace.hf_inv, P["lnf.g"])
 
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"l{i}."
         tr = trace.layers[i]
         # MLP block: h_out = h_mid + gelu(LN2(h_mid) @ w1 + b1) @ w2 + b2
-        df2 = dh
-        dgact = df2 @ P[p + "w2"].T
-        df1 = dgact * _gelu_grad(tr.f1)
-        dbmlp = df1 @ P[p + "w1"].T
+        dgact = _times_wt(dh, P[p + "w2"])
+        df1 = dgact * _gelu_grad(tr.f1, tr.erf1)
+        dbmlp = _times_wt(df1, P[p + "w1"])
         if want_param_grads:
-            acc(p + "w2", tr.gact.T @ df2)
-            acc(p + "b2", df2.sum(axis=0))
-            acc(p + "w1", tr.bmlp.T @ df1)
-            acc(p + "b1", df1.sum(axis=0))
-        dmid_ln, dg, db = _layernorm_backward(dbmlp, tr.b_xhat, tr.b_inv, P[p + "ln2.g"])
-        if want_param_grads:
-            acc(p + "ln2.g", dg)
-            acc(p + "ln2.b", db)
-        dh_mid = dh + dmid_ln
+            linear_grads(p, "2", tr.gact, dh)
+            linear_grads(p, "1", tr.bmlp, df1)
+            layernorm_grads(p + "ln2", dbmlp, tr.b_xhat)
+        dh_mid = dh + _layernorm_backward(dbmlp, tr.b_xhat, tr.b_inv, P[p + "ln2.g"])
 
         # attention block: h_mid = h_in + (ctx @ wo + bo)
-        do = dh_mid
-        dctx = do @ P[p + "wo"].T
+        dctx = _times_wt(dh_mid, P[p + "wo"])
         if want_param_grads:
-            acc(p + "wo", tr.ctx.T @ do)
-            acc(p + "bo", do.sum(axis=0))
-        T_ = dctx.shape[0]
-        dctx_h = dctx.reshape(T_, H, hd).transpose(1, 0, 2)
-        datt = np.matmul(dctx_h, tr.v.transpose(0, 2, 1))
-        dv = np.matmul(tr.att.transpose(0, 2, 1), dctx_h)
+            linear_grads(p, "o", tr.ctx, dh_mid)
+        dctx_h = _split_heads(dctx, B, T, H)
+        datt = _dot_keys(dctx_h, tr.v, batch.lengths)
+        dv = np.matmul(tr.att.transpose(0, 1, 3, 2), dctx_h)
         # softmax rows: ds = att * (datt - sum(datt * att))
-        inner = (datt * tr.att).sum(axis=-1, keepdims=True)
-        dscores = tr.att * (datt - inner)
-        dq = np.matmul(dscores, tr.k) * scale
-        dk = np.matmul(dscores.transpose(0, 2, 1), tr.q) * scale
-        dq_f = dq.transpose(1, 0, 2).reshape(T_, cfg.d_model)
-        dk_f = dk.transpose(1, 0, 2).reshape(T_, cfg.d_model)
-        dv_f = dv.transpose(1, 0, 2).reshape(T_, cfg.d_model)
-        da = dq_f @ P[p + "wq"].T + dk_f @ P[p + "wk"].T + dv_f @ P[p + "wv"].T
+        dscores = tr.att * (datt - _key_sum(datt * tr.att, batch.lengths))
+        dq = _merge_heads(np.matmul(dscores, tr.k) * scale)
+        dk = _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), tr.q) * scale)
+        dv = _merge_heads(dv)
+        da = (_times_wt(dq, P[p + "wq"]) + _times_wt(dk, P[p + "wk"])
+              + _times_wt(dv, P[p + "wv"]))
         if want_param_grads:
-            acc(p + "wq", tr.a.T @ dq_f)
-            acc(p + "bq", dq_f.sum(axis=0))
-            acc(p + "wk", tr.a.T @ dk_f)
-            acc(p + "bk", dk_f.sum(axis=0))
-            acc(p + "wv", tr.a.T @ dv_f)
-            acc(p + "bv", dv_f.sum(axis=0))
-        dln1, dg, db = _layernorm_backward(da, tr.a_xhat, tr.a_inv, P[p + "ln1.g"])
-        if want_param_grads:
-            acc(p + "ln1.g", dg)
-            acc(p + "ln1.b", db)
-        dh = dh_mid + dln1
+            for x, g in zip("qkv", (dq, dk, dv)):
+                linear_grads(p, x, tr.a, g)
+            layernorm_grads(p + "ln1", da, tr.a_xhat)
+        dh = dh_mid + _layernorm_backward(da, tr.a_xhat, tr.a_inv, P[p + "ln1.g"])
 
-    g_emb_tokens = dh  # dLoss/de[t]: e feeds layer 0 directly
+    g_emb = per_instance(dh)  # dLoss/de[t]: e feeds layer 0 directly
     if want_param_grads:
-        demb = grads.get("emb")
-        if demb is None:
-            demb = np.zeros_like(P["emb"])
-            grads["emb"] = demb
-        for t, tok in enumerate(tokens):
-            demb[tok] += g_emb_tokens[t]
-        dpos = np.zeros_like(P["pos"])
-        dpos[:T] = g_emb_tokens
-        grads["pos"] = dpos
-        # zero-fill params with no gradient path this step
-        for name, arr in P.items():
-            if name not in grads:
-                grads[name] = np.zeros_like(arr)
-
-    return BackwardResult(
-        loss=loss,
-        g_emb=g_emb_tokens,
-        g_lm=g_lm,
-        loss_positions=positions,
-        weight=w,
-        param_grads=grads,
-    )
-
-
-def sequence_loss(model: Model, seq: TokenSequence,
-                  e_override: np.ndarray | None = None) -> float:
-    """Forward-only loss; the finite-difference oracle's workhorse."""
-    trace = forward(model, seq, e_override=e_override)
-    positions = loss_positions_of(seq)
-    if not positions:
-        raise ValueError(f"empty response: {seq.instance_id}")
-    tokens = seq.tokens
-    w = 1.0 / len(positions)
-    return float(-w * sum(
-        math.log(trace.probs[t][tokens[t + 1]]) for t in positions
-    ))
-
-
-def perplexity(model: Model, seq: TokenSequence) -> float:
-    """exp(mean response-token cross-entropy)."""
-    return math.exp(sequence_loss(model, seq))
+        # per instance: the tied head's gradient first, then each used row's
+        if cfg.tie_lm_head:
+            used, index = np.arange(cfg.vocab_size), batch.tokens
+            emb = head.transpose(0, 2, 1).copy()
+        else:  # only the rows the batch uses
+            used, index = np.unique(batch.tokens, return_inverse=True)
+            emb = np.zeros((B, used.size, d))
+        np.add.at(emb, (np.repeat(np.arange(B), T), index.reshape(-1)), dh)
+        G["emb"][used] += (inv * emb).sum(axis=0)
+        G["pos"][:T] += (inv * g_emb).sum(axis=0)
+    return BackwardResult(trace.losses, g_emb, g_lm, grads)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
@@ -464,16 +539,15 @@ def load_checkpoint(path: str) -> Model:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
     cfg = config_from_dict(payload["config"])
     cfg.validate()
-    expected = param_shapes(cfg)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in expected.items():
+    model = Model(cfg)
+    for name, param in model.params.items():
         entry = payload["params"].get(name)
         if entry is None:
             raise ValueError(f"checkpoint missing parameter {name}")
         arr = np.frombuffer(
             base64.b64decode(entry["data"]), dtype="<f8"
         ).astype(np.float64).reshape(entry["shape"])
-        if tuple(arr.shape) != shape:
+        if arr.shape != param.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")
-        params[name] = arr.copy()
-    return Model(cfg, params)
+        param[...] = arr
+    return model

@@ -1,20 +1,23 @@
 """Adam training loop, single-epoch gradient extraction, and checkpointing glue.
 
-The loop is deliberately plain: batches are lists of pre-encoded sequences,
-per-instance gradients are averaged into the batch update, and all shuffling
-comes from the seeded PRNG so runs are bit-reproducible.
+The loop is deliberately plain: each update runs one forward/backward over
+the padded batch, the instance gradients are averaged into the batch
+update, and all shuffling comes from the seeded PRNG so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..corpus import TokenSequence
 from ..rng import ROLE_SHUFFLE, substream
-from .model import Model, forward, loss_and_grads
+from .model import (BackwardResult, Batch, Model, batches, forward, loss_and_grads,
+                    loss_positions_of)
 
 # Named learning-rate profiles. "desk" suits the miniature model; "full_scale"
 # mirrors large-model fine-tuning practice and is kept selectable.
@@ -55,27 +58,53 @@ class GradientBundle:
     step_index: int            # -1 when captured without updates
 
 
+def _bundles(seqs: list[TokenSequence], batch: Batch, res: BackwardResult,
+             step_index: int) -> list[GradientBundle]:
+    starts = batch.row_starts
+    return [GradientBundle(seq.instance_id, res.g_emb[b, : len(seq)],
+                           res.g_lm[starts[b] : starts[b + 1]], loss_positions_of(seq),
+                           float(batch.w[b]), float(res.losses[b]), step_index)
+            for b, seq in enumerate(seqs)]
+
+
+def _check_losses(batch: Batch, losses: np.ndarray, where: str) -> None:
+    """Abort on a NaN or infinite instance loss, naming the instance."""
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        named = ", ".join(f"instance {batch.ids[b]} has loss {losses[b]}" for b in bad)
+        raise RuntimeError(f"NaN loss at {where}: {named}")
+
+
 class AdamState:
-    """First/second moment accumulators in declared parameter order."""
+    """First/second moment accumulators over the flat parameter vector."""
 
     def __init__(self, model: Model):
-        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
+        self._step = np.empty_like(model.flat)
+        self._denom = np.empty_like(model.flat)
         self.t = 0
 
-    def step(self, model: Model, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, model: Model, grads: np.ndarray, lr: float) -> None:
+        """p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in preallocated buffers."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
-        for name, p in model.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+        step, denom = self._step, self._denom
+        self.m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, grads, out=step)
+        self.m += step
+        self.v *= ADAM_BETA2
+        np.multiply(grads, grads, out=step)
+        step *= 1.0 - ADAM_BETA2
+        self.v += step
+        np.divide(self.v, b2c, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(self.m, b1c, out=step)
+        step *= lr
+        step /= denom
+        model.flat -= step
 
 
 def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float) -> float:
@@ -89,8 +118,13 @@ def warmup_lr(base_lr: float, step: int, total_steps: int, warmup_ratio: float) 
     return base_lr * step / warmup_steps
 
 
-def _batches(order: list[int], batch_size: int) -> list[list[int]]:
-    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
+def _epochs(n_instances: int, hyper: TrainHyper):
+    """Index batches of epoch after epoch, each epoch freshly shuffled."""
+    rng = substream(hyper.shuffle_seed, ROLE_SHUFFLE)
+    while True:
+        order = list(range(n_instances))
+        rng.shuffle(order)
+        yield [order[i : i + hyper.batch_size] for i in range(0, n_instances, hyper.batch_size)]
 
 
 def total_update_steps(n_instances: int, hyper: TrainHyper) -> int:
@@ -119,65 +153,24 @@ class Trainer:
         When capture is given, each instance's own (unscaled) gradient bundle
         is appended before the update is applied.
         """
-        grads: dict[str, np.ndarray] | None = None
-        inv = 1.0 / len(batch)
-        loss_sum = 0.0
-        for seq in batch:
-            try:
-                trace = forward(self.model, seq)
-                res = loss_and_grads(self.model, seq, trace)
-            except ValueError as exc:
-                raise ValueError(f"instance {seq.instance_id}: {exc}") from exc
-            loss_sum += res.loss
-            if capture is not None:
-                capture.append(
-                    GradientBundle(
-                        instance_id=seq.instance_id,
-                        g_emb=res.g_emb,
-                        g_lm=res.g_lm[res.loss_positions],
-                        loss_positions=res.loss_positions,
-                        weight=res.weight,
-                        loss=res.loss,
-                        step_index=self.adam.t,
-                    )
-                )
-            if grads is None:
-                grads = {k: inv * v for k, v in res.param_grads.items()}
-            else:
-                for k, v in res.param_grads.items():
-                    grads[k] += inv * v
-        mean_loss = loss_sum * inv
-        if math.isnan(mean_loss):
-            raise RuntimeError(f"NaN loss at step {self.adam.t + 1}")
+        padded = Batch.of(batch)
+        res = loss_and_grads(self.model, padded, forward(self.model, padded))
+        _check_losses(padded, res.losses, f"step {self.adam.t + 1}")
+        if capture is not None:
+            capture.extend(_bundles(batch, padded, res, self.adam.t))
         lr = warmup_lr(self.hyper.learning_rate, self.adam.t + 1,
                        self.total_steps, self.hyper.warmup_ratio)
-        self.adam.step(self.model, grads, lr)
-        return mean_loss
+        self.adam.step(self.model, res.param_grads, lr)
+        return sum(res.losses.tolist()) * (1.0 / len(batch))
 
     def run_epochs(self, seqs: list[TokenSequence],
                    on_epoch=None) -> None:
-        rng = substream(self.hyper.shuffle_seed, ROLE_SHUFFLE)
-        for epoch in range(self.hyper.epochs):
-            order = list(range(len(seqs)))
-            rng.shuffle(order)
-            losses = []
-            for batch_idx in _batches(order, self.hyper.batch_size):
-                losses.append(self.apply_batch([seqs[i] for i in batch_idx]))
+        epochs = zip(range(self.hyper.epochs), _epochs(len(seqs), self.hyper))
+        for epoch, index_batches in epochs:
+            losses = [self.apply_batch([seqs[i] for i in idx]) for idx in index_batches]
             self.epoch_losses.append(float(np.mean(losses)))
             if on_epoch is not None:
                 on_epoch(epoch + 1)
-
-
-def train(model: Model, seqs: list[TokenSequence], hyper: TrainHyper,
-          on_epoch=None) -> Model:
-    """Fine-tune in place for hyper.epochs epochs; returns the same model."""
-    if hyper.epochs == 0:
-        return model
-    if not seqs:
-        raise ValueError("empty dataset")
-    trainer = Trainer(model, hyper, total_update_steps(len(seqs), hyper))
-    trainer.run_epochs(seqs, on_epoch=on_epoch)
-    return model
 
 
 def train_steps(model: Model, seqs: list[TokenSequence], hyper: TrainHyper,
@@ -194,16 +187,9 @@ def train_steps(model: Model, seqs: list[TokenSequence], hyper: TrainHyper,
     if not seqs:
         raise ValueError("empty dataset")
     trainer = Trainer(model, hyper, n_steps)
-    rng = substream(hyper.shuffle_seed, ROLE_SHUFFLE)
-    done = 0
-    while done < n_steps:
-        order = list(range(len(seqs)))
-        rng.shuffle(order)
-        for batch_idx in _batches(order, hyper.batch_size):
-            trainer.apply_batch([seqs[i] for i in batch_idx])
-            done += 1
-            if done >= n_steps:
-                break
+    index_batches = itertools.chain.from_iterable(_epochs(len(seqs), hyper))
+    for idx in itertools.islice(index_batches, n_steps):
+        trainer.apply_batch([seqs[i] for i in idx])
     return model
 
 
@@ -218,46 +204,24 @@ def extract_epoch(
     online: one training epoch; each bundle reflects the parameters at the
     step where its instance is consumed, so bundle values depend on shuffle
     order (faithful to extract-while-training).
-    frozen: pure measurement against fixed parameters, dataset order,
-    order-independent, no updates.
+    frozen: pure measurement against fixed parameters, in dataset order and
+    batches of hyper.batch_size, no updates; each bundle is bit-identical to
+    a batch of one, so the result does not depend on order or batching.
     """
     if not seqs:
         raise ValueError("empty dataset")
+    bundles: list[GradientBundle] = []
     if mode == "frozen":
-        bundles: list[GradientBundle] = []
-        for seq in seqs:
-            try:
-                trace = forward(model, seq)
-                res = loss_and_grads(model, seq, trace, want_param_grads=False)
-            except ValueError as exc:
-                raise ValueError(f"instance {seq.instance_id}: {exc}") from exc
-            bundles.append(
-                GradientBundle(
-                    instance_id=seq.instance_id,
-                    g_emb=res.g_emb,
-                    g_lm=res.g_lm[res.loss_positions],
-                    loss_positions=res.loss_positions,
-                    weight=res.weight,
-                    loss=res.loss,
-                    step_index=-1,
-                )
-            )
+        for chunk, batch in batches(seqs, hyper.batch_size):
+            res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
+            _check_losses(batch, res.losses, "frozen extraction")
+            bundles += _bundles(chunk, batch, res, -1)
         return model, bundles
     if mode != "online":
         raise ValueError(f"unknown extraction mode {mode!r}")
 
-    one_epoch = TrainHyper(
-        learning_rate=hyper.learning_rate,
-        warmup_ratio=hyper.warmup_ratio,
-        batch_size=hyper.batch_size,
-        epochs=1,
-        shuffle_seed=hyper.shuffle_seed,
-    )
+    one_epoch = replace(hyper, epochs=1)
     trainer = Trainer(model, one_epoch, total_update_steps(len(seqs), one_epoch))
-    rng = substream(one_epoch.shuffle_seed, ROLE_SHUFFLE)
-    order = list(range(len(seqs)))
-    rng.shuffle(order)
-    bundles = []
-    for batch_idx in _batches(order, one_epoch.batch_size):
-        trainer.apply_batch([seqs[i] for i in batch_idx], capture=bundles)
+    for idx in next(_epochs(len(seqs), one_epoch)):
+        trainer.apply_batch([seqs[i] for i in idx], capture=bundles)
     return model, bundles

@@ -37,11 +37,13 @@ from gradsel.selector import (
     subset_size,
 )
 from gradsel.tinylm import (
+    Batch,
     ModelConfig,
     forward,
     init_model,
     loss_and_grads,
-    sequence_loss,
+    loss_positions_of,
+    param_views,
 )
 
 SMALL = ModelConfig(
@@ -121,24 +123,25 @@ def test_criterion_01_gradient_finite_difference_exactness():
     t0 = time.perf_counter()
     eps = 1e-5
     model = init_model(SMALL)
-    seq = _random_seq(np.random.default_rng(11))
-    trace = forward(model, seq)
-    res = loss_and_grads(model, seq, trace)
+    batch = Batch.of([_random_seq(np.random.default_rng(11))])
+    trace = forward(model, batch)
+    res = loss_and_grads(model, batch, trace)
+    param_grads = param_views(SMALL, res.param_grads)
     coords = checked = 0
+
+    def loss(e_override=None):
+        return float(forward(model, batch, e_override=e_override).losses[0])
 
     # per-token embedding gradients, full grid
     e0 = trace.e
-    for t in range(e0.shape[0]):
-        for j in range(e0.shape[1]):
+    for t in range(e0.shape[1]):
+        for j in range(e0.shape[2]):
             ep, em = e0.copy(), e0.copy()
-            ep[t, j] += eps
-            em[t, j] -= eps
-            fd = (
-                sequence_loss(model, seq, e_override=ep)
-                - sequence_loss(model, seq, e_override=em)
-            ) / (2 * eps)
+            ep[0, t, j] += eps
+            em[0, t, j] -= eps
+            fd = (loss(ep) - loss(em)) / (2 * eps)
             coords += 1
-            checked += math.isclose(res.g_emb[t, j], fd, rel_tol=1e-4, abs_tol=1e-8)
+            checked += math.isclose(res.g_emb[0, t, j], fd, rel_tol=1e-4, abs_tol=1e-8)
 
     # parameter gradients, sampled coordinates from every tensor
     pick = np.random.default_rng(12)
@@ -147,14 +150,14 @@ def test_criterion_01_gradient_finite_difference_exactness():
         for idx in pick.choice(flat.size, size=min(40, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp = sequence_loss(model, seq)
+            lp = loss()
             flat[idx] = orig - eps
-            lm = sequence_loss(model, seq)
+            lm = loss()
             flat[idx] = orig
             fd = (lp - lm) / (2 * eps)
             coords += 1
             checked += math.isclose(
-                res.param_grads[name].reshape(-1)[idx], fd,
+                param_grads[name].reshape(-1)[idx], fd,
                 rel_tol=1e-4, abs_tol=1e-8,
             )
     seconds = time.perf_counter() - t0
@@ -175,12 +178,13 @@ def test_criterion_02_analytic_lm_head_gradient():
         model = init_model(replace(SMALL, init_seed=int(rng.integers(1 << 16))))
         seq = _random_seq(rng, t_prompt=int(rng.integers(1, 5)),
                           t_resp=int(rng.integers(1, 6)))
-        trace = forward(model, seq)
-        res = loss_and_grads(model, seq, trace, want_param_grads=False)
+        batch = Batch.of([seq])
+        trace = forward(model, batch)
+        res = loss_and_grads(model, batch, trace, want_param_grads=False)
         expected = np.zeros_like(res.g_lm)
-        for t in res.loss_positions:
-            expected[t] = trace.probs[t] * res.weight
-            expected[t, seq.tokens[t + 1]] -= res.weight
+        for row, t in enumerate(loss_positions_of(seq)):
+            expected[row] = trace.probs[row] * batch.w[0]
+            expected[row, seq.tokens[t + 1]] -= batch.w[0]
         worst = max(worst, float(np.abs(res.g_lm - expected).max()))
     ok = worst <= 1e-12
     _verdict(2, ok, f"max |g_lm - (p - y)*w| = {worst:.2e} over 100 instances")

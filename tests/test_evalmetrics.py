@@ -17,9 +17,18 @@ from gradsel.evalmetrics import (
     meteor_lite,
     pilot_deciles,
     rouge_l,
+    spearman,
 )
 from gradsel.gradstats import GradientRecord
-from gradsel.tinylm import ModelConfig, TrainHyper, init_model, train
+from gradsel.tinylm import (
+    Batch,
+    ModelConfig,
+    Trainer,
+    TrainHyper,
+    forward,
+    init_model,
+    total_update_steps,
+)
 
 
 def test_bleu_identity_and_disjoint():
@@ -225,10 +234,38 @@ def test_decile_slices_rules():
 def test_greedy_decode_budget_and_determinism():
     cfg = ModelConfig(16, 1, 2, 32, 40, 16, 0)
     m = init_model(cfg)
-    assert greedy_decode(m, [1, 5, 3], 0) == []
-    a = greedy_decode(m, [1, 5, 3], 8)
-    assert a == greedy_decode(m, [1, 5, 3], 8)
-    assert len(a) <= 8
+    assert greedy_decode(m, [[1, 5, 3]], [0]) == [[]]
+    a = greedy_decode(m, [[1, 5, 3]], [8])
+    assert a == greedy_decode(m, [[1, 5, 3]], [8])
+    assert len(a[0]) <= 8
+
+
+def _naive_decode(model, prompt, max_new, eos_id=2):
+    """Reference: a full forward over the whole prefix per new token."""
+    ids, out = list(prompt), []
+    for _ in range(max_new):
+        if len(ids) >= model.cfg.max_seq_len:
+            break
+        trace = forward(model, Batch(np.array([ids])), last_only=True)
+        nxt = int(np.argmax(trace.logits[0]))
+        if nxt == eos_id:
+            break
+        out.append(nxt)
+        ids.append(nxt)
+    return out
+
+
+def test_greedy_decode_groups_match_one_prompt_at_a_time():
+    cfg = ModelConfig(16, 2, 2, 32, 40, 12, 4)
+    m = init_model(cfg)
+    m.params["lm_head"][:, 2] += 0.05  # make EOS win sometimes
+    rng = np.random.default_rng(3)
+    prompts = [[1] + [int(t) for t in rng.integers(5, 40, n)] + [3]
+               for n in (1, 3, 3, 1, 6, 3, 9, 1)]
+    budgets = [4, 0, 7, 2, 5, 3, 6, 1]
+    outs = greedy_decode(m, prompts, budgets)
+    assert outs == [_naive_decode(m, p, n) for p, n in zip(prompts, budgets)]
+    assert any(len(o) < n for o, n in zip(outs, budgets))  # EOS or max_seq_len hit
 
 
 def test_greedy_decode_reproduces_memorized_corpus():
@@ -237,15 +274,32 @@ def test_greedy_decode_reproduces_memorized_corpus():
     seqs = [encode_instance(tok, inst, 24) for inst in ds]
     cfg = ModelConfig(32, 2, 4, 64, tok.vocab_size, 24, init_seed=2)
     model = init_model(cfg)
-    train(model, seqs, TrainHyper(learning_rate=3e-3, epochs=150, batch_size=5,
-                                  shuffle_seed=0))
-    for inst, seq in zip(ds, seqs):
+    hyper = TrainHyper(learning_rate=3e-3, epochs=150, batch_size=5, shuffle_seed=0)
+    Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run_epochs(seqs)
+    prompts, wants = [], []
+    for seq in seqs:
         sep = seq.tokens.index(tok.sep)
-        prompt = list(seq.tokens[: sep + 1])
-        want = [t for t, r in zip(seq.tokens, seq.roles) if r == "response"]
-        # response-only loss never trains the stop token, so the decode
-        # budget is pinned to the reference length for the exactness check
-        assert greedy_decode(model, prompt, len(want)) == want
+        prompts.append(list(seq.tokens[: sep + 1]))
+        wants.append([t for t, r in zip(seq.tokens, seq.roles) if r == "response"])
+    # response-only loss never trains the stop token, so the decode
+    # budget is pinned to the reference length for the exactness check
+    assert greedy_decode(model, prompts, [len(w) for w in wants]) == wants
+
+
+def test_spearman_matches_scipy_with_ties():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(13)
+    cases = [
+        ([1.0, 2.0, 3.0, 4.0], [10.0, 9.0, 8.0, 7.0]),
+        ([1.0, 2.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 4.0, 4.0]),
+    ]
+    cases += [(rng.integers(0, 4, 10).astype(float), rng.normal(size=10)) for _ in range(30)]
+    cases += [(rng.normal(size=10), rng.normal(size=10)) for _ in range(10)]
+    for x, y in cases:
+        want = spearmanr(x, y).statistic
+        assert spearman(x, y) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 def _rec(i, g):
@@ -281,6 +335,32 @@ def test_pilot_decile_structure_and_csv():
     assert lines[0] == "decile,mean_loss,token_acc,count"
     assert len(lines) == 11
     assert lines[1].startswith("1,")
+
+
+def test_pilot_deciles_match_one_instance_at_a_time():
+    ds = synth_corpus(SynthSpec(23, 0, 0, seed=4))
+    tok = build_vocab(ds, max_vocab=256)
+    seqs = [encode_instance(tok, inst, 32) for inst in ds]
+    m = init_model(ModelConfig(16, 1, 2, 32, tok.vocab_size, 32, 6))
+    rng = np.random.default_rng(10)
+    recs = [GradientRecord(s.instance_id, float(g), 0.0, float(g), 4, 2, "00" * 8, -1)
+            for s, g in zip(seqs, rng.uniform(0.5, 2.0, len(seqs)))]
+    rep = pilot_deciles(recs, seqs, m)
+    by_id = {s.instance_id: s for s in seqs}
+    order = sorted(recs, key=lambda r: (-r.g_grads, r.instance_id))
+    ranked = [by_id[r.instance_id] for r in order]
+    pos = 0
+    for i, size in enumerate(decile_slices(len(ranked))):
+        losses, hits, total = [], 0, 0
+        for seq in ranked[pos : pos + size]:
+            batch = Batch.of([seq])
+            trace = forward(m, batch)
+            losses.append(trace.losses[0])
+            hits += int((trace.logits.argmax(axis=1) == batch.targets).sum())
+            total += batch.targets.size
+        pos += size
+        assert rep.mean_loss[i] == float(np.mean(losses))
+        assert rep.token_acc[i] == hits / total
 
 
 def test_pilot_records_must_cover_dataset():

@@ -93,6 +93,15 @@ def test_normal_moments():
     assert abs(var - 1.0) < 0.05
 
 
+def test_vector_normals_match_scalar_stream():
+    for seed in (0, 11, (1 << 64) - 1):
+        scalar, vector = SplitMix64(seed), SplitMix64(seed)
+        for n in (0, 1, 7, 4096):
+            want = [scalar.normal() for _ in range(n)]
+            assert vector.normals(n).tolist() == want
+            assert vector.state == scalar.state
+
+
 def test_gumbel_location():
     # standard Gumbel has mean equal to the Euler-Mascheroni constant
     rng = SplitMix64(13)
