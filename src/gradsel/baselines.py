@@ -21,6 +21,7 @@ from .corpus import TokenSequence
 from .rng import ROLE_GUMBEL, ROLE_PROJECT, ROLE_SELECT, substream
 from .selector import (
     SelectionResult,
+    descending_order,
     kde_scores,
     select_top_density,
     silverman_bandwidth,
@@ -60,10 +61,6 @@ def _result(strategy, percent, ids, order, scores, seed=None, bandwidth=None):
     )
 
 
-def _rank_desc(scores) -> list[int]:
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-
-
 def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
     """Uniform sample without replacement, deterministic per seed."""
     if not ids:
@@ -71,11 +68,9 @@ def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
     rng = substream(seed, ROLE_SELECT)
     size = subset_size(len(ids), percent)
     picked = rng.sample_without_replacement(len(ids), size)
-    scores = [0.0] * len(ids)
-    for i in picked:
-        scores[i] = 1.0
-    return _result("random", percent, ids, picked + sorted(set(range(len(ids))) - set(picked)),
-                   scores, seed=seed)
+    scores = np.zeros(len(ids))
+    scores[picked] = 1.0
+    return _result("random", percent, ids, picked, scores, seed=seed)
 
 
 def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
@@ -122,7 +117,7 @@ def bm25_select(ids: list[str], candidates: list[list[str]],
                 queries: list[list[str]], percent: float,
                 aggregate: str = "mean") -> SelectionResult:
     scores = bm25_scores(candidates, queries, aggregate=aggregate)
-    return _result("bm25", percent, ids, _rank_desc(scores), scores)
+    return _result("bm25", percent, ids, descending_order(scores), scores)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -190,7 +185,7 @@ def dsir_select(ids: list[str], candidates: list[list[str]],
     logw = dsir_log_weights(candidates, target, n_buckets=n_buckets)
     rng = substream(seed, ROLE_GUMBEL)
     keys = logw + np.array([rng.gumbel() for _ in range(len(candidates))])
-    return _result("dsir", percent, ids, _rank_desc(keys), logw, seed=seed)
+    return _result("dsir", percent, ids, descending_order(keys), logw, seed=seed)
 
 
 def representation_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVector]:
@@ -248,7 +243,7 @@ def rds_select(candidate_feats: list[FeatureVector],
             scores[i] = -1.0
         else:
             scores[i] = float(np.mean([_cosine(f.values, q.values) for q in usable]))
-    return _result("rds", percent, ids, _rank_desc(scores), scores)
+    return _result("rds", percent, ids, descending_order(scores), scores)
 
 
 def sign_projection(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
@@ -284,7 +279,7 @@ def less_select(candidate_grads: list[FeatureVector],
     scores = np.empty(len(ids))
     for i in range(len(ids)):
         scores[i] = max(_cosine(cmat[i], qmat[j]) for j in range(qmat.shape[0]))
-    return _result("less", percent, ids, _rank_desc(scores), scores, seed=seed)
+    return _result("less", percent, ids, descending_order(scores), scores, seed=seed)
 
 
 def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> SelectionResult:

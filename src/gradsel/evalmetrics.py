@@ -44,9 +44,10 @@ def greedy_decode(model: Model, prompts: list[list[int]], max_new: list[int],
         ids = np.array([prompts[i] for i in members], dtype=np.int64).reshape(-1, length)
         live = [r for r, i in enumerate(members) if max_new[i] > 0]
         while live and ids.shape[1] < model.cfg.max_seq_len:
-            trace = forward(model, Batch(ids[live]), last_only=True)
             nxt = np.full(len(members), eos_id)
-            nxt[live] = trace.logits.argmax(axis=1)  # argmax takes the lowest id on ties
+            # no name holds the trace, so it is freed before the next step's
+            # forward; argmax takes the lowest id on ties
+            nxt[live] = forward(model, Batch(ids[live]), last_only=True).logits.argmax(axis=1)
             ids = np.concatenate([ids, nxt[:, None]], axis=1)
             for r in live:
                 if nxt[r] != eos_id:

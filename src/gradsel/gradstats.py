@@ -83,21 +83,6 @@ def aggregate_instance(
     )
 
 
-def aggregate_all(
-    bundles: list[GradientBundle],
-    seqs_by_id: dict[str, TokenSequence],
-    fingerprint: str,
-    norm_mode: str = "mean_of_norms",
-) -> list[GradientRecord]:
-    """Aggregate every bundle and sort by instance_id for determinism."""
-    records = [
-        aggregate_instance(b, seqs_by_id[b.instance_id], fingerprint, norm_mode)
-        for b in bundles
-    ]
-    records.sort(key=lambda r: r.instance_id)
-    return records
-
-
 def _fmt(x: float) -> str:
     # 17 significant digits: enough for exact float64 round trips
     return format(x, ".17g")
@@ -123,12 +108,14 @@ def write_records(records: list[GradientRecord], path: str) -> None:
 
 
 def read_records(path: str, expected_fingerprint: str | None = None) -> list[GradientRecord]:
-    """Load records, enforcing the sum invariant; fingerprint mismatches warn.
+    """Load records, enforcing the sum invariant and unique instance ids;
+    fingerprint mismatches warn.
 
     Records remain usable across models (that is the point of persisting
     them); the warning only flags that the expectation was not met.
     """
     records: list[GradientRecord] = []
+    seen: set[str] = set()
     mismatched: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -156,6 +143,9 @@ def read_records(path: str, expected_fingerprint: str | None = None) -> list[Gra
                 )
             if not rec.n_emb_tokens >= rec.n_lm_tokens >= 1:
                 raise ValueError(f"record {rec.instance_id}: bad token counts")
+            if rec.instance_id in seen:
+                raise ValueError(f"line {lineno}: duplicate instance_id {rec.instance_id!r}")
+            seen.add(rec.instance_id)
             if expected_fingerprint is not None and rec.model_fingerprint != expected_fingerprint:
                 mismatched.add(rec.model_fingerprint)
             records.append(rec)

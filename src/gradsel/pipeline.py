@@ -9,6 +9,7 @@ manifest does not hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -32,7 +33,8 @@ from .corpus import (
     synth_corpus,
 )
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
-from .gradstats import NORM_MODES, GradientRecord, aggregate_all, read_records, write_records
+from .gradstats import (NORM_MODES, GradientRecord, aggregate_instance, read_records,
+                        write_records)
 from .rng import ROLE_SPLIT, substream
 from .selector import STRATEGIES, SelectionResult, attach_strata, select_strategy
 from .tinylm import (
@@ -283,17 +285,15 @@ class Prepared:
     split: SplitIds
     dataset_hash: str
 
-    @property
+    @functools.cached_property
     def by_id(self) -> dict[str, int]:
         return {inst.id: i for i, inst in enumerate(self.instances)}
 
     def seqs_for(self, ids) -> list[TokenSequence]:
-        index = self.by_id
-        return [self.seqs[index[i]] for i in ids]
+        return [self.seqs[self.by_id[i]] for i in ids]
 
     def instances_for(self, ids) -> list[Instance]:
-        index = self.by_id
-        return [self.instances[index[i]] for i in ids]
+        return [self.instances[self.by_id[i]] for i in ids]
 
     def strata(self) -> dict[str, str | None]:
         return {inst.id: inst.stratum for inst in self.instances}
@@ -333,10 +333,13 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     prep = prep or prepare(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     model = build_reference_model(cfg, prep)
-    model, bundles = extract_epoch(model, prep.seqs, cfg.train_hyper(epochs=1), cfg.mode)
-    seqs_by_id = {s.instance_id: s for s in prep.seqs}
     fingerprint = model_fingerprint(model.cfg)
-    records = aggregate_all(bundles, seqs_by_id, fingerprint, cfg.norm_mode)
+    model, records = extract_epoch(
+        model, prep.seqs, cfg.train_hyper(epochs=1), cfg.mode,
+        reduce=lambda bundle, seq: aggregate_instance(bundle, seq, fingerprint,
+                                                      cfg.norm_mode),
+    )
+    records.sort(key=lambda r: r.instance_id)
 
     records_path = os.path.join(cfg.out_dir, RECORDS_FILE)
     write_records(records, records_path)
@@ -387,15 +390,22 @@ def check_provenance(records_path: str, prep: Prepared, force: bool) -> None:
 
 
 def write_selection(
+    out_dir: str,
+    stem: str,
     result: SelectionResult,
-    path: str,
-    records_by_id: dict[str, GradientRecord] | None = None,
-) -> None:
-    """Rank-ordered JSONL; one line per selected instance."""
+    records: list[GradientRecord],
+    records_path: str,
+    records_hash: str,
+    dataset_hash: str,
+) -> list[str]:
+    """Write selection_<stem>.jsonl (rank order, one line per selected
+    instance) and selection_<stem>_meta.json into out_dir; returns both file
+    names for the manifest."""
+    records_by_id = {r.instance_id: r for r in records}
     lines = []
     for rank, inst_id in enumerate(result.ordered_ids, start=1):
         f_val = result.f_values.get(inst_id)
-        rec = records_by_id.get(inst_id) if records_by_id else None
+        rec = records_by_id.get(inst_id)
         row = [
             f'"id": {json.dumps(inst_id)}',
             f'"rank": {rank}',
@@ -403,14 +413,11 @@ def write_selection(
             f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}',
         ]
         lines.append("{" + ", ".join(row) + "}")
-    with open(path, "w", encoding="utf-8") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    sel_file = f"selection_{stem}.jsonl"
+    with open(os.path.join(out_dir, sel_file), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def selection_meta(
-    result: SelectionResult, records_path: str | None, records_hash: str | None
-) -> dict:
-    return {
+    meta = {
         "strategy": result.strategy,
         "fraction_percent": result.fraction_percent,
         "n_selected": len(result.selected_ids),
@@ -418,9 +425,39 @@ def selection_meta(
         "tie_break": result.tie_break,
         "seed": result.seed,
         "stratum_counts": result.stratum_counts,
-        "records_file": os.path.basename(records_path) if records_path else None,
+        "records_file": os.path.basename(records_path),
         "records_hash": records_hash,
+        "dataset_hash": dataset_hash,
     }
+    meta_file = f"selection_{stem}_meta.json"
+    write_json(os.path.join(out_dir, meta_file), meta)
+    return [sel_file, meta_file]
+
+
+def _select_from_records(cfg: RunConfig, name: str, records_path: str,
+                         fraction: float | None, force: bool,
+                         model_path: str | None = None) -> SelectionResult:
+    """The select and baseline commands: one named selection over a record
+    file, written with its meta and manifest entries into cfg.out_dir."""
+    prep = prepare(cfg)
+    check_provenance(records_path, prep, force)
+    fraction = cfg.fraction if fraction is None else fraction
+    records = read_records(records_path)
+    ref_model = None
+    if name in MODEL_BASELINES:
+        default_model = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE)
+        model_path = model_path or (default_model if os.path.isfile(default_model) else None)
+        if model_path is None:
+            raise ValueError(f"{name} needs a reference model checkpoint")
+        ref_model = load_checkpoint(model_path)
+    result = attach_strata(
+        run_selection_by_name(name, fraction, records, prep, cfg, ref_model),
+        prep.strata(),
+    )
+    files = write_selection(cfg.out_dir, name, result, records, records_path,
+                           sha256_file(records_path), prep.dataset_hash)
+    write_manifest(cfg.out_dir, files)
+    return result
 
 
 def run_select(
@@ -431,28 +468,10 @@ def run_select(
     force: bool = False,
 ) -> SelectionResult:
     """Density/value selection over a gradient-record file."""
-    prep = prepare(cfg)
-    check_provenance(records_path, prep, force)
     strategy = strategy or cfg.strategy
-    fraction = cfg.fraction if fraction is None else fraction
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    records = read_records(records_path)
-    result = attach_strata(select_strategy(records, strategy, fraction), prep.strata())
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    sel_file = f"selection_{strategy}.jsonl"
-    write_selection(
-        result,
-        os.path.join(cfg.out_dir, sel_file),
-        {r.instance_id: r for r in records},
-    )
-    meta = selection_meta(result, records_path, sha256_file(records_path))
-    meta["dataset_hash"] = prep.dataset_hash
-    meta_file = f"selection_{strategy}_meta.json"
-    write_json(os.path.join(cfg.out_dir, meta_file), meta)
-    write_manifest(cfg.out_dir, [sel_file, meta_file])
-    return result
+    return _select_from_records(cfg, strategy, records_path, fraction, force)
 
 
 def _query_words(prep: Prepared) -> list[list[str]]:
@@ -524,40 +543,9 @@ def run_baseline(
     force: bool = False,
 ) -> SelectionResult:
     """Baseline selection over the same candidate set as run_select."""
-    prep = prepare(cfg)
-    check_provenance(records_path, prep, force)
-    fraction = cfg.fraction if fraction is None else fraction
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown baseline {name!r}")
-    records = read_records(records_path)
-    ref_model = None
-    if name in MODEL_BASELINES:
-        default_model = os.path.join(
-            os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE
-        )
-        model_path = model_path or (
-            default_model if os.path.isfile(default_model) else None
-        )
-        if model_path is None:
-            raise ValueError(f"{name} needs a reference model checkpoint")
-        ref_model = load_checkpoint(model_path)
-    result = attach_strata(
-        run_selection_by_name(name, fraction, records, prep, cfg, ref_model),
-        prep.strata(),
-    )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    sel_file = f"selection_{name}.jsonl"
-    write_selection(
-        result,
-        os.path.join(cfg.out_dir, sel_file),
-        {r.instance_id: r for r in records},
-    )
-    meta = selection_meta(result, records_path, sha256_file(records_path))
-    meta["dataset_hash"] = prep.dataset_hash
-    meta_file = f"selection_{name}_meta.json"
-    write_json(os.path.join(cfg.out_dir, meta_file), meta)
-    write_manifest(cfg.out_dir, [sel_file, meta_file])
-    return result
+    return _select_from_records(cfg, name, records_path, fraction, force, model_path)
 
 
 def read_selection_ids(path: str) -> list[str]:
@@ -871,7 +859,6 @@ def run_compare(
         raise RuntimeError(
             f"records do not cover the training pool ({len(missing)} missing)"
         )
-    records_by_id = {r.instance_id: r for r in pool_records}
     epochs = cfg.compare_epochs
     rows: list[dict] = []
 
@@ -900,14 +887,10 @@ def run_compare(
                     ),
                     prep.strata(),
                 )
-                sel_file = f"selection_{name}_{frac:g}.jsonl"
-                sel_path = os.path.join(cfg.out_dir, sel_file)
-                write_selection(result, sel_path, records_by_id)
-                meta = selection_meta(result, records_path, records_hash)
-                meta["dataset_hash"] = prep.dataset_hash
-                meta_file = f"selection_{name}_{frac:g}_meta.json"
-                write_json(os.path.join(cfg.out_dir, meta_file), meta)
-                produced += [sel_file, meta_file]
+                files = write_selection(cfg.out_dir, f"{name}_{frac:g}", result,
+                                       pool_records, records_path, records_hash,
+                                       prep.dataset_hash)
+                produced += files
 
                 row = _train_and_eval_row(
                     row_name, cfg, prep, list(result.selected_ids), epochs
@@ -918,8 +901,8 @@ def run_compare(
                 row["gradient_percentiles"] = gradient_percentile_summary(
                     result.selected_ids, pool_records
                 )
-                row["selection_file"] = sel_file
-                row["selection_hash"] = sha256_file(sel_path)
+                row["selection_file"] = files[0]
+                row["selection_hash"] = sha256_file(os.path.join(cfg.out_dir, files[0]))
             except (ValueError, RuntimeError) as exc:
                 row = {"row": row_name, "strategy": name, "fraction_percent": frac,
                        "error": str(exc)}

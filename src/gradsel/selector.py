@@ -75,15 +75,38 @@ def silverman_bandwidth(values: list[float] | np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
+# Kernel cells (evaluation points x sample points) evaluated at once: 2 MB of
+# float64 per buffer, so the KDE's memory does not grow with n * len(xs).
+KDE_BLOCK_CELLS = 2**18
+
+
 def kde_density(values: list[float] | np.ndarray, h: float,
                 xs: list[float] | np.ndarray) -> np.ndarray:
-    """Gaussian KDE fitted on values, evaluated at the points xs."""
+    """Gaussian KDE fitted on values, evaluated at the points xs.
+
+    Evaluated in blocks of whole rows, one row per point: each row keeps the
+    operands and order of the dense n x len(xs) formula (its sum runs over
+    one contiguous row), so the densities are the same bits in bounded memory.
+    """
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     x = np.asarray(values, dtype=float)
     pts = np.asarray(xs, dtype=float)
-    z = (pts[:, None] - x[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
+    out = np.empty(pts.size)
+    rows = max(1, KDE_BLOCK_CELLS // max(1, x.size))
+    z_buf = np.empty((min(rows, pts.size), x.size))
+    k_buf = np.empty_like(z_buf)
+    for lo in range(0, pts.size, rows):
+        hi = min(lo + rows, pts.size)
+        z, k = z_buf[: hi - lo], k_buf[: hi - lo]
+        np.subtract(pts[lo:hi, None], x[None, :], out=z)
+        z /= h
+        np.multiply(-0.5, z, out=k)
+        k *= z
+        np.exp(k, out=k)
+        k.sum(axis=1, out=out[lo:hi])
+    out /= x.size * h * math.sqrt(2.0 * math.pi)
+    return out
 
 
 def kde_scores(values: list[float] | np.ndarray, h: float,
@@ -96,8 +119,9 @@ def kde_scores(values: list[float] | np.ndarray, h: float,
     return [DensityScore(i, float(f)) for i, f in zip(ids, dens)]
 
 
-def _order_by_density(scores: list[DensityScore]) -> list[int]:
-    return sorted(range(len(scores)), key=lambda i: (-scores[i].f_value, i))
+def descending_order(x) -> list[int]:
+    """Indices from the largest value down; ties keep the lower index first."""
+    return np.lexsort((-np.asarray(x, dtype=float),)).tolist()
 
 
 def select_top_density(scores: list[DensityScore], percent: float,
@@ -107,7 +131,7 @@ def select_top_density(scores: list[DensityScore], percent: float,
     if not scores:
         raise ValueError("no scores to select from")
     size = subset_size(len(scores), percent)
-    order = _order_by_density(scores)
+    order = descending_order([s.f_value for s in scores])
     chosen = order[:size]
     rejected = order[size:]
     if rejected:
@@ -128,12 +152,12 @@ def select_top_density(scores: list[DensityScore], percent: float,
 def _select_by_value_order(records: list[GradientRecord], percent: float,
                            strategy: str, window: str) -> SelectionResult:
     size = subset_size(len(records), percent)
-    desc = sorted(range(len(records)), key=lambda i: (-records[i].g_grads, i))
+    g = np.array([r.g_grads for r in records])
+    desc = descending_order(g)
     if window == "top":
         chosen = desc[:size]
-    elif window == "tail":
-        asc = sorted(range(len(records)), key=lambda i: (records[i].g_grads, i))
-        chosen = asc[:size]
+    elif window == "tail":  # ascending, ties keep the lower index first
+        chosen = np.lexsort((g,))[:size].tolist()
     else:  # centered on the median rank, symmetric, clipped by construction
         lo = (len(records) - size) // 2
         chosen = desc[lo : lo + size]
@@ -164,10 +188,8 @@ def weight_values(records: list[GradientRecord]) -> np.ndarray:
 
 def descending_ranks(x: np.ndarray) -> np.ndarray:
     """Rank 1 = largest value; ties resolved by earlier index first."""
-    order = sorted(range(x.size), key=lambda i: (-x[i], i))
     ranks = np.empty(x.size, dtype=float)
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = rank
+    ranks[descending_order(x)] = np.arange(1, x.size + 1)
     return ranks
 
 

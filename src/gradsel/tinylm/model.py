@@ -282,7 +282,7 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     e: np.ndarray            # (B, T, d) embedding-layer output actually used
-    layers: list[LayerTrace]
+    layers: list[LayerTrace]  # empty with last_only: no backward pass follows
     hf: np.ndarray           # (B*T, d) final layer-norm output
     hf_xhat: np.ndarray
     hf_inv: np.ndarray
@@ -304,11 +304,12 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
 
     Logits and probabilities exist only on the rows that need them: the loss
     rows, or with last_only the final position of every sequence (decoding);
-    without last_only every instance needs a response. Each sequence's LM
-    head is a GEMM over its own rows, as in a batch of one: OpenBLAS rounds a
-    row of the product by its position among the rows. e_override
-    substitutes the (B, T, d) embedding-layer output; the finite-difference
-    gradient checks perturb it.
+    without last_only every instance needs a response. last_only keeps no
+    per-layer caches, since nothing backpropagates through it. Each
+    sequence's LM head is a GEMM over its own rows, as in a batch of one:
+    OpenBLAS rounds a row of the product by its position among the rows.
+    e_override substitutes the (B, T, d) embedding-layer output; the
+    finite-difference gradient checks perturb it.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -345,8 +346,9 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
         erf1 = 1.0 + erf(f1 * _INV_SQRT2)
         gact = 0.5 * f1 * erf1  # GELU
         h = h_mid + (gact @ P[p + "w2"] + P[p + "b2"])
-        layers.append(LayerTrace(a, a_xhat, a_inv, q, k, v, att, ctx,
-                                 b, b_xhat, b_inv, f1, erf1, gact))
+        if not last_only:
+            layers.append(LayerTrace(a, a_xhat, a_inv, q, k, v, att, ctx,
+                                     b, b_xhat, b_inv, f1, erf1, gact))
     hf, hf_xhat, hf_inv = _layernorm(h, P["lnf.g"], P["lnf.b"])
     W = lm_head_matrix(model)
     starts = batch.row_starts.tolist()
@@ -391,6 +393,9 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
     (1/B) * gradient one instance at a time.
     """
     cfg = model.cfg
+    if trace.losses is None:
+        raise ValueError("loss_and_grads needs a full forward trace, "
+                         "not a last_only one (it keeps no layer caches)")
     B, T = batch.tokens.shape
     d, H = cfg.d_model, cfg.n_heads
     scale = 1.0 / math.sqrt(d // H)

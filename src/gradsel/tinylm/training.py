@@ -198,9 +198,14 @@ def extract_epoch(
     seqs: list[TokenSequence],
     hyper: TrainHyper,
     mode: str = "online",
-) -> tuple[Model, list[GradientBundle]]:
+    *,
+    reduce,
+) -> tuple[Model, list]:
     """Capture every instance's raw token gradients exactly once.
 
+    Each batch's bundles go through reduce(bundle, seq) before the next batch
+    runs, so no bundle, nor its (n_loss, V) logit-gradient rows, outlives its
+    batch; the returned list holds what reduce returned, in consumption order.
     online: one training epoch; each bundle reflects the parameters at the
     step where its instance is consumed, so bundle values depend on shuffle
     order (faithful to extract-while-training).
@@ -210,18 +215,21 @@ def extract_epoch(
     """
     if not seqs:
         raise ValueError("empty dataset")
-    bundles: list[GradientBundle] = []
+    reduced: list = []
     if mode == "frozen":
         for chunk, batch in batches(seqs, hyper.batch_size):
             res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
             _check_losses(batch, res.losses, "frozen extraction")
-            bundles += _bundles(chunk, batch, res, -1)
-        return model, bundles
+            reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)
+        return model, reduced
     if mode != "online":
         raise ValueError(f"unknown extraction mode {mode!r}")
 
     one_epoch = replace(hyper, epochs=1)
     trainer = Trainer(model, one_epoch, total_update_steps(len(seqs), one_epoch))
     for idx in next(_epochs(len(seqs), one_epoch)):
-        trainer.apply_batch([seqs[i] for i in idx], capture=bundles)
-    return model, bundles
+        chunk = [seqs[i] for i in idx]
+        bundles: list[GradientBundle] = []
+        trainer.apply_batch(chunk, capture=bundles)
+        reduced += map(reduce, bundles, chunk)
+    return model, reduced

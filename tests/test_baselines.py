@@ -24,6 +24,8 @@ from gradsel.baselines import (
     write_features,
 )
 from gradsel.corpus import TokenSequence
+from gradsel.rng import ROLE_SELECT, substream
+from gradsel.selector import subset_size
 from gradsel.tinylm import ModelConfig, init_model
 
 
@@ -39,6 +41,19 @@ def test_random_full_and_deterministic():
     assert a.selected_ids == b.selected_ids
     assert len(a.selected_ids) == 5
     assert select_random(ids, 50, seed=43).selected_ids != a.selected_ids
+
+
+def test_random_order_matches_sorted_reference():
+    # reference: the sampled indices, then the rest in sorted(set(...)) order
+    ids = _ids(37)
+    for seed in range(5):
+        size = subset_size(len(ids), 30)
+        picked = substream(seed, ROLE_SELECT).sample_without_replacement(len(ids), size)
+        order = (picked + sorted(set(range(len(ids))) - set(picked)))[:size]
+        res = select_random(ids, 30, seed=seed)
+        assert res.ordered_ids == tuple(ids[i] for i in order)
+        assert res.selected_ids == tuple(ids[i] for i in sorted(order))
+        assert [res.f_values[i] for i in ids] == [float(k in picked) for k in range(len(ids))]
 
 
 def test_random_marginal_frequencies():

@@ -8,7 +8,6 @@ import pytest
 from gradsel.corpus import TokenSequence
 from gradsel.gradstats import (
     GradientRecord,
-    aggregate_all,
     aggregate_instance,
     combine,
     read_records,
@@ -169,13 +168,9 @@ def test_fingerprint_mismatch_warns_but_loads(tmp_path):
     assert read_records(path) == recs  # no expectation, no warning
 
 
-def test_aggregate_all_sorts_by_id():
-    seqs = {}
-    bundles = []
-    for i in [3, 1, 2]:
-        roles = ["special", "response", "special"]
-        sid = f"id{i}"
-        seqs[sid] = _seq(roles, sid)
-        bundles.append(_bundle(sid, np.ones((3, 2)), [[0.1, -0.1]], [0], 1.0))
-    recs = aggregate_all(bundles, seqs, FP)
-    assert [r.instance_id for r in recs] == ["id1", "id2", "id3"]
+def test_read_rejects_duplicate_ids(tmp_path):
+    path = str(tmp_path / "recs.jsonl")
+    recs = [_mk_record(i, 0.5, 0.25) for i in range(20)] + [_mk_record(3, 0.1, 0.2)]
+    write_records(recs, path)
+    with pytest.raises(ValueError, match=r"^line 21: duplicate instance_id 'id003'$"):
+        read_records(path)

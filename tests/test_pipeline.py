@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gradsel import pipeline
-from gradsel.gradstats import read_records
+from gradsel.gradstats import aggregate_instance, read_records
 from gradsel.pipeline import (
     RunConfig,
     check_provenance,
@@ -23,6 +23,7 @@ from gradsel.pipeline import (
     sha256_file,
 )
 from gradsel.selector import silverman_bandwidth
+from gradsel.tinylm import extract_epoch, model_fingerprint
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -87,6 +88,30 @@ def test_extract_covers_dataset(extract_run):
     assert out["n_records"] == 90
     records = read_records(out["records"])
     assert len({r.instance_id for r in records}) == 90
+
+
+def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
+    # reference: keep every raw bundle of the epoch, aggregate, sort by id
+    for mode in ("frozen", "online"):
+        cfg = _cfg(corpus_dir, str(tmp_path / mode), mode=mode)
+        records = read_records(run_extract(cfg)["records"])
+        prep = prepare(cfg)
+        model = pipeline.build_reference_model(cfg, prep)
+        fingerprint = model_fingerprint(model.cfg)
+        _, pairs = extract_epoch(model, prep.seqs, cfg.train_hyper(epochs=1), mode,
+                                 reduce=lambda bundle, seq: (bundle, seq))
+        expected = [aggregate_instance(b, s, fingerprint, cfg.norm_mode) for b, s in pairs]
+        ids = [r.instance_id for r in records]
+        assert ids == sorted(ids)
+        assert records == sorted(expected, key=lambda r: r.instance_id)
+
+
+def test_prepared_index_built_once(corpus_dir, tmp_path):
+    prep = prepare(_cfg(corpus_dir, str(tmp_path)))
+    assert prep.by_id is prep.by_id
+    ids = list(prep.split.test)
+    assert [s.instance_id for s in prep.seqs_for(ids)] == ids
+    assert [i.id for i in prep.instances_for(ids)] == ids
 
 
 def test_extract_rerun_byte_identical(corpus_dir, extract_run, tmp_path):

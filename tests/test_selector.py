@@ -1,14 +1,19 @@
 """Selection tests: bandwidth/KDE oracles, size rules, strategy semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gradsel import selector
 from gradsel.gradstats import GradientRecord
 from gradsel.selector import (
+    KDE_BLOCK_CELLS,
     DensityScore,
+    descending_order,
     descending_ranks,
+    kde_density,
     kde_scores,
     minmax_unit,
     select_strategy,
@@ -45,6 +50,14 @@ def _brute_kde(values, h):
             s += math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
         out.append(s / (n * h))
     return out
+
+
+def _dense_kde(values, h, xs):
+    # the unblocked len(xs) x n kernel matrix: the bit-exact reference
+    x = np.asarray(values, dtype=float)
+    pts = np.asarray(xs, dtype=float)
+    z = (pts[:, None] - x[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (x.size * h * math.sqrt(2.0 * math.pi))
 
 
 def test_silverman_hand_value():
@@ -87,6 +100,32 @@ def test_kde_two_point_hand_value():
     phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
     assert scores[0].f_value == pytest.approx(0.5 * (phi0 + phi1), rel=1e-12)
     assert scores[0].f_value == pytest.approx(0.32046, abs=5e-6)
+
+
+def test_blocked_kde_matches_dense_bit_for_bit(monkeypatch):
+    block = math.isqrt(KDE_BLOCK_CELLS)  # above this n, n points span two blocks
+    rng = np.random.default_rng(12)
+    for n in (block - 1, block, block + 1):
+        values = rng.gamma(2.0, 1.0, n).round(2)  # rounded: many exact ties
+        h = silverman_bandwidth(values)
+        for xs in (values, np.linspace(-1.0, 12.0, 3 * n + 5), values[:7]):
+            assert np.array_equal(kde_density(values, h, xs), _dense_kde(values, h, xs))
+    # a budget below one row still evaluates whole rows, one at a time
+    monkeypatch.setattr(selector, "KDE_BLOCK_CELLS", 5)
+    values = rng.normal(size=33)
+    xs = np.linspace(-3.0, 3.0, 11)
+    assert np.array_equal(kde_density(values, 0.4, xs), _dense_kde(values, 0.4, xs))
+
+
+def test_kde_memory_stays_bounded():
+    values = np.random.default_rng(13).normal(size=4096)
+    tracemalloc.start()
+    try:
+        kde_density(values, 0.3, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the dense 4096 x 4096 formula peaks near 400 MB
 
 
 def test_kde_matches_brute_force():
@@ -244,3 +283,29 @@ def test_attach_strata_counts():
     strata = {"r000": "domain", "r001": "noise", "r002": None, "r003": "domain"}
     tagged = attach_strata(res, strata)
     assert sum(tagged.stratum_counts.values()) == len(res.selected_ids)
+
+
+def test_numpy_rankings_match_sorted_reference():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 9, 64, 257):
+        x = rng.integers(0, 4, n) * 0.5  # tie-heavy
+        x[rng.random(n) < 0.2] = -0.0  # ties with 0.0
+        desc = sorted(range(n), key=lambda i: (-x[i], i))
+        asc = sorted(range(n), key=lambda i: (x[i], i))
+        assert descending_order(x) == desc
+        ranks = np.empty(n)
+        for rank, i in enumerate(desc, start=1):
+            ranks[i] = rank
+        assert np.array_equal(descending_ranks(x), ranks)
+
+        size = subset_size(n, 50)
+        recs = [_rec(i, v) for i, v in enumerate(x)]
+        lo = (n - size) // 2
+        for strategy, ref in (("top_grad", desc[:size]), ("tail_grad", asc[:size]),
+                              ("mid_grad", desc[lo : lo + size])):
+            res = select_strategy(recs, strategy, 50)
+            assert res.ordered_ids == tuple(recs[i].instance_id for i in ref)
+            assert res.selected_ids == tuple(recs[i].instance_id for i in sorted(ref))
+        scores = [DensityScore(f"s{i}", float(v)) for i, v in enumerate(x)]
+        res = select_top_density(scores, 50)
+        assert res.ordered_ids == tuple(f"s{i}" for i in desc[:size])

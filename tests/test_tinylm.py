@@ -417,13 +417,19 @@ def test_warmup_schedule_shape():
     assert warmup_lr(1.0, 1, 100, 0.0) == 1.0
 
 
+def _keep(bundle, seq):
+    """The identity reduction: extraction hands back every raw bundle."""
+    return bundle
+
+
 def test_extract_frozen_order_independent():
     m = init_model(TINY)
     seqs = [_random_seq(np.random.default_rng(60 + i), TINY) for i in range(8)]
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
-    _, bundles = extract_epoch(m, seqs, TrainHyper(), mode="frozen")
-    _, shuffled = extract_epoch(m, list(reversed(seqs)), TrainHyper(), mode="frozen")
+    _, bundles = extract_epoch(m, seqs, TrainHyper(), mode="frozen", reduce=_keep)
+    _, shuffled = extract_epoch(m, list(reversed(seqs)), TrainHyper(), mode="frozen",
+                                reduce=_keep)
     by_id = {b.instance_id: b for b in shuffled}
     for b in bundles:
         assert np.array_equal(b.g_emb, by_id[b.instance_id].g_emb)
@@ -436,10 +442,10 @@ def test_extract_online_single_batch_matches_frozen():
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     frozen_model = init_model(TINY)
-    _, frozen = extract_epoch(frozen_model, seqs, TrainHyper(), mode="frozen")
+    _, frozen = extract_epoch(frozen_model, seqs, TrainHyper(), mode="frozen", reduce=_keep)
     online_model = init_model(TINY)
     hyper = TrainHyper(batch_size=len(seqs), shuffle_seed=3)
-    _, online = extract_epoch(online_model, seqs, hyper, mode="online")
+    _, online = extract_epoch(online_model, seqs, hyper, mode="online", reduce=_keep)
     assert sorted(b.instance_id for b in online) == sorted(b.instance_id for b in frozen)
     fro = {b.instance_id: b for b in frozen}
     for b in online:
@@ -452,7 +458,7 @@ def test_extract_online_one_bundle_per_instance():
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     m = init_model(TINY)
-    _, bundles = extract_epoch(m, seqs, TrainHyper(batch_size=2), mode="online")
+    _, bundles = extract_epoch(m, seqs, TrainHyper(batch_size=2), mode="online", reduce=_keep)
     assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
     steps = {b.instance_id: b.step_index for b in bundles}
     assert min(steps.values()) == 0
@@ -486,7 +492,18 @@ def test_nonfinite_instance_loss_is_named():
         Trainer(m, TrainHyper(), 1).apply_batch(seqs)
     assert np.array_equal(before, m.flat)  # no update was applied
     with pytest.raises(RuntimeError, match="instance bad has loss inf"):
-        extract_epoch(m, seqs, TrainHyper(batch_size=4), mode="frozen")
+        extract_epoch(m, seqs, TrainHyper(batch_size=4), mode="frozen", reduce=_keep)
+
+
+def test_last_only_trace_keeps_no_caches_and_refuses_backward():
+    m = init_model(TINY)
+    batch = Batch.of([_random_seq(np.random.default_rng(95), TINY)])
+    trace = forward(m, batch, last_only=True)
+    assert trace.layers == [] and trace.losses is None
+    with pytest.raises(ValueError, match="last_only"):
+        loss_and_grads(m, batch, trace)
+    full = forward(m, batch)
+    assert np.array_equal(trace.hf, full.hf)  # the forward values are unchanged
 
 
 def test_loss_positions_follow_response_roles():
