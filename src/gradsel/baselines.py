@@ -140,13 +140,9 @@ def hash_bucket(feature: str, n_buckets: int) -> int:
     return _fnv1a(feature.encode("utf-8")) % n_buckets
 
 
-def _bucket_counts(docs: list[list[str]], n_buckets: int,
-                   orders: tuple[int, ...]) -> np.ndarray:
-    counts = np.zeros(n_buckets)
-    for doc in docs:
-        for f in ngram_features(doc, orders):
-            counts[hash_bucket(f, n_buckets)] += 1
-    return counts
+def _bucket_counts(doc_buckets: list[list[int]], n_buckets: int) -> np.ndarray:
+    flat = [b for buckets in doc_buckets for b in buckets]
+    return np.bincount(flat, minlength=n_buckets).astype(np.float64)
 
 
 def dsir_log_weights(candidates: list[list[str]], target: list[list[str]],
@@ -161,19 +157,34 @@ def dsir_log_weights(candidates: list[list[str]], target: list[list[str]],
     """
     if not candidates or not target:
         raise ValueError("empty corpus")
-    tc = _bucket_counts(target, n_buckets, orders)
-    cc = _bucket_counts(candidates, n_buckets, orders)
+    bucket_of: dict[str, int] = {}  # each distinct feature is hashed once
+
+    def buckets(doc: list[str]) -> list[int]:
+        out = []
+        for f in ngram_features(doc, orders):
+            b = bucket_of.get(f)
+            if b is None:
+                b = bucket_of[f] = hash_bucket(f, n_buckets)
+            out.append(b)
+        return out
+
+    cand_buckets = [buckets(doc) for doc in candidates]
+    tc = _bucket_counts([buckets(doc) for doc in target], n_buckets)
+    cc = _bucket_counts(cand_buckets, n_buckets)
     if smooth_target:
         p = (tc + 1.0) / (tc.sum() + n_buckets)
     else:
         p = tc / tc.sum()
     q = cc / cc.sum()
+    log_ratio: dict[int, float] = {}
     out = np.zeros(len(candidates))
-    for i, doc in enumerate(candidates):
+    for i, doc_buckets in enumerate(cand_buckets):
         s = 0.0
-        for f in ngram_features(doc, orders):
-            b = hash_bucket(f, n_buckets)
-            s += math.log(p[b]) - math.log(q[b])
+        for b in doc_buckets:
+            term = log_ratio.get(b)
+            if term is None:
+                term = log_ratio[b] = math.log(p[b]) - math.log(q[b])
+            s += term
         out[i] = s
     return out
 

@@ -8,6 +8,7 @@ interpretable and the vocabulary stays small.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections import Counter
@@ -88,15 +89,27 @@ class Tokenizer:
         )
 
 
-def load_dataset(path: str) -> list[Instance]:
-    """Read instances from JSONL in file order.
+def open_text(path: str, data: bytes | None = None):
+    """A UTF-8 text stream over `data` if given, else over the file at path.
+
+    Callers that hash a file's bytes pass them here, so that what they parse
+    is exactly what they hashed.
+    """
+    if data is None:
+        return open(path, encoding="utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
+    """Read instances from JSONL in file order (from `data` if given).
 
     Each line needs `output` and `instruction`; `input`, `id`, and `stratum`
-    are optional. Missing ids become zero-padded 1-based line numbers.
+    are optional. Missing ids become zero-padded 1-based line numbers. Ids are
+    compared as strings, generated ones included, so `5` and `"5"` collide.
     """
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, data) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -113,15 +126,14 @@ def load_dataset(path: str) -> list[Instance]:
             if obj.get("input"):
                 prompt = prompt + "\n" + obj["input"]
             inst_id = obj.get("id")
-            if inst_id is None:
-                inst_id = f"{lineno:06d}"
-            elif inst_id in seen_ids:
+            inst_id = f"{lineno:06d}" if inst_id is None else str(inst_id)
+            if inst_id in seen_ids:
                 raise ValueError(f"line {lineno}: duplicate id {inst_id!r}")
-            seen_ids.add(str(inst_id))
+            seen_ids.add(inst_id)
             stratum = obj.get("stratum")
             if stratum is not None and stratum not in STRATA:
                 raise ValueError(f"line {lineno}: unknown stratum {stratum!r}")
-            instances.append(Instance(str(inst_id), prompt, obj["output"], stratum))
+            instances.append(Instance(inst_id, prompt, obj["output"], stratum))
     return instances
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ROLE_SPECIAL, TokenSequence
+from .corpus import ROLE_SPECIAL, TokenSequence, open_text
 from .tinylm.training import GradientBundle
 
 NORM_MODES = ("mean_of_norms", "norm_of_mean")
@@ -107,9 +107,10 @@ def write_records(records: list[GradientRecord], path: str) -> None:
             )
 
 
-def read_records(path: str, expected_fingerprint: str | None = None) -> list[GradientRecord]:
-    """Load records, enforcing the sum invariant and unique instance ids;
-    fingerprint mismatches warn.
+def read_records(path: str, expected_fingerprint: str | None = None,
+                 data: bytes | None = None) -> list[GradientRecord]:
+    """Load records (from `data` if given, else from path), enforcing the sum
+    invariant and unique instance ids; fingerprint mismatches warn.
 
     Records remain usable across models (that is the point of persisting
     them); the warning only flags that the expectation was not met.
@@ -117,7 +118,7 @@ def read_records(path: str, expected_fingerprint: str | None = None) -> list[Gra
     records: list[GradientRecord] = []
     seen: set[str] = set()
     mismatched: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, data) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -190,6 +190,35 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _read_hashed(path: str) -> tuple[bytes, str]:
+    """A file's bytes and their sha256, so a parse of those bytes is exactly
+    what the hash names."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
+
+
+class _LastValue:
+    """One-entry memo: the value built for the most recent key.
+
+    Stage calls in one process (a library caller, a notebook, a test run)
+    prepare the same corpus and read the same record file again and again.
+    Keys are content hashes, so a changed file is always a miss, and at most
+    one value per memo stays alive.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._value = None
+
+    def get(self, key, build):
+        if self._key != key:
+            self._key, self._value = None, None  # drop the old value before building
+            self._value = build()
+            self._key = key
+        return self._value
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -275,13 +304,17 @@ def split_dataset(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prepared:
-    """Loaded corpus plus everything derived deterministically from it."""
+    """Loaded corpus plus everything derived deterministically from it.
 
-    instances: list[Instance]
+    Immutable, because prepare hands one instance to every call that prepares
+    the same corpus the same way.
+    """
+
+    instances: tuple[Instance, ...]
     tok: Tokenizer
-    seqs: list[TokenSequence]
+    seqs: tuple[TokenSequence, ...]
     split: SplitIds
     dataset_hash: str
 
@@ -299,19 +332,44 @@ class Prepared:
         return {inst.id: inst.stratum for inst in self.instances}
 
 
+_PREPARED = _LastValue()
+
+
 def prepare(cfg: RunConfig) -> Prepared:
+    """Load, tokenize, encode and split the dataset.
+
+    Calls with the same dataset bytes and the same prepare fields (max_vocab,
+    max_seq_len, seed, test_fraction, query_size) return the same Prepared.
+    """
     cfg.validate()
-    instances = load_dataset(cfg.dataset)
-    tok = build_vocab(instances, cfg.max_vocab)
-    seqs = [encode_instance(tok, inst, cfg.max_seq_len) for inst in instances]
-    split = split_dataset(instances, cfg.seed, cfg.test_fraction, cfg.query_size)
-    return Prepared(
-        instances=instances,
-        tok=tok,
-        seqs=seqs,
-        split=split,
-        dataset_hash=sha256_file(cfg.dataset),
-    )
+    data, dataset_hash = _read_hashed(cfg.dataset)
+
+    def build() -> Prepared:
+        instances = tuple(load_dataset(cfg.dataset, data))
+        tok = build_vocab(instances, cfg.max_vocab)
+        return Prepared(
+            instances=instances,
+            tok=tok,
+            seqs=tuple(encode_instance(tok, inst, cfg.max_seq_len) for inst in instances),
+            split=split_dataset(instances, cfg.seed, cfg.test_fraction, cfg.query_size),
+            dataset_hash=dataset_hash,
+        )
+
+    key = (dataset_hash, cfg.max_vocab, cfg.max_seq_len, cfg.seed, cfg.test_fraction,
+           cfg.query_size)
+    return _PREPARED.get(key, build)
+
+
+_RECORDS = _LastValue()
+
+
+def _read_records_hashed(records_path: str) -> tuple[list[GradientRecord], str]:
+    """The records of a file (a fresh list) and the sha256 of its bytes; the
+    parse is shared by every call over the same bytes."""
+    data, records_hash = _read_hashed(records_path)
+    records = _RECORDS.get(records_hash,
+                           lambda: tuple(read_records(records_path, data=data)))
+    return list(records), records_hash
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +425,37 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     }
 
 
-def check_provenance(records_path: str, prep: Prepared, force: bool) -> None:
-    """Refuse records whose sidecar metadata points at a different dataset."""
+# Config fields that change what a record measures: the token ids and the
+# truncation behind each gradient, and how per-token norms are reduced.
+PROVENANCE_FIELDS = ("max_vocab", "max_seq_len", "norm_mode")
+
+
+def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
+                     force: bool) -> None:
+    """Refuse records whose sidecar metadata points at a different dataset,
+    or at a different value of one of PROVENANCE_FIELDS."""
+    if force:
+        return
     meta_path = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_META_FILE)
     if not os.path.isfile(meta_path):
-        if force:
-            return
         raise RuntimeError(
             f"no provenance metadata next to {records_path} (rerun extract, or force)"
         )
     with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("dataset_hash") != prep.dataset_hash and not force:
+    if meta.get("dataset_hash") != prep.dataset_hash:
         raise RuntimeError(
             "provenance mismatch: records were extracted from a different "
             "dataset (pass force to override)"
         )
+    extracted = meta.get("config", {})
+    for name in PROVENANCE_FIELDS:
+        if extracted.get(name) != getattr(cfg, name):
+            raise RuntimeError(
+                f"provenance mismatch: records were extracted with {name}="
+                f"{extracted.get(name)!r}, this config has {getattr(cfg, name)!r} "
+                "(pass force to override)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +513,9 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
     """The select and baseline commands: one named selection over a record
     file, written with its meta and manifest entries into cfg.out_dir."""
     prep = prepare(cfg)
-    check_provenance(records_path, prep, force)
+    check_provenance(records_path, prep, cfg, force)
     fraction = cfg.fraction if fraction is None else fraction
-    records = read_records(records_path)
+    records, records_hash = _read_records_hashed(records_path)
     ref_model = None
     if name in MODEL_BASELINES:
         default_model = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE)
@@ -455,7 +528,7 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
         prep.strata(),
     )
     files = write_selection(cfg.out_dir, name, result, records, records_path,
-                           sha256_file(records_path), prep.dataset_hash)
+                           records_hash, prep.dataset_hash)
     write_manifest(cfg.out_dir, files)
     return result
 
@@ -706,13 +779,13 @@ def run_pilot(
         records_path = extract["records"]
         model_path = model_path or extract["model"]
     else:
-        check_provenance(records_path, prep, force)
+        check_provenance(records_path, prep, cfg, force)
         default_model = os.path.join(
             os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE
         )
         if model_path is None and os.path.isfile(default_model):
             model_path = default_model
-    records = read_records(records_path)
+    records, records_hash = _read_records_hashed(records_path)
     if model_path is None:
         base_model = init_model(cfg.model_config(prep.tok.vocab_size))
     else:
@@ -725,7 +798,7 @@ def run_pilot(
     meta = {
         "loss_gradient_spearman": report.loss_gradient_spearman,
         "mean_gradient": list(report.mean_gradient),
-        "records_hash": sha256_file(records_path),
+        "records_hash": records_hash,
         "dataset_hash": prep.dataset_hash,
     }
     write_json(os.path.join(cfg.out_dir, "pilot_meta.json"), meta)
@@ -845,11 +918,10 @@ def run_compare(
         ref_model = load_checkpoint(extract["model"])
         produced += [RECORDS_FILE, EXTRACT_META_FILE, EXTRACT_MODEL_FILE]
     else:
-        check_provenance(records_path, prep, force)
+        check_provenance(records_path, prep, cfg, force)
         sibling = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE)
         ref_model = load_checkpoint(sibling) if os.path.isfile(sibling) else None
-    records = read_records(records_path)
-    records_hash = sha256_file(records_path)
+    records, records_hash = _read_records_hashed(records_path)
     timings["extract"] = time.perf_counter() - t0
 
     pool = set(prep.split.train)

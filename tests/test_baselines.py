@@ -130,6 +130,42 @@ def test_dsir_equal_distributions_zero_weights():
     np.testing.assert_allclose(logw, 0.0, atol=1e-12)
 
 
+def _dsir_log_weights_per_occurrence(candidates, target, n_buckets, orders, smooth_target):
+    # reference: one hash per n-gram occurrence, counted and summed in order
+    def counts(docs):
+        c = np.zeros(n_buckets)
+        for doc in docs:
+            for f in ngram_features(doc, orders):
+                c[hash_bucket(f, n_buckets)] += 1
+        return c
+
+    tc, cc = counts(target), counts(candidates)
+    p = (tc + 1.0) / (tc.sum() + n_buckets) if smooth_target else tc / tc.sum()
+    q = cc / cc.sum()
+    out = np.zeros(len(candidates))
+    for i, doc in enumerate(candidates):
+        s = 0.0
+        for f in ngram_features(doc, orders):
+            b = hash_bucket(f, n_buckets)
+            s += math.log(p[b]) - math.log(q[b])
+        out[i] = s
+    return out
+
+
+@pytest.mark.parametrize("n_buckets", [5, 4096])
+def test_dsir_log_weights_match_per_occurrence_reference(n_buckets):
+    # repeated words and n-grams, and (at 5 buckets) colliding features
+    rng = substream(3, ROLE_SELECT)
+    words = "the cat sat on a mat and then the dog sat too".split()
+    candidates = [[words[rng.randint(len(words))] for _ in range(2 + rng.randint(9))]
+                  for _ in range(40)]
+    # unsmoothed p needs every candidate feature in the target
+    for target, smooth in (([words[:6], ["the", "the", "cat"]], True), (candidates, False)):
+        got = dsir_log_weights(candidates, target, n_buckets=n_buckets, smooth_target=smooth)
+        want = _dsir_log_weights_per_occurrence(candidates, target, n_buckets, (1, 2), smooth)
+        assert np.array_equal(got, want)
+
+
 def test_dsir_deterministic_and_sized():
     cands = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]
     target = [["a", "b"]]

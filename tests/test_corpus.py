@@ -80,6 +80,32 @@ def test_load_duplicate_id_rejected(tmp_path):
         load_dataset(str(p))
 
 
+def test_load_duplicate_integer_id_rejected(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_jsonl(
+        p,
+        [
+            {"id": 5, "instruction": "a", "output": "1"},
+            {"id": 5, "instruction": "b", "output": "2"},
+        ],
+    )
+    with pytest.raises(ValueError, match="line 2: duplicate id '5'"):
+        load_dataset(str(p))
+
+
+def test_load_explicit_id_colliding_with_line_number_rejected(tmp_path):
+    p = tmp_path / "d.jsonl"
+    _write_jsonl(
+        p,
+        [
+            {"id": "000002", "instruction": "a", "output": "1"},
+            {"instruction": "b", "output": "2"},
+        ],
+    )
+    with pytest.raises(ValueError, match="line 2: duplicate id '000002'"):
+        load_dataset(str(p))
+
+
 def test_load_empty_response_rejected(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{"instruction": "a", "output": ""}])

@@ -1,5 +1,6 @@
 """Orchestration tests: extract/select/train/eval plumbing on a tiny corpus."""
 
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -114,6 +115,88 @@ def test_prepared_index_built_once(corpus_dir, tmp_path):
     assert [i.id for i in prep.instances_for(ids)] == ids
 
 
+def _counting_loads(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    real = pipeline.load_dataset
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_dataset", counted)
+    return calls
+
+
+def test_prepare_shares_one_corpus_per_content_and_config(tmp_path, monkeypatch):
+    run_synth(str(tmp_path), 30, 8, 8, seed=21)  # content no other test prepares
+    cfg = _cfg(str(tmp_path), str(tmp_path / "out"))
+    loads = _counting_loads(monkeypatch)
+    first = prepare(cfg)
+    assert prepare(cfg) is first
+    assert prepare(replace(cfg, out_dir=str(tmp_path / "other"), d_model=8)) is first
+    assert len(loads) == 1
+    assert first.by_id is prepare(cfg).by_id
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.seqs = ()
+    for changed in (replace(cfg, max_vocab=64), replace(cfg, seed=8)):
+        other = prepare(changed)
+        assert other is not first
+    assert len(loads) == 3
+    assert prepare(replace(cfg, seed=8)).split != first.split
+
+
+def test_prepare_sees_a_rewritten_dataset(tmp_path):
+    run_synth(str(tmp_path), 30, 8, 8, seed=22)
+    cfg = _cfg(str(tmp_path), str(tmp_path / "out"))
+    before = prepare(cfg)
+    run_synth(str(tmp_path), 30, 8, 8, seed=23)  # same path, new bytes
+    after = prepare(cfg)
+    assert after.dataset_hash == sha256_file(cfg.dataset) != before.dataset_hash
+    assert [i.prompt for i in after.instances] != [i.prompt for i in before.instances]
+
+
+def test_select_sees_a_rewritten_record_file(extract_run, tmp_path):
+    cfg, out = extract_run
+    src = os.path.dirname(out["records"])
+    records = tmp_path / "records.jsonl"
+    (tmp_path / "extract_meta.json").write_bytes(
+        open(os.path.join(src, "extract_meta.json"), "rb").read())
+    original = open(out["records"], "rb").read()
+    records.write_bytes(original)
+    sel_cfg = replace(cfg, out_dir=str(tmp_path / "sel"))
+    meta_path = tmp_path / "sel" / "selection_top_grad_meta.json"
+    first = run_select(sel_cfg, str(records), "top_grad", 50.0)
+    assert json.load(open(meta_path))["records_hash"] == sha256_file(str(records))
+
+    # same values, ids shifted by one line: the top half names other ids
+    lines = [json.loads(l) for l in original.decode().splitlines()]
+    ids = [l["instance_id"] for l in lines]
+    for line, new_id in zip(lines, ids[1:] + ids[:1]):
+        line["instance_id"] = new_id
+    records.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    second = run_select(sel_cfg, str(records), "top_grad", 50.0)
+    assert second.selected_ids != first.selected_ids
+    meta = json.load(open(meta_path))
+    assert meta["records_hash"] == sha256_file(str(records)) != sha256_file(out["records"])
+
+    # a new file is validated in full, even right after a valid one was read
+    records.write_text("".join(json.dumps(l) + "\n" for l in lines + lines[:1]))
+    with pytest.raises(ValueError, match="duplicate instance_id"):
+        run_select(sel_cfg, str(records), "top_grad", 50.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_vocab", 256), ("max_seq_len", 64), ("norm_mode", "norm_of_mean"),
+])
+def test_select_refuses_records_of_another_extraction_config(extract_run, tmp_path,
+                                                             field, value):
+    cfg, out = extract_run
+    other = replace(cfg, out_dir=str(tmp_path), **{field: value})
+    with pytest.raises(RuntimeError, match=f"provenance mismatch: .*{field}="):
+        run_select(other, out["records"], "grads", 50.0)
+    assert len(run_select(other, out["records"], "grads", 50.0, force=True).selected_ids) == 45
+
+
 def test_extract_rerun_byte_identical(corpus_dir, extract_run, tmp_path):
     cfg, first = extract_run
     second = run_extract(replace(cfg, out_dir=str(tmp_path)))
@@ -160,12 +243,12 @@ def test_select_refuses_foreign_records(corpus_dir, extract_run, tmp_path_factor
 def test_provenance_checks_sidecar(corpus_dir, extract_run, tmp_path):
     cfg, out = extract_run
     prep = prepare(cfg)
-    check_provenance(out["records"], prep, force=False)
+    check_provenance(out["records"], prep, cfg, force=False)
     bare = tmp_path / "records.jsonl"
     bare.write_bytes(open(out["records"], "rb").read())
     with pytest.raises(RuntimeError, match="metadata"):
-        check_provenance(str(bare), prep, force=False)
-    check_provenance(str(bare), prep, force=True)
+        check_provenance(str(bare), prep, cfg, force=False)
+    check_provenance(str(bare), prep, cfg, force=True)
 
 
 def test_train_then_eval_roundtrip(corpus_dir, extract_run, tmp_path):
