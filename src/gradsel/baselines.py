@@ -9,8 +9,6 @@ place of gradient magnitude.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +22,7 @@ from .selector import (
     descending_order,
     kde_scores,
     select_top_density,
+    selection_from_order,
     silverman_bandwidth,
     subset_size,
 )
@@ -38,27 +37,10 @@ DSIR_BUCKETS = 4096
 class FeatureVector:
     instance_id: str
     values: np.ndarray
-    kind: str  # "representation" or "gradient"
 
     def __post_init__(self):
-        if self.kind not in ("representation", "gradient"):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"non-finite features for {self.instance_id}")
-
-
-def _result(strategy, percent, ids, order, scores, seed=None, bandwidth=None):
-    size = subset_size(len(ids), percent)
-    chosen = order[:size]
-    return SelectionResult(
-        strategy=strategy,
-        fraction_percent=percent,
-        selected_ids=tuple(ids[i] for i in sorted(chosen)),
-        ordered_ids=tuple(ids[i] for i in chosen),
-        f_values={ids[i]: float(scores[i]) for i in range(len(ids))},
-        bandwidth=bandwidth,
-        seed=seed,
-    )
 
 
 def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
@@ -70,7 +52,7 @@ def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
     picked = rng.sample_without_replacement(len(ids), size)
     scores = np.zeros(len(ids))
     scores[picked] = 1.0
-    return _result("random", percent, ids, picked, scores, seed=seed)
+    return selection_from_order("random", percent, ids, picked, scores, seed=seed)
 
 
 def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
@@ -117,7 +99,7 @@ def bm25_select(ids: list[str], candidates: list[list[str]],
                 queries: list[list[str]], percent: float,
                 aggregate: str = "mean") -> SelectionResult:
     scores = bm25_scores(candidates, queries, aggregate=aggregate)
-    return _result("bm25", percent, ids, descending_order(scores), scores)
+    return selection_from_order("bm25", percent, ids, descending_order(scores), scores)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -196,7 +178,7 @@ def dsir_select(ids: list[str], candidates: list[list[str]],
     logw = dsir_log_weights(candidates, target, n_buckets=n_buckets)
     rng = substream(seed, ROLE_GUMBEL)
     keys = logw + np.array([rng.gumbel() for _ in range(len(candidates))])
-    return _result("dsir", percent, ids, descending_order(keys), logw, seed=seed)
+    return selection_from_order("dsir", percent, ids, descending_order(keys), logw, seed=seed)
 
 
 def representation_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVector]:
@@ -205,7 +187,7 @@ def representation_features(model: Model, seqs: list[TokenSequence]) -> list[Fea
     for chunk, batch in batches(seqs):
         trace = forward(model, batch, last_only=True)
         for seq, row in zip(chunk, trace.rows):
-            out.append(FeatureVector(seq.instance_id, trace.hf[row].copy(), "representation"))
+            out.append(FeatureVector(seq.instance_id, trace.hf[row].copy()))
     return out
 
 
@@ -223,8 +205,7 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVe
             content = [t for t, r in enumerate(seq.roles) if r != "special"]
             emb_part = res.g_emb[b, content].mean(axis=0)
             lm_part = (res.g_lm[starts[b] : starts[b + 1]] / batch.w[b]).mean(axis=0)
-            out.append(FeatureVector(seq.instance_id,
-                                     np.concatenate([emb_part, lm_part]), "gradient"))
+            out.append(FeatureVector(seq.instance_id, np.concatenate([emb_part, lm_part])))
     return out
 
 
@@ -235,15 +216,21 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
+def _feature_dim(candidates: list[FeatureVector], queries: list[FeatureVector]) -> int:
+    """The one length every candidate and query feature vector has."""
+    if not candidates or not queries:
+        raise ValueError("empty feature set")
+    dim = candidates[0].values.shape[0]
+    for f in candidates + queries:
+        if f.values.shape != (dim,):
+            raise ValueError(f"feature length mismatch for {f.instance_id}")
+    return dim
+
+
 def rds_select(candidate_feats: list[FeatureVector],
                query_feats: list[FeatureVector], percent: float) -> SelectionResult:
     """Mean cosine to the query representations; zero-norm candidates last."""
-    if not candidate_feats or not query_feats:
-        raise ValueError("empty feature set")
-    dim = candidate_feats[0].values.shape[0]
-    for f in candidate_feats + query_feats:
-        if f.values.shape != (dim,):
-            raise ValueError(f"feature length mismatch for {f.instance_id}")
+    _feature_dim(candidate_feats, query_feats)
     usable = [q for q in query_feats if np.linalg.norm(q.values) > 0]
     if not usable:
         raise ValueError("all query features have zero norm")
@@ -254,7 +241,7 @@ def rds_select(candidate_feats: list[FeatureVector],
             scores[i] = -1.0
         else:
             scores[i] = float(np.mean([_cosine(f.values, q.values) for q in usable]))
-    return _result("rds", percent, ids, descending_order(scores), scores)
+    return selection_from_order("rds", percent, ids, descending_order(scores), scores)
 
 
 def sign_projection(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
@@ -269,28 +256,19 @@ def less_select(candidate_grads: list[FeatureVector],
                 query_grads: list[FeatureVector], percent: float,
                 projection_dim: int | None, seed: int) -> SelectionResult:
     """Max cosine to query gradient features, in sign-projected space."""
-    if not candidate_grads or not query_grads:
-        raise ValueError("empty feature set")
-    dim = candidate_grads[0].values.shape[0]
-    for f in candidate_grads + query_grads:
-        if f.values.shape != (dim,):
-            raise ValueError(f"feature length mismatch for {f.instance_id}")
+    dim = _feature_dim(candidate_grads, query_grads)
     if projection_dim is not None and projection_dim > dim:
         raise ValueError("projection_dim exceeds feature dimension")
-    if projection_dim is None or projection_dim == dim:
-        proj = None
-    else:
-        proj = sign_projection(dim, projection_dim, seed)
     cmat = np.stack([f.values for f in candidate_grads])
     qmat = np.stack([f.values for f in query_grads])
-    if proj is not None:
-        cmat = cmat @ proj
-        qmat = qmat @ proj
+    if projection_dim is not None and projection_dim != dim:
+        proj = sign_projection(dim, projection_dim, seed)
+        cmat, qmat = cmat @ proj, qmat @ proj
     ids = [f.instance_id for f in candidate_grads]
     scores = np.empty(len(ids))
     for i in range(len(ids)):
         scores[i] = max(_cosine(cmat[i], qmat[j]) for j in range(qmat.shape[0]))
-    return _result("less", percent, ids, descending_order(scores), scores, seed=seed)
+    return selection_from_order("less", percent, ids, descending_order(scores), scores, seed=seed)
 
 
 def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> SelectionResult:
@@ -302,8 +280,7 @@ def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> Sel
         raise ValueError("perplexities must be positive")
     h = silverman_bandwidth(ppl)
     scores = kde_scores(ppl, h, ids=list(ids))
-    res = select_top_density(scores, percent, strategy="ppl", bandwidth=h)
-    return res
+    return select_top_density(scores, percent, strategy="ppl", bandwidth=h)
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:
@@ -311,36 +288,4 @@ def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float
     out: list[float] = []
     for _, batch in batches(seqs):
         out += map(math.exp, forward(model, batch).losses.tolist())
-    return out
-
-
-def write_features(feats: list[FeatureVector], path: str,
-                   encoding: str = "base64") -> None:
-    if encoding not in ("base64", "plain"):
-        raise ValueError(f"unknown encoding {encoding!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in feats:
-            obj = {"instance_id": f.instance_id, "kind": f.kind, "encoding": encoding}
-            if encoding == "base64":
-                obj["values"] = base64.b64encode(
-                    np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-                ).decode("ascii")
-            else:
-                obj["values"] = [float(v) for v in f.values]
-            fh.write(json.dumps(obj) + "\n")
-
-
-def read_features(path: str) -> list[FeatureVector]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if obj["encoding"] == "base64":
-                vals = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8")
-                vals = vals.astype(np.float64)
-            else:
-                vals = np.asarray(obj["values"], dtype=np.float64)
-            out.append(FeatureVector(obj["instance_id"], vals, obj["kind"]))
     return out

@@ -106,16 +106,15 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "extract":
         out = pipeline.run_extract(cfg)
         print(f"{out['records']} ({out['n_records']} records)")
-    elif args.command == "select":
-        result = pipeline.run_select(
-            cfg, args.records, args.strategy, args.fraction, args.force
-        )
-        print(f"{result.strategy}@{result.fraction_percent:g}: "
-              f"{len(result.selected_ids)} selected -> {cfg.out_dir}")
-    elif args.command == "baseline":
-        result = pipeline.run_baseline(
-            cfg, args.strategy, args.records, args.fraction, args.model, args.force
-        )
+    elif args.command in ("select", "baseline"):
+        if args.command == "select":
+            result = pipeline.run_select(
+                cfg, args.records, args.strategy, args.fraction, args.force
+            )
+        else:
+            result = pipeline.run_baseline(
+                cfg, args.strategy, args.records, args.fraction, args.model, args.force
+            )
         print(f"{result.strategy}@{result.fraction_percent:g}: "
               f"{len(result.selected_ids)} selected -> {cfg.out_dir}")
     elif args.command == "train":

@@ -82,12 +82,6 @@ class Tokenizer:
     def encode_words(self, text: str) -> list[int]:
         return [self.token_to_id.get(w, self.unk) for w in split_words(text)]
 
-    def decode(self, ids: list[int]) -> str:
-        """Space-joined tokens; special ids are skipped."""
-        return " ".join(
-            self.id_to_token[i] for i in ids if i >= len(self.SPECIALS)
-        )
-
 
 def open_text(path: str, data: bytes | None = None):
     """A UTF-8 text stream over `data` if given, else over the file at path.
@@ -103,9 +97,10 @@ def open_text(path: str, data: bytes | None = None):
 def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
     """Read instances from JSONL in file order (from `data` if given).
 
-    Each line needs `output` and `instruction`; `input`, `id`, and `stratum`
-    are optional. Missing ids become zero-padded 1-based line numbers. Ids are
-    compared as strings, generated ones included, so `5` and `"5"` collide.
+    Each line is a JSON object with string fields `instruction` and `output`;
+    `input` (a string), `id`, and `stratum` are optional. Missing ids become
+    zero-padded 1-based line numbers. Ids are compared as strings, generated
+    ones included, so `5` and `"5"` collide.
     """
     instances: list[Instance] = []
     seen_ids: set[str] = set()
@@ -117,9 +112,14 @@ def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
             for field in ("instruction", "output"):
                 if field not in obj:
                     raise ValueError(f"line {lineno}: missing field {field}")
+            for field in ("instruction", "input", "output"):
+                if not isinstance(obj.get(field, ""), str):
+                    raise ValueError(f"line {lineno}: field {field} is not a string")
             if not obj["output"]:
                 raise ValueError(f"line {lineno}: empty field output")
             prompt = obj["instruction"]

@@ -10,7 +10,6 @@ with enough digits to be bit-exact.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +106,15 @@ def write_records(records: list[GradientRecord], path: str) -> None:
             )
 
 
-def read_records(path: str, expected_fingerprint: str | None = None,
-                 data: bytes | None = None) -> list[GradientRecord]:
+def read_records(path: str, data: bytes | None = None) -> list[GradientRecord]:
     """Load records (from `data` if given, else from path), enforcing the sum
-    invariant and unique instance ids; fingerprint mismatches warn.
+    invariant and unique instance ids.
 
     Records remain usable across models (that is the point of persisting
-    them); the warning only flags that the expectation was not met.
+    them), so the model fingerprint each carries is kept but not checked.
     """
     records: list[GradientRecord] = []
     seen: set[str] = set()
-    mismatched: set[str] = set()
     with open_text(path, data) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -147,13 +144,5 @@ def read_records(path: str, expected_fingerprint: str | None = None,
             if rec.instance_id in seen:
                 raise ValueError(f"line {lineno}: duplicate instance_id {rec.instance_id!r}")
             seen.add(rec.instance_id)
-            if expected_fingerprint is not None and rec.model_fingerprint != expected_fingerprint:
-                mismatched.add(rec.model_fingerprint)
             records.append(rec)
-    if mismatched:
-        warnings.warn(
-            "gradient records came from a different model "
-            f"(expected {expected_fingerprint}, found {sorted(mismatched)})",
-            stacklevel=2,
-        )
     return records

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .tinylm import (
     model_fingerprint,
     save_checkpoint,
     total_update_steps,
-    train_steps,
 )
 
 # Baseline families the compare/baseline commands accept alongside the
@@ -129,7 +128,8 @@ class RunConfig:
         self.train_hyper().validate()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        cfg = ModelConfig(
+        """Validated by init_model, which every caller hands it to."""
+        return ModelConfig(
             d_model=self.d_model,
             n_layers=self.n_layers,
             n_heads=self.n_heads,
@@ -140,8 +140,6 @@ class RunConfig:
             tie_lm_head=self.tie_lm_head,
             lm_grad_space=self.lm_grad_space,
         )
-        cfg.validate()
-        return cfg
 
     def train_hyper(self, epochs: int | None = None) -> TrainHyper:
         return TrainHyper(
@@ -378,10 +376,10 @@ def _read_records_hashed(records_path: str) -> tuple[list[GradientRecord], str]:
 
 def build_reference_model(cfg: RunConfig, prep: Prepared) -> Model:
     """Fresh init plus the configured warmup; the model gradients are
-    measured against (and the feature source for rds/less/ppl)."""
+    measured against (and the feature source for rds/less/ppl). The warmup
+    steps are the trainer's whole horizon, so its ramp settles within them."""
     model = init_model(cfg.model_config(prep.tok.vocab_size))
-    if cfg.warmup_steps:
-        train_steps(model, prep.seqs, cfg.train_hyper(), cfg.warmup_steps)
+    Trainer(model, cfg.train_hyper(), cfg.warmup_steps).run(prep.seqs)
     return model
 
 
@@ -425,6 +423,14 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     }
 
 
+def extract_sibling(records_path: str, name: str) -> str | None:
+    """The path of the extraction artifact `name` (EXTRACT_META_FILE or
+    EXTRACT_MODEL_FILE) in the directory of records_path, where run_extract
+    writes it, or None when no such file is there."""
+    path = os.path.join(os.path.dirname(records_path) or ".", name)
+    return path if os.path.isfile(path) else None
+
+
 # Config fields that change what a record measures: the token ids and the
 # truncation behind each gradient, and how per-token norms are reduced.
 PROVENANCE_FIELDS = ("max_vocab", "max_seq_len", "norm_mode")
@@ -436,8 +442,8 @@ def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
     or at a different value of one of PROVENANCE_FIELDS."""
     if force:
         return
-    meta_path = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_META_FILE)
-    if not os.path.isfile(meta_path):
+    meta_path = extract_sibling(records_path, EXTRACT_META_FILE)
+    if meta_path is None:
         raise RuntimeError(
             f"no provenance metadata next to {records_path} (rerun extract, or force)"
         )
@@ -479,13 +485,9 @@ def write_selection(
     for rank, inst_id in enumerate(result.ordered_ids, start=1):
         f_val = result.f_values.get(inst_id)
         rec = records_by_id.get(inst_id)
-        row = [
-            f'"id": {json.dumps(inst_id)}',
-            f'"rank": {rank}',
-            f'"f_value": {"null" if f_val is None else _fmt(f_val)}',
-            f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}',
-        ]
-        lines.append("{" + ", ".join(row) + "}")
+        lines.append(f'{{"id": {json.dumps(inst_id)}, "rank": {rank}, '
+                     f'"f_value": {"null" if f_val is None else _fmt(f_val)}, '
+                     f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}')
     os.makedirs(out_dir, exist_ok=True)
     sel_file = f"selection_{stem}.jsonl"
     with open(os.path.join(out_dir, sel_file), "w", encoding="utf-8") as fh:
@@ -518,8 +520,7 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
     records, records_hash = _read_records_hashed(records_path)
     ref_model = None
     if name in MODEL_BASELINES:
-        default_model = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE)
-        model_path = model_path or (default_model if os.path.isfile(default_model) else None)
+        model_path = model_path or extract_sibling(records_path, EXTRACT_MODEL_FILE)
         if model_path is None:
             raise ValueError(f"{name} needs a reference model checkpoint")
         ref_model = load_checkpoint(model_path)
@@ -547,13 +548,6 @@ def run_select(
     return _select_from_records(cfg, strategy, records_path, fraction, force)
 
 
-def _query_words(prep: Prepared) -> list[list[str]]:
-    return [
-        split_words(inst.prompt + " " + inst.response)
-        for inst in prep.instances_for(prep.split.query)
-    ]
-
-
 def run_selection_by_name(
     name: str,
     fraction: float,
@@ -571,11 +565,10 @@ def run_selection_by_name(
     if name == "random":
         return baselines.select_random(pool_ids, fraction, cfg.seed)
     if name in ("bm25", "dsir"):
-        cand_words = [
-            split_words(inst.prompt + " " + inst.response)
-            for inst in prep.instances_for(pool_ids)
-        ]
-        query_words = _query_words(prep)
+        def words(ids) -> list[list[str]]:
+            return [split_words(i.prompt + " " + i.response) for i in prep.instances_for(ids)]
+
+        cand_words, query_words = words(pool_ids), words(prep.split.query)
         if not query_words:
             raise ValueError(f"{name} needs a nonempty query split")
         if name == "bm25":
@@ -644,21 +637,20 @@ def fine_tune(
     train_ids: list[str],
     epochs: int,
     on_epoch=None,
-) -> Model:
-    """Fresh model from the configured init seed, trained on the given ids.
+) -> tuple[Model, list[float]]:
+    """Fresh model from the configured init seed, trained on the given ids;
+    returns it with its per-epoch mean losses. on_epoch(model) runs after
+    each epoch.
 
     Subsets are always presented in sorted-id order so that an identity
     selection reproduces full-data training exactly.
     """
     seqs = prep.seqs_for(sorted(train_ids))
-    if not seqs:
-        raise ValueError("no training instances")
     model = init_model(cfg.model_config(prep.tok.vocab_size))
     hyper = cfg.train_hyper(epochs=epochs)
     trainer = Trainer(model, hyper, total_update_steps(len(seqs), hyper))
-    trainer.run_epochs(seqs, on_epoch=on_epoch)
-    model.epoch_losses = trainer.epoch_losses
-    return model
+    trainer.run(seqs, on_epoch=on_epoch)
+    return model, trainer.epoch_losses
 
 
 def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
@@ -674,11 +666,8 @@ def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
     for seq in prep.seqs_for(ids):
         sep_pos = seq.tokens.index(tok.sep)
         prompts.append(list(seq.tokens[: sep_pos + 1]))
-        refs.append([
-            tok.id_to_token[t]
-            for t, r in zip(seq.tokens, seq.roles)
-            if r == ROLE_RESPONSE
-        ])
+        refs.append([tok.id_to_token[t] for t, r in zip(seq.tokens, seq.roles)
+                     if r == ROLE_RESPONSE])
     outs = greedy_decode(model, prompts, [len(ref) for ref in refs])
     cands = [[tok.id_to_token[t] for t in out] for out in outs]
     return {
@@ -718,7 +707,7 @@ def run_train(
             raise ValueError("selection contains no training-pool instances")
         selection_hash = sha256_file(selection_path)
     t0 = time.perf_counter()
-    model = fine_tune(cfg, prep, train_ids, cfg.epochs)
+    model, epoch_losses = fine_tune(cfg, prep, train_ids, cfg.epochs)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_file = "model.json"
     save_checkpoint(model, os.path.join(cfg.out_dir, ckpt_file))
@@ -728,7 +717,7 @@ def run_train(
         "selection_hash": selection_hash,
         "n_train": len(train_ids),
         "epochs": cfg.epochs,
-        "epoch_losses": list(getattr(model, "epoch_losses", [])),
+        "epoch_losses": epoch_losses,
     }
     meta_file = "train_meta.json"
     write_json(os.path.join(cfg.out_dir, meta_file), meta)
@@ -780,11 +769,7 @@ def run_pilot(
         model_path = model_path or extract["model"]
     else:
         check_provenance(records_path, prep, cfg, force)
-        default_model = os.path.join(
-            os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE
-        )
-        if model_path is None and os.path.isfile(default_model):
-            model_path = default_model
+        model_path = model_path or extract_sibling(records_path, EXTRACT_MODEL_FILE)
     records, records_hash = _read_records_hashed(records_path)
     if model_path is None:
         base_model = init_model(cfg.model_config(prep.tok.vocab_size))
@@ -855,34 +840,19 @@ def gradient_percentile_summary(
     }
 
 
-def _finished_row(name: str, metrics_per_epoch: list[dict], n_train: int) -> dict:
-    row = {
-        "row": name,
-        "n_train": n_train,
-        "per_epoch": metrics_per_epoch,
-        "error": None,
-    }
-    for key in METRIC_KEYS:
-        row[key] = float(np.mean([m[key] for m in metrics_per_epoch]))
-    return row
-
-
 def _train_and_eval_row(
     name: str, cfg: RunConfig, prep: Prepared, train_ids, epochs: int
 ) -> dict:
-    seqs = prep.seqs_for(sorted(train_ids))
-    if not seqs:
-        raise ValueError("no training instances")
-    model = init_model(cfg.model_config(prep.tok.vocab_size))
-    snapshots: list[dict] = []
-
-    def snap(_epoch: int) -> None:
-        snapshots.append(evaluate_model(model, prep, prep.split.test))
-
-    hyper = cfg.train_hyper(epochs=epochs)
-    trainer = Trainer(model, hyper, total_update_steps(len(seqs), hyper))
-    trainer.run_epochs(seqs, on_epoch=snap)
-    return _finished_row(name, snapshots, len(train_ids))
+    """Fine-tune on train_ids, scoring the test split after every epoch; the
+    row's metrics are the means over epochs."""
+    per_epoch: list[dict] = []
+    fine_tune(cfg, prep, train_ids, epochs,
+              on_epoch=lambda model: per_epoch.append(
+                  evaluate_model(model, prep, prep.split.test)))
+    row = {"row": name, "n_train": len(train_ids), "per_epoch": per_epoch, "error": None}
+    for key in METRIC_KEYS:
+        row[key] = float(np.mean([m[key] for m in per_epoch]))
+    return row
 
 
 def run_compare(
@@ -919,8 +889,8 @@ def run_compare(
         produced += [RECORDS_FILE, EXTRACT_META_FILE, EXTRACT_MODEL_FILE]
     else:
         check_provenance(records_path, prep, cfg, force)
-        sibling = os.path.join(os.path.dirname(records_path) or ".", EXTRACT_MODEL_FILE)
-        ref_model = load_checkpoint(sibling) if os.path.isfile(sibling) else None
+        sibling = extract_sibling(records_path, EXTRACT_MODEL_FILE)
+        ref_model = None if sibling is None else load_checkpoint(sibling)
     records, records_hash = _read_records_hashed(records_path)
     timings["extract"] = time.perf_counter() - t0
 
@@ -936,10 +906,8 @@ def run_compare(
 
     t0 = time.perf_counter()
     base_model = init_model(cfg.model_config(prep.tok.vocab_size))
-    base_metrics = evaluate_model(base_model, prep, prep.split.test)
-    base_row = {"row": "base", "n_train": 0, "per_epoch": [], "error": None}
-    base_row.update({k: base_metrics[k] for k in METRIC_KEYS})
-    rows.append(base_row)
+    rows.append({"row": "base", "n_train": 0, "per_epoch": [], "error": None,
+                 **evaluate_model(base_model, prep, prep.split.test)})
     timings["base"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -986,11 +954,7 @@ def run_compare(
         rows=rows,
         dataset_hash=prep.dataset_hash,
         records_hash=records_hash,
-        split_sizes={
-            "train": len(prep.split.train),
-            "test": len(prep.split.test),
-            "query": len(prep.split.query),
-        },
+        split_sizes={name: len(ids) for name, ids in asdict(prep.split).items()},
         timings=timings,
     )
     write_json(os.path.join(cfg.out_dir, "report.json"), report.to_dict())

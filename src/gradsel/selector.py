@@ -10,7 +10,7 @@ normalization-based variants of the same pipeline are provided for ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,51 +124,53 @@ def descending_order(x) -> list[int]:
     return np.lexsort((-np.asarray(x, dtype=float),)).tolist()
 
 
+def selection_from_order(strategy: str, percent: float, ids: list[str], order,
+                         scores, seed: int | None = None,
+                         bandwidth: float | None = None) -> SelectionResult:
+    """Keep the first subset_size(len(ids), percent) indices of order.
+
+    order indexes ids, best first; scores[i] is the value reported for ids[i].
+    """
+    chosen = order[: subset_size(len(ids), percent)]
+    return SelectionResult(
+        strategy=strategy,
+        fraction_percent=percent,
+        selected_ids=tuple(ids[i] for i in sorted(chosen)),
+        ordered_ids=tuple(ids[i] for i in chosen),
+        f_values={ids[i]: float(scores[i]) for i in range(len(ids))},
+        bandwidth=bandwidth,
+        seed=seed,
+    )
+
+
 def select_top_density(scores: list[DensityScore], percent: float,
                        strategy: str = "grads",
                        bandwidth: float | None = None) -> SelectionResult:
     """Keep the densest percent, ties broken by dataset position."""
     if not scores:
         raise ValueError("no scores to select from")
-    size = subset_size(len(scores), percent)
-    order = descending_order([s.f_value for s in scores])
-    chosen = order[:size]
-    rejected = order[size:]
-    if rejected:
-        worst_kept = min(scores[i].f_value for i in chosen)
-        best_dropped = max(scores[i].f_value for i in rejected)
-        assert worst_kept >= best_dropped
-    selected_ids = tuple(scores[i].instance_id for i in sorted(chosen))
-    return SelectionResult(
-        strategy=strategy,
-        fraction_percent=percent,
-        selected_ids=selected_ids,
-        ordered_ids=tuple(scores[i].instance_id for i in order[:size]),
-        f_values={s.instance_id: s.f_value for s in scores},
-        bandwidth=bandwidth,
-    )
+    f = [s.f_value for s in scores]
+    order = descending_order(f)
+    result = selection_from_order(strategy, percent, [s.instance_id for s in scores],
+                                  order, f, bandwidth=bandwidth)
+    size = len(result.ordered_ids)
+    if size < len(order):  # every kept density dominates every dropped one
+        assert min(f[i] for i in order[:size]) >= max(f[i] for i in order[size:])
+    return result
 
 
 def _select_by_value_order(records: list[GradientRecord], percent: float,
                            strategy: str, window: str) -> SelectionResult:
-    size = subset_size(len(records), percent)
     g = np.array([r.g_grads for r in records])
-    desc = descending_order(g)
     if window == "top":
-        chosen = desc[:size]
+        order = descending_order(g)
     elif window == "tail":  # ascending, ties keep the lower index first
-        chosen = np.lexsort((g,))[:size].tolist()
+        order = np.lexsort((g,)).tolist()
     else:  # centered on the median rank, symmetric, clipped by construction
-        lo = (len(records) - size) // 2
-        chosen = desc[lo : lo + size]
-    return SelectionResult(
-        strategy=strategy,
-        fraction_percent=percent,
-        selected_ids=tuple(records[i].instance_id for i in sorted(chosen)),
-        ordered_ids=tuple(records[i].instance_id for i in chosen),
-        f_values={records[i].instance_id: records[i].g_grads for i in range(len(records))},
-        bandwidth=None,
-    )
+        lo = (len(records) - subset_size(len(records), percent)) // 2
+        order = descending_order(g)[lo:]
+    return selection_from_order(strategy, percent, [r.instance_id for r in records],
+                                order, g)
 
 
 def minmax_unit(x: np.ndarray) -> np.ndarray:
@@ -222,8 +224,7 @@ def select_strategy(records: list[GradientRecord], strategy: str,
         values = weightr_values(records)
     h = silverman_bandwidth(values)
     scores = kde_scores(values, h, ids=[r.instance_id for r in records])
-    result = select_top_density(scores, percent, strategy=strategy, bandwidth=h)
-    return result
+    return select_top_density(scores, percent, strategy=strategy, bandwidth=h)
 
 
 def attach_strata(result: SelectionResult,
@@ -233,14 +234,4 @@ def attach_strata(result: SelectionResult,
     for i in result.selected_ids:
         label = strata_by_id.get(i) or "unlabeled"
         counts[label] = counts.get(label, 0) + 1
-    return SelectionResult(
-        strategy=result.strategy,
-        fraction_percent=result.fraction_percent,
-        selected_ids=result.selected_ids,
-        ordered_ids=result.ordered_ids,
-        f_values=result.f_values,
-        bandwidth=result.bandwidth,
-        tie_break=result.tie_break,
-        seed=result.seed,
-        stratum_counts=counts,
-    )
+    return replace(result, stratum_counts=counts)

@@ -17,7 +17,6 @@ from .training import (
     Trainer,
     extract_epoch,
     total_update_steps,
-    train_steps,
     warmup_lr,
 )
 

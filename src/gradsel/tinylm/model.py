@@ -76,9 +76,6 @@ class Model:
         self.flat = np.zeros(_layout(cfg)[-1][2])
         self.params = param_views(cfg, self.flat)
 
-    def param_count(self) -> int:
-        return self.flat.size
-
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Declared tensor order; init, checkpoints, and the flat layout follow it."""

@@ -8,7 +8,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -19,10 +18,6 @@ from ..rng import ROLE_SHUFFLE, substream
 from .model import (BackwardResult, Batch, Model, batches, forward, loss_and_grads,
                     loss_positions_of)
 
-# Named learning-rate profiles. "desk" suits the miniature model; "full_scale"
-# mirrors large-model fine-tuning practice and is kept selectable.
-LR_PROFILES = {"desk": 3e-3, "full_scale": 3e-5}
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -30,7 +25,7 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainHyper:
-    learning_rate: float = LR_PROFILES["desk"]
+    learning_rate: float = 3e-3
     warmup_ratio: float = 0.1
     batch_size: int = 8
     epochs: int = 1
@@ -163,34 +158,34 @@ class Trainer:
         self.adam.step(self.model, res.param_grads, lr)
         return sum(res.losses.tolist()) * (1.0 / len(batch))
 
-    def run_epochs(self, seqs: list[TokenSequence],
-                   on_epoch=None) -> None:
-        epochs = zip(range(self.hyper.epochs), _epochs(len(seqs), self.hyper))
-        for epoch, index_batches in epochs:
-            losses = [self.apply_batch([seqs[i] for i in idx]) for idx in index_batches]
-            self.epoch_losses.append(float(np.mean(losses)))
-            if on_epoch is not None:
-                on_epoch(epoch + 1)
+    def run(self, seqs: list[TokenSequence], on_epoch=None, reduce=None) -> list:
+        """Exactly total_steps updates, epoch after epoch, each freshly shuffled.
 
-
-def train_steps(model: Model, seqs: list[TokenSequence], hyper: TrainHyper,
-                n_steps: int) -> Model:
-    """Run exactly n_steps Adam updates in place, cycling epochs as needed.
-
-    The warmup schedule sees n_steps as the horizon, so a short warmup run
-    ramps and settles within its own budget.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if n_steps == 0:
-        return model
-    if not seqs:
-        raise ValueError("empty dataset")
-    trainer = Trainer(model, hyper, n_steps)
-    index_batches = itertools.chain.from_iterable(_epochs(len(seqs), hyper))
-    for idx in itertools.islice(index_batches, n_steps):
-        trainer.apply_batch([seqs[i] for i in idx])
-    return model
+        Each completed epoch appends its mean batch loss to epoch_losses and
+        then calls on_epoch(model). With reduce, each batch's bundles go
+        through reduce(bundle, seq) before the next batch runs, so no bundle
+        outlives its batch; returns what reduce returned, in consumption order.
+        """
+        if not seqs:
+            raise ValueError("empty dataset")
+        reduced: list = []
+        left = self.total_steps
+        for index_batches in _epochs(len(seqs), self.hyper):
+            if left <= 0:
+                break
+            losses = []
+            for idx in index_batches[:left]:
+                chunk = [seqs[i] for i in idx]
+                bundles = None if reduce is None else []
+                losses.append(self.apply_batch(chunk, capture=bundles))
+                if bundles is not None:
+                    reduced += map(reduce, bundles, chunk)
+            left -= len(losses)
+            if len(losses) == len(index_batches):
+                self.epoch_losses.append(float(np.mean(losses)))
+                if on_epoch is not None:
+                    on_epoch(self.model)
+        return reduced
 
 
 def extract_epoch(
@@ -215,8 +210,8 @@ def extract_epoch(
     """
     if not seqs:
         raise ValueError("empty dataset")
-    reduced: list = []
     if mode == "frozen":
+        reduced: list = []
         for chunk, batch in batches(seqs, hyper.batch_size):
             res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
             _check_losses(batch, res.losses, "frozen extraction")
@@ -227,9 +222,4 @@ def extract_epoch(
 
     one_epoch = replace(hyper, epochs=1)
     trainer = Trainer(model, one_epoch, total_update_steps(len(seqs), one_epoch))
-    for idx in next(_epochs(len(seqs), one_epoch)):
-        chunk = [seqs[i] for i in idx]
-        bundles: list[GradientBundle] = []
-        trainer.apply_batch(chunk, capture=bundles)
-        reduced += map(reduce, bundles, chunk)
-    return model, reduced
+    return model, trainer.run(seqs, reduce=reduce)

@@ -17,11 +17,9 @@ from gradsel.baselines import (
     ngram_features,
     ppl_select,
     rds_select,
-    read_features,
     representation_features,
     select_random,
     sign_projection,
-    write_features,
 )
 from gradsel.corpus import TokenSequence
 from gradsel.rng import ROLE_SELECT, substream
@@ -181,8 +179,8 @@ def test_ngram_features_orders():
     assert len(ngram_features(["a", "b", "c"], (1, 2))) == 5
 
 
-def _fv(i, vals, kind="representation"):
-    return FeatureVector(f"c{i:03d}", np.asarray(vals, dtype=float), kind)
+def _fv(i, vals):
+    return FeatureVector(f"c{i:03d}", np.asarray(vals, dtype=float))
 
 
 def test_rds_self_similarity_ranks_first():
@@ -240,8 +238,8 @@ def test_less_identical_vector_scores_one():
     rng = np.random.default_rng(2)
     dim = 300
     q = rng.normal(size=dim)
-    cands = [_fv(0, rng.normal(size=dim), "gradient"), _fv(1, q.copy(), "gradient")]
-    res = less_select(cands, [_fv(9, q, "gradient")], 50, projection_dim=256, seed=3)
+    cands = [_fv(0, rng.normal(size=dim)), _fv(1, q.copy())]
+    res = less_select(cands, [_fv(9, q)], 50, projection_dim=256, seed=3)
     assert res.f_values["c001"] == pytest.approx(1.0, abs=1e-12)
     assert res.selected_ids == ("c001",)
 
@@ -254,7 +252,7 @@ def test_less_projection_preserves_cosine_roughly():
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
         exact = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-        res = less_select([_fv(0, u, "gradient")], [_fv(9, v, "gradient")],
+        res = less_select([_fv(0, u)], [_fv(9, v)],
                           100, projection_dim=256, seed=trial)
         worst = max(worst, abs(res.f_values["c000"] - exact))
     assert worst < 0.15
@@ -263,18 +261,18 @@ def test_less_projection_preserves_cosine_roughly():
 def test_less_no_projection_is_exact_cosine():
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([2.0, 4.0, 4.0])
-    res = less_select([_fv(0, u, "gradient")], [_fv(9, v, "gradient")],
+    res = less_select([_fv(0, u)], [_fv(9, v)],
                       100, projection_dim=None, seed=0)
     assert res.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
-    res3 = less_select([_fv(0, u, "gradient")], [_fv(9, v, "gradient")],
+    res3 = less_select([_fv(0, u)], [_fv(9, v)],
                        100, projection_dim=3, seed=0)
     assert res3.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_less_deterministic_per_seed():
     rng = np.random.default_rng(4)
-    cands = [_fv(i, rng.normal(size=40), "gradient") for i in range(10)]
-    qs = [_fv(99, rng.normal(size=40), "gradient")]
+    cands = [_fv(i, rng.normal(size=40)) for i in range(10)]
+    qs = [_fv(99, rng.normal(size=40))]
     a = less_select(cands, qs, 30, projection_dim=16, seed=5)
     b = less_select(cands, qs, 30, projection_dim=16, seed=5)
     assert a.selected_ids == b.selected_ids
@@ -296,27 +294,11 @@ def test_feature_extraction_shapes_and_kinds():
                       ("special", "prompt", "special", "response", "response", "special")),
     ]
     reps = representation_features(m, seqs)
-    assert all(f.kind == "representation" for f in reps)
+    assert [f.instance_id for f in reps] == ["a", "b"]
     assert all(f.values.shape == (8,) for f in reps)
     grads = gradient_features(m, seqs)
-    assert all(f.kind == "gradient" for f in grads)
+    assert [f.instance_id for f in grads] == ["a", "b"]
     assert all(f.values.shape == (8 + 30,) for f in grads)
-
-
-def test_feature_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    feats = [_fv(i, rng.normal(size=7), "gradient") for i in range(5)]
-    for enc in ("base64", "plain"):
-        path = str(tmp_path / f"f-{enc}.jsonl")
-        write_features(feats, path, encoding=enc)
-        back = read_features(path)
-        for a, b in zip(feats, back):
-            assert a.instance_id == b.instance_id
-            assert a.kind == b.kind
-            if enc == "base64":
-                assert np.array_equal(a.values, b.values)
-            else:
-                np.testing.assert_allclose(a.values, b.values, rtol=1e-15)
 
 
 def test_all_baselines_subset_size_matches_rule():
@@ -326,8 +308,8 @@ def test_all_baselines_subset_size_matches_rule():
     rng = np.random.default_rng(6)
     feats = [_fv(i, rng.normal(size=5)) for i in range(7)]
     qf = [_fv(99, rng.normal(size=5))]
-    gfeats = [_fv(i, rng.normal(size=5), "gradient") for i in range(7)]
-    gq = [_fv(99, rng.normal(size=5), "gradient")]
+    gfeats = [_fv(i, rng.normal(size=5)) for i in range(7)]
+    gq = [_fv(99, rng.normal(size=5))]
     ppls = list(rng.uniform(5, 9, 7))
     for res in (
         select_random(ids, 50, 0),

@@ -106,6 +106,21 @@ def test_load_explicit_id_colliding_with_line_number_rejected(tmp_path):
         load_dataset(str(p))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ('[1, 2]', "line 2: not a JSON object"),
+    ('"text"', "line 2: not a JSON object"),
+    ('{"instruction": 5, "output": "x"}', "line 2: field instruction is not a string"),
+    ('{"instruction": "a", "input": ["ctx"], "output": "x"}',
+     "line 2: field input is not a string"),
+    ('{"instruction": "a", "output": {"text": "x"}}', "line 2: field output is not a string"),
+])
+def test_load_rejects_wrong_types_naming_the_line(tmp_path, bad, message):
+    p = tmp_path / "d.jsonl"
+    p.write_text('{"instruction": "a", "output": "x"}\n' + bad + "\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_dataset(str(p))
+
+
 def test_load_empty_response_rejected(tmp_path):
     p = tmp_path / "d.jsonl"
     _write_jsonl(p, [{"instruction": "a", "output": ""}])
@@ -212,9 +227,9 @@ def test_decode_round_trip_for_in_vocab_text():
     for inst in ds[:10]:
         seq = encode_instance(tok, inst, max_seq_len=64)
         resp_ids = [t for t, r in zip(seq.tokens, seq.roles) if r == "response"]
-        decoded = tok.decode(resp_ids)
-        assert decoded == " ".join(split_words(inst.response))
-        assert tok.encode_words(decoded) == resp_ids
+        words = [tok.id_to_token[t] for t in resp_ids]
+        assert words == split_words(inst.response)
+        assert tok.encode_words(" ".join(words)) == resp_ids
 
 
 def test_synth_counts_and_strata():

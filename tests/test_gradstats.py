@@ -159,15 +159,6 @@ def test_read_rejects_broken_sum(tmp_path):
         read_records(path)
 
 
-def test_fingerprint_mismatch_warns_but_loads(tmp_path):
-    path = str(tmp_path / "recs.jsonl")
-    write_records([_mk_record(0, 0.5, 0.5, fp="cd" * 8)], path)
-    with pytest.warns(UserWarning, match="different model"):
-        recs = read_records(path, expected_fingerprint=FP)
-    assert len(recs) == 1
-    assert read_records(path) == recs  # no expectation, no warning
-
-
 def test_read_rejects_duplicate_ids(tmp_path):
     path = str(tmp_path / "recs.jsonl")
     recs = [_mk_record(i, 0.5, 0.25) for i in range(20)] + [_mk_record(3, 0.1, 0.2)]

@@ -70,7 +70,7 @@ def _run(model, seqs, want_param_grads=True):
 
 
 def _train(model, seqs, hyper):
-    Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run_epochs(seqs)
+    Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run(seqs)
     return model
 
 
@@ -117,10 +117,10 @@ def test_params_are_views_of_one_flat_vector():
         assert m.params[name].shape == shape
         assert m.params[name].reshape(-1)[0] == pos
         pos += m.params[name].size
-    assert pos == m.param_count()
+    assert pos == m.flat.size
 
 
-def test_param_count_closed_form():
+def test_parameter_total_closed_form():
     cfg = ModelConfig(8, 1, 2, 16, 30, 10, 0)
     m = init_model(cfg)
     d, ff, V, S, L = 8, 16, 30, 10, 1
@@ -130,9 +130,9 @@ def test_param_count_closed_form():
         + 2 * d
         + d * V
     )
-    assert m.param_count() == expected
+    assert m.flat.size == expected
     tied = init_model(ModelConfig(8, 1, 2, 16, 30, 10, 0, tie_lm_head=True))
-    assert tied.param_count() == expected - d * V
+    assert tied.flat.size == expected - d * V
 
 
 def test_probability_rows_sum_to_one():
@@ -404,8 +404,39 @@ def test_train_loss_decreases_on_learnable_corpus():
     m = init_model(cfg)
     hyper = TrainHyper(epochs=3, batch_size=8, shuffle_seed=2)
     trainer = Trainer(m, hyper, total_update_steps(len(seqs), hyper))
-    trainer.run_epochs(seqs)
+    trainer.run(seqs)
     assert trainer.epoch_losses[2] < trainer.epoch_losses[0]
+
+
+def test_run_takes_exactly_its_step_budget(monkeypatch):
+    seqs = [_random_seq(np.random.default_rng(100 + i), TINY, instance_id=f"r{i}")
+            for i in range(7)]
+    hyper = TrainHyper(batch_size=3, shuffle_seed=4)  # 3 updates per epoch
+    calls = []
+    real = Trainer.apply_batch
+
+    def counting(self, batch, capture=None):
+        calls.append(len(batch))
+        return real(self, batch, capture)
+
+    monkeypatch.setattr(Trainer, "apply_batch", counting)
+    seen = []
+    trainer = Trainer(init_model(TINY), hyper, 8)  # two epochs and 2 of 3 updates
+    trainer.run(seqs, on_epoch=seen.append)
+    assert calls == [3, 3, 1, 3, 3, 1, 3, 3]
+    assert len(trainer.epoch_losses) == 2  # the cut third epoch records no loss
+    assert seen == [trainer.model, trainer.model]
+    assert trainer.adam.t == 8
+
+    calls.clear()
+    m = init_model(TINY)
+    before = m.flat.copy()
+    idle = Trainer(m, hyper, 0)
+    assert idle.run(seqs) == []
+    assert calls == [] and idle.epoch_losses == []
+    assert np.array_equal(before, m.flat)
+    with pytest.raises(ValueError, match="empty dataset"):
+        Trainer(m, hyper, 3).run([])
 
 
 def test_warmup_schedule_shape():
