@@ -20,10 +20,8 @@ from .rng import ROLE_GUMBEL, ROLE_PROJECT, ROLE_SELECT, substream
 from .selector import (
     SelectionResult,
     descending_order,
-    kde_scores,
-    select_top_density,
+    select_by_density,
     selection_from_order,
-    silverman_bandwidth,
     subset_size,
 )
 from .tinylm.model import Model, batches, forward, loss_and_grads
@@ -278,9 +276,7 @@ def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> Sel
         raise ValueError("no perplexities")
     if np.any(ppl <= 0):
         raise ValueError("perplexities must be positive")
-    h = silverman_bandwidth(ppl)
-    scores = kde_scores(ppl, h, ids=list(ids))
-    return select_top_density(scores, percent, strategy="ppl", bandwidth=h)
+    return select_by_density(ppl, list(ids), percent, "ppl")
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:

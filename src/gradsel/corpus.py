@@ -8,8 +8,10 @@ interpretable and the vocabulary stays small.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -94,6 +96,26 @@ def open_text(path: str, data: bytes | None = None):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
+@contextlib.contextmanager
+def open_atomic(path: str):
+    """A UTF-8 text stream that replaces the file at path when the block ends.
+
+    The text goes to a temporary file in the same directory, which
+    os.replace moves over path once the block has finished. A block that
+    raises removes the temporary file and leaves path as it was, so no
+    reader (nor a manifest hash) ever meets a half-written artifact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
     """Read instances from JSONL in file order (from `data` if given).
 
@@ -139,7 +161,7 @@ def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
 
 def save_dataset(instances: list[Instance], path: str) -> None:
     """Write instances back to the JSONL schema (inverse of load_dataset)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         for inst in instances:
             obj: dict = {"id": inst.id, "instruction": inst.prompt, "output": inst.response}
             if inst.stratum is not None:

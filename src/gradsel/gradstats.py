@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ROLE_SPECIAL, TokenSequence, open_text
+from .corpus import ROLE_SPECIAL, TokenSequence, open_atomic, open_text
 from .tinylm.training import GradientBundle
 
 NORM_MODES = ("mean_of_norms", "norm_of_mean")
@@ -88,7 +88,9 @@ def _fmt(x: float) -> str:
 
 
 def write_records(records: list[GradientRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Replace path with one JSON line per record; a non-finite record raises
+    and leaves path as it was."""
+    with open_atomic(path) as fh:
         for r in records:
             if not (np.isfinite(r.g_emb) and np.isfinite(r.g_lm)):
                 raise ValueError(f"non-finite record for {r.instance_id}")

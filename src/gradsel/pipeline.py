@@ -28,6 +28,7 @@ from .corpus import (
     build_vocab,
     encode_instance,
     load_dataset,
+    open_atomic,
     save_dataset,
     split_words,
     synth_corpus,
@@ -230,7 +231,7 @@ def _jsonable(obj):
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -464,6 +465,22 @@ def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
             )
 
 
+def check_selection_provenance(selection_path: str, prep: Prepared, force: bool) -> None:
+    """Refuse a selection whose meta names a different dataset. A selection
+    with no meta next to it, or a meta with no dataset_hash (a hand-made id
+    list), passes."""
+    meta_path = os.path.splitext(selection_path)[0] + "_meta.json"
+    if force or not os.path.isfile(meta_path):
+        return
+    with open(meta_path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if meta.get("dataset_hash") not in (None, prep.dataset_hash):
+        raise RuntimeError(
+            "provenance mismatch: selection belongs to a different "
+            "dataset (pass force to override)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # selection
 
@@ -490,7 +507,7 @@ def write_selection(
                      f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}')
     os.makedirs(out_dir, exist_ok=True)
     sel_file = f"selection_{stem}.jsonl"
-    with open(os.path.join(out_dir, sel_file), "w", encoding="utf-8") as fh:
+    with open_atomic(os.path.join(out_dir, sel_file)) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     meta = {
         "strategy": result.strategy,
@@ -692,15 +709,7 @@ def run_train(
         train_ids = sorted(pool)
         selection_hash = None
     else:
-        meta_path = os.path.splitext(selection_path)[0] + "_meta.json"
-        if os.path.isfile(meta_path):
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-            if meta.get("dataset_hash") not in (None, prep.dataset_hash) and not force:
-                raise RuntimeError(
-                    "provenance mismatch: selection belongs to a different "
-                    "dataset (pass force to override)"
-                )
+        check_selection_provenance(selection_path, prep, force)
         ids = read_selection_ids(selection_path)
         train_ids = sorted(i for i in ids if i in pool)
         if not train_ids:
@@ -777,8 +786,7 @@ def run_pilot(
         base_model = load_checkpoint(model_path)
     report = pilot_deciles(records, prep.seqs, base_model)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "deciles.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open_atomic(os.path.join(cfg.out_dir, "deciles.csv")) as fh:
         fh.write(report.to_csv())
     meta = {
         "loss_gradient_spearman": report.loss_gradient_spearman,

@@ -60,18 +60,20 @@ def subset_size(k: int, percent: float) -> int:
     return max(1, math.floor(frac + Fraction(1, 2)))
 
 
-def silverman_bandwidth(values: list[float] | np.ndarray) -> float:
-    """0.9 * min(sample std, IQR/1.34) * n^(-1/5) with type-7 quartiles."""
+def silverman_bandwidth(values: list[float] | np.ndarray) -> float | None:
+    """0.9 * min(sample std, IQR/1.34) * n^(-1/5) with type-7 quartiles
+    (Silverman 1986, section 3.4.2); None when every value is the same, since
+    there is no spread to scale a kernel by."""
     x = np.asarray(values, dtype=float)
     n = x.size
     if n < 2:
-        raise ValueError("bandwidth needs at least two values")
+        raise ValueError(f"bandwidth needs at least two values, got {n}")
+    if x.min() == x.max():
+        return None
     std = float(np.std(x, ddof=1))
     q1, q3 = np.percentile(x, [25, 75])  # linear interpolation (type 7)
     iqr = float(q3 - q1)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
-    if spread <= 0:
-        raise ValueError("zero-spread gradients")
     return 0.9 * spread * n ** (-0.2)
 
 
@@ -129,7 +131,8 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
                          bandwidth: float | None = None) -> SelectionResult:
     """Keep the first subset_size(len(ids), percent) indices of order.
 
-    order indexes ids, best first; scores[i] is the value reported for ids[i].
+    order indexes ids, best first; scores[i] is the value reported for ids[i]
+    (no values are reported when scores is None).
     """
     chosen = order[: subset_size(len(ids), percent)]
     return SelectionResult(
@@ -137,10 +140,25 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
         fraction_percent=percent,
         selected_ids=tuple(ids[i] for i in sorted(chosen)),
         ordered_ids=tuple(ids[i] for i in chosen),
-        f_values={ids[i]: float(scores[i]) for i in range(len(ids))},
+        f_values={} if scores is None else {i: float(f) for i, f in zip(ids, scores)},
         bandwidth=bandwidth,
         seed=seed,
     )
+
+
+def select_by_density(values: np.ndarray, ids: list[str], percent: float,
+                      strategy: str) -> SelectionResult:
+    """Fit a Silverman-bandwidth KDE to values and keep the densest percent.
+
+    When every value is the same, every instance has the same density: the
+    tie-break keeps the first ones in dataset order, and the result carries
+    no bandwidth and no f values.
+    """
+    h = silverman_bandwidth(values)
+    if h is None:
+        return selection_from_order(strategy, percent, ids, list(range(len(ids))), None)
+    scores = kde_scores(values, h, ids=ids)
+    return select_top_density(scores, percent, strategy=strategy, bandwidth=h)
 
 
 def select_top_density(scores: list[DensityScore], percent: float,
@@ -222,9 +240,7 @@ def select_strategy(records: list[GradientRecord], strategy: str,
         values = weight_values(records)
     else:
         values = weightr_values(records)
-    h = silverman_bandwidth(values)
-    scores = kde_scores(values, h, ids=[r.instance_id for r in records])
-    return select_top_density(scores, percent, strategy=strategy, bandwidth=h)
+    return select_by_density(values, [r.instance_id for r in records], percent, strategy)
 
 
 def attach_strata(result: SelectionResult,

@@ -31,10 +31,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from ..corpus import Tokenizer, TokenSequence
+from ..corpus import Tokenizer, TokenSequence, open_atomic
 from ..rng import ROLE_INIT, substream
+from .erf import erf
 
 LN_EPS = 1e-5
 
@@ -528,7 +528,7 @@ def save_checkpoint(model: Model, path: str) -> None:
             for name, arr in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(payload, fh)
 
 

@@ -205,14 +205,15 @@ def extract_epoch(
     step where its instance is consumed, so bundle values depend on shuffle
     order (faithful to extract-while-training).
     frozen: pure measurement against fixed parameters, in dataset order and
-    batches of hyper.batch_size, no updates; each bundle is bit-identical to
-    a batch of one, so the result does not depend on order or batching.
+    batches of SCORE_BATCH, no updates; each bundle is bit-identical to a
+    batch of one, so the result does not depend on order or batching, and
+    the training batch_size does not apply.
     """
     if not seqs:
         raise ValueError("empty dataset")
     if mode == "frozen":
         reduced: list = []
-        for chunk, batch in batches(seqs, hyper.batch_size):
+        for chunk, batch in batches(seqs):
             res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
             _check_losses(batch, res.losses, "frozen extraction")
             reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)

@@ -14,8 +14,10 @@ GOLDEN in the same change and says why in CHANGES.md.
 The pinned bits depend on the OpenBLAS kernel and the CPU (matrix products
 round by shape). GOLDEN was pinned on Linux x86_64 (Intel Xeon with AVX-512),
 Python 3.11.7, numpy 2.4.6 with scipy-openblas 0.3.31 (DYNAMIC_ARCH),
-scipy 1.17.1. On other hardware or libraries the test may fail; it does not
-skip, because a silent pass would hide a real change.
+glibc 2.36. The GELU's erf is gradsel's own (`tinylm/erf.py`), so the bits
+do not depend on scipy; its tail takes exp from the C library. On other
+hardware or libraries the test may fail; it does not skip, because a silent
+pass would hide a real change.
 """
 
 import json

@@ -1,6 +1,7 @@
 """Aggregation-rule tests with hand-built bundles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -165,3 +166,15 @@ def test_read_rejects_duplicate_ids(tmp_path):
     write_records(recs, path)
     with pytest.raises(ValueError, match=r"^line 21: duplicate instance_id 'id003'$"):
         read_records(path)
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    write_records([_mk_record(i, 0.5, 0.25) for i in range(5)], str(path))
+    old = path.read_bytes()
+    bad = [_mk_record(i, 0.75, 0.25) for i in range(5)]
+    bad[3] = _mk_record(3, float("nan"), 0.25)
+    with pytest.raises(ValueError, match="non-finite record for id003"):
+        write_records(bad, str(path))
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["recs.jsonl"]

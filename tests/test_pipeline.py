@@ -8,10 +8,11 @@ from dataclasses import replace
 import pytest
 
 from gradsel import pipeline
-from gradsel.gradstats import aggregate_instance, read_records
+from gradsel.gradstats import aggregate_instance, read_records, write_records
 from gradsel.pipeline import (
     RunConfig,
     check_provenance,
+    check_selection_provenance,
     load_config,
     prepare,
     run_compare,
@@ -24,7 +25,7 @@ from gradsel.pipeline import (
     sha256_file,
 )
 from gradsel.selector import silverman_bandwidth
-from gradsel.tinylm import extract_epoch, model_fingerprint
+from gradsel.tinylm import extract_epoch, load_checkpoint, model_fingerprint, save_checkpoint
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -249,6 +250,76 @@ def test_provenance_checks_sidecar(corpus_dir, extract_run, tmp_path):
     with pytest.raises(RuntimeError, match="metadata"):
         check_provenance(str(bare), prep, cfg, force=False)
     check_provenance(str(bare), prep, cfg, force=True)
+
+
+def test_train_checks_the_selection_provenance(extract_run, tmp_path):
+    cfg, _ = extract_run
+    prep = prepare(cfg)
+    sel = tmp_path / "selection_hand.jsonl"
+    sel.write_text('{"id": "x"}\n')
+    check_selection_provenance(str(sel), prep, force=False)  # no meta: passes
+    meta = tmp_path / "selection_hand_meta.json"
+    meta.write_text('{"strategy": "hand"}')
+    check_selection_provenance(str(sel), prep, force=False)  # no hash: passes
+    meta.write_text(json.dumps({"dataset_hash": "0" * 64}))
+    with pytest.raises(RuntimeError, match="selection belongs to a different dataset"):
+        run_train(replace(cfg, out_dir=str(tmp_path / "train")), str(sel))
+    check_selection_provenance(str(sel), prep, force=True)
+
+
+def test_constant_gradients_select_the_first_instances_with_null_bandwidth(
+        extract_run, tmp_path):
+    cfg, out = extract_run
+    ids = [r.instance_id for r in read_records(out["records"])]
+    records = tmp_path / "records.jsonl"
+    write_records([replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
+                   for r in read_records(out["records"])], str(records))
+    result = run_select(replace(cfg, out_dir=str(tmp_path / "sel")), str(records),
+                        "grads", 50.0, force=True)
+    assert result.ordered_ids == tuple(ids[:45])
+    meta = json.load(open(tmp_path / "sel" / "selection_grads_meta.json"))
+    assert meta["bandwidth"] is None
+    lines = [json.loads(l) for l in open(tmp_path / "sel" / "selection_grads.jsonl")]
+    assert [l["id"] for l in lines] == ids[:45]
+    assert {l["f_value"] for l in lines} == {None}
+
+
+def test_write_json_failing_mid_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "meta.json"
+    pipeline.write_json(str(path), {"a": 1})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        pipeline.write_json(str(path), {"a": 2, "b": object()})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["meta.json"]
+
+
+@pytest.mark.parametrize("artifact", [
+    "meta.json", "records.jsonl", "model.json", "selection_grads.jsonl", "deciles.csv",
+])
+def test_a_failed_artifact_write_leaves_the_old_file(extract_run, tmp_path, monkeypatch,
+                                                     artifact):
+    cfg, out = extract_run
+    here = replace(cfg, out_dir=str(tmp_path))
+    writers = {
+        "meta.json": lambda: pipeline.write_json(str(tmp_path / artifact), {"a": 1}),
+        "records.jsonl": lambda: write_records(read_records(out["records"]),
+                                               str(tmp_path / artifact)),
+        "model.json": lambda: save_checkpoint(load_checkpoint(out["model"]),
+                                              str(tmp_path / artifact)),
+        "selection_grads.jsonl": lambda: run_select(here, out["records"], "grads", 50.0),
+        "deciles.csv": lambda: run_pilot(here, records_path=out["records"]),
+    }
+    (tmp_path / artifact).write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        writers[artifact]()
+    assert (tmp_path / artifact).read_text() == "old\n"
+    assert os.listdir(tmp_path) == [artifact]
 
 
 def test_train_then_eval_roundtrip(corpus_dir, extract_run, tmp_path):

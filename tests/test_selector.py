@@ -81,12 +81,20 @@ def test_silverman_iqr_zero_falls_back_to_std():
 
 
 def test_silverman_degenerate_cases():
-    with pytest.raises(ValueError, match="zero-spread"):
-        silverman_bandwidth([2.0, 2.0])
-    with pytest.raises(ValueError, match="zero-spread"):
-        silverman_bandwidth([1.0] * 10)
-    with pytest.raises(ValueError):
+    assert silverman_bandwidth([2.0, 2.0]) is None
+    assert silverman_bandwidth([0.1] * 3) is None  # np.std gives 1.7e-17 here, not 0
+    with pytest.raises(ValueError, match="at least two values, got 1"):
         silverman_bandwidth([1.0])
+    with pytest.raises(ValueError, match="got 0"):
+        silverman_bandwidth([])
+
+
+@pytest.mark.parametrize("strategy", ["grads", "emb_only", "lm_only", "weight"])
+def test_constant_values_keep_the_first_instances_without_a_bandwidth(strategy):
+    recs = [_rec(i, 0.3, 0.1) for i in range(10)]
+    res = select_strategy(recs, strategy, 40)
+    assert res.selected_ids == res.ordered_ids == ("r000", "r001", "r002", "r003")
+    assert res.bandwidth is None and res.f_values == {}
 
 
 def test_kde_single_point_kernel_center():

@@ -35,6 +35,7 @@ from gradsel.tinylm import (
     total_update_steps,
     warmup_lr,
 )
+from gradsel.tinylm.model import SCORE_BATCH
 
 TINY = ModelConfig(
     d_model=16, n_layers=2, n_heads=2, d_ff=32,
@@ -339,6 +340,25 @@ def test_padded_batch_is_bit_identical_to_batches_of_one(case):
     # exactly-zero true gradient and hold rounding noise only
     worst = np.abs(res.param_grads - ordered_mean).max()
     assert worst <= 1e-12 * np.abs(ordered_mean).max()
+
+
+def test_full_score_batch_is_bit_identical_to_batches_of_one():
+    """Frozen extraction runs SCORE_BATCH sequences at once; the case above
+    draws only 2 to 5."""
+    seqs = []
+    for i in range(SCORE_BATCH):  # 4 to 39 tokens
+        t_prompt = 1 + (7 * i) % 18
+        seqs.append(_random_seq(np.random.default_rng(200 + i), WIDE, t_prompt,
+                                1 + (11 * i) % (36 - t_prompt), f"s{i}"))
+    assert len({len(s) for s in seqs}) > 10
+    m = init_model(WIDE)
+    _, bundles = extract_epoch(m, seqs, TrainHyper(batch_size=1), mode="frozen",
+                               reduce=_keep)
+    for bundle, seq in zip(bundles, seqs):
+        _, _, one = _run(m, [seq], want_param_grads=False)
+        assert bundle.loss == one.losses[0]
+        assert np.array_equal(bundle.g_emb, one.g_emb[0])
+        assert np.array_equal(bundle.g_lm, one.g_lm)
 
 
 def test_perplexity_uniform_equals_vocab_size():
