@@ -72,9 +72,10 @@ def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
     avgdl = sum(len(d) for d in candidates) / M
     tfs = [Counter(doc) for doc in candidates]
 
-    def idf(term: str) -> float:
+    idf: dict[str, float] = {}
+    for term in {t for q in queries for t in q}:
         d = df.get(term, 0)
-        return math.log(1.0 + (M - d + 0.5) / (d + 0.5))
+        idf[term] = math.log(1.0 + (M - d + 0.5) / (d + 0.5))
 
     out = np.zeros(M)
     for i, doc in enumerate(candidates):
@@ -87,7 +88,7 @@ def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
             for term in q:
                 tf = tfs[i].get(term, 0)
                 if tf:
-                    s += idf(term) * tf * (BM25_K1 + 1.0) / (tf + norm)
+                    s += idf[term] * tf * (BM25_K1 + 1.0) / (tf + norm)
             per_query.append(s)
         out[i] = max(per_query) if aggregate == "max" else sum(per_query) / len(per_query)
     return out

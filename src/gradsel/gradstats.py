@@ -108,6 +108,12 @@ def write_records(records: list[GradientRecord], path: str) -> None:
             )
 
 
+# Each record field and the conversion read_records applies to its JSON value.
+_RECORD_FIELDS = (("instance_id", str), ("g_emb", float), ("g_lm", float),
+                  ("g_grads", float), ("n_emb_tokens", int), ("n_lm_tokens", int),
+                  ("model_fingerprint", str), ("step_index", int))
+
+
 def read_records(path: str, data: bytes | None = None) -> list[GradientRecord]:
     """Load records (from `data` if given, else from path), enforcing the sum
     invariant and unique instance ids.
@@ -125,24 +131,25 @@ def read_records(path: str, data: bytes | None = None) -> list[GradientRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: malformed record ({exc.msg})") from exc
-            rec = GradientRecord(
-                instance_id=str(obj["instance_id"]),
-                g_emb=float(obj["g_emb"]),
-                g_lm=float(obj["g_lm"]),
-                g_grads=float(obj["g_grads"]),
-                n_emb_tokens=int(obj["n_emb_tokens"]),
-                n_lm_tokens=int(obj["n_lm_tokens"]),
-                model_fingerprint=str(obj["model_fingerprint"]),
-                step_index=int(obj["step_index"]),
-            )
+            if not isinstance(obj, dict):
+                raise ValueError(f"line {lineno}: not a JSON object")
+            values = {}
+            for name, convert in _RECORD_FIELDS:
+                if name not in obj:
+                    raise ValueError(f"line {lineno}: missing field {name}")
+                try:
+                    values[name] = convert(obj[name])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ValueError(f"line {lineno}: bad field {name} ({exc})") from exc
+            rec = GradientRecord(**values)
             if rec.g_emb < 0 or rec.g_lm < 0:
-                raise ValueError(f"negative magnitude in record {rec.instance_id}")
+                raise ValueError(f"line {lineno}: negative magnitude in record {rec.instance_id}")
             if rec.g_grads != rec.g_emb + rec.g_lm:
                 raise ValueError(
-                    f"record {rec.instance_id}: g_grads does not equal g_emb + g_lm"
+                    f"line {lineno}: record {rec.instance_id}: g_grads does not equal g_emb + g_lm"
                 )
             if not rec.n_emb_tokens >= rec.n_lm_tokens >= 1:
-                raise ValueError(f"record {rec.instance_id}: bad token counts")
+                raise ValueError(f"line {lineno}: record {rec.instance_id}: bad token counts")
             if rec.instance_id in seen:
                 raise ValueError(f"line {lineno}: duplicate instance_id {rec.instance_id!r}")
             seen.add(rec.instance_id)

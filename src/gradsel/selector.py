@@ -77,9 +77,9 @@ def silverman_bandwidth(values: list[float] | np.ndarray) -> float | None:
     return 0.9 * spread * n ** (-0.2)
 
 
-# Kernel cells (evaluation points x sample points) evaluated at once: 2 MB of
-# float64 per buffer, so the KDE's memory does not grow with n * len(xs).
-KDE_BLOCK_CELLS = 2**18
+# Kernel cells (evaluation points x sample points) evaluated at once: 256 KB
+# of float64 per buffer, so the KDE's memory does not grow with n * len(xs).
+KDE_BLOCK_CELLS = 2**15
 
 
 def kde_density(values: list[float] | np.ndarray, h: float,

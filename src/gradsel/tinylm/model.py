@@ -28,7 +28,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -170,7 +170,8 @@ class Batch:
                    [s.instance_id for s in seqs])
 
 
-# Sequences per forward pass where nothing is trained (features, scores).
+# Sequences per forward pass where nothing is trained: frozen extraction,
+# features, perplexities, the pilot and greedy decoding.
 SCORE_BATCH = 16
 
 
@@ -498,7 +499,25 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return asdict(cfg)
 
 
+# ModelConfig's field annotations are strings (postponed evaluation).
+_CONFIG_TYPES = {"int": int, "bool": bool, "str": str}
+
+
 def config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of config_to_dict; a missing, unknown or mistyped field raises
+    ValueError naming it. Fields with a default may be absent."""
+    if not isinstance(d, dict):
+        raise ValueError("checkpoint config is not a JSON object")
+    known = {f.name: f for f in fields(ModelConfig)}
+    for name in d:
+        if name not in known:
+            raise ValueError(f"checkpoint config has unknown field {name!r}")
+    for name, f in known.items():
+        if name not in d:
+            if f.default is MISSING:
+                raise ValueError(f"checkpoint config missing field {name}")
+        elif type(d[name]) is not _CONFIG_TYPES[f.type]:  # True is not an int here
+            raise ValueError(f"checkpoint config field {name} is not {f.type}")
     return ModelConfig(**d)
 
 
@@ -535,21 +554,24 @@ def save_checkpoint(model: Model, path: str) -> None:
 def load_checkpoint(path: str) -> Model:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    cfg = config_from_dict(payload["config"])
+    cfg = config_from_dict(payload.get("config"))
     cfg.validate()
+    params = payload.get("params")
+    if not isinstance(params, dict):
+        raise ValueError("checkpoint params is not a JSON object")
     model = Model(cfg)
     for name, param in model.params.items():
-        entry = payload["params"].get(name)
-        if entry is None:
+        entry = params.get(name)
+        if not isinstance(entry, dict) or not isinstance(entry.get("data"), str):
             raise ValueError(f"checkpoint missing parameter {name}")
-        arr = np.frombuffer(
-            base64.b64decode(entry["data"]), dtype="<f8"
-        ).astype(np.float64).reshape(entry["shape"])
-        if arr.shape != param.shape:
+        if entry.get("shape") != list(param.shape):
             raise ValueError(f"checkpoint shape mismatch for {name}")
-        param[...] = arr
+        raw = base64.b64decode(entry["data"])  # binascii.Error is a ValueError
+        if len(raw) != 8 * param.size:
+            raise ValueError(f"checkpoint data size mismatch for {name}")
+        param[...] = np.frombuffer(raw, dtype="<f8").reshape(param.shape)
     return model

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gradsel.baselines import (
+    BM25_B,
+    BM25_K1,
     FeatureVector,
     bm25_scores,
     bm25_select,
@@ -109,6 +111,40 @@ def test_bm25_query_multiplicity_counts():
     single = bm25_scores(docs, [["a"]])
     double = bm25_scores(docs, [["a", "a"]])
     np.testing.assert_allclose(double, 2 * single)
+
+
+def _bm25_reference(candidates, queries, aggregate):
+    """The BM25 formula with idf computed afresh for every matching term."""
+    M = len(candidates)
+    avgdl = sum(len(d) for d in candidates) / M
+    out = np.zeros(M)
+    for i, doc in enumerate(candidates):
+        if not doc:
+            continue
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(doc) / avgdl)
+        per_query = []
+        for q in queries:
+            s = 0.0
+            for term in q:
+                tf = doc.count(term)
+                if tf:
+                    d = sum(term in c for c in candidates)
+                    idf = math.log(1.0 + (M - d + 0.5) / (d + 0.5))
+                    s += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
+            per_query.append(s)
+        out[i] = max(per_query) if aggregate == "max" else sum(per_query) / len(per_query)
+    return out
+
+
+def test_bm25_matches_a_per_term_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    words = [f"w{k}" for k in range(30)]  # the queries also use words no document has
+    docs = [[words[k] for k in rng.integers(0, 25, rng.integers(0, 12))] for _ in range(60)]
+    queries = [[words[k] for k in rng.integers(0, 30, rng.integers(1, 9))] for _ in range(7)]
+    assert [] in docs
+    for aggregate in ("mean", "max"):
+        assert np.array_equal(bm25_scores(docs, queries, aggregate),
+                              _bm25_reference(docs, queries, aggregate))
 
 
 def test_dsir_exact_weight_no_hash_collision():

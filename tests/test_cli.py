@@ -103,6 +103,14 @@ def test_runtime_failure_exits_one(workspace, capsys):
     assert main(["eval", "--config", cfg,
                  "--model", str(root / "missing.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    # malformed artifacts end in one error line, not a traceback
+    (root / "list.json").write_text("[1, 2]")
+    assert main(["eval", "--config", cfg, "--model", str(root / "list.json")]) == 1
+    assert "error: not a model checkpoint" in capsys.readouterr().err
+    (root / "bad_records.jsonl").write_text("[1]\n")
+    assert main(["select", "--config", cfg, "--records", str(root / "bad_records.jsonl"),
+                 "--force"]) == 1
+    assert "error: line 1: not a JSON object" in capsys.readouterr().err
 
 
 def test_compare_smoke_and_error_cells(workspace, capsys, monkeypatch):

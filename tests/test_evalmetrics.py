@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -29,6 +30,7 @@ from gradsel.tinylm import (
     init_model,
     total_update_steps,
 )
+from gradsel.tinylm.model import SCORE_BATCH
 
 
 def test_bleu_identity_and_disjoint():
@@ -258,14 +260,38 @@ def _naive_decode(model, prompt, max_new, eos_id=2):
 def test_greedy_decode_groups_match_one_prompt_at_a_time():
     cfg = ModelConfig(16, 2, 2, 32, 40, 12, 4)
     m = init_model(cfg)
-    m.params["lm_head"][:, 2] += 0.05  # make EOS win sometimes
+    # EOS (id 2) wins sometimes; a constant shift of its column would not move
+    # its logit, because the final layer norm's output sums to zero
+    m.params["lm_head"][:, 2] += 0.05 * np.random.default_rng(0).normal(size=16)
     rng = np.random.default_rng(3)
+    # the group of 40 equal-length prompts spans three SCORE_BATCH chunks
     prompts = [[1] + [int(t) for t in rng.integers(5, 40, n)] + [3]
-               for n in (1, 3, 3, 1, 6, 3, 9, 1)]
-    budgets = [4, 0, 7, 2, 5, 3, 6, 1]
+               for n in (1, 3, 3, 1, 6, 3, 9, 1) + (2,) * 40]
+    budgets = [4, 0, 7, 2, 5, 3, 6, 1] + [int(b) for b in rng.integers(0, 9, 40)]
+    assert len(prompts) > 2 * SCORE_BATCH and 0 in budgets[8:]
     outs = greedy_decode(m, prompts, budgets)
     assert outs == [_naive_decode(m, p, n) for p, n in zip(prompts, budgets)]
-    assert any(len(o) < n for o, n in zip(outs, budgets))  # EOS or max_seq_len hit
+    eos_stops = [i for i, (p, o, n) in enumerate(zip(prompts, outs, budgets))
+                 if 0 < len(o) < n and len(p) + len(o) < cfg.max_seq_len]
+    assert {(i - 8) // SCORE_BATCH for i in eos_stops if i >= 8} == {0, 1, 2}
+    assert any(0 < len(o) == n for o, n in zip(outs, budgets))  # budget stops too
+
+
+def test_greedy_decode_memory_does_not_grow_with_prompts():
+    m = init_model(ModelConfig(32, 2, 2, 64, 273, 24, 0))
+    rng = np.random.default_rng(5)
+
+    def peak(n):
+        prompts = [[1] + [int(t) for t in rng.integers(5, 273, 10)] + [3] for _ in range(n)]
+        tracemalloc.start()
+        try:
+            greedy_decode(m, prompts, [12] * n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # decoding all 512 in one forward would peak about 16x higher
+    assert peak(512) < 1.5 * peak(32)
 
 
 def test_greedy_decode_reproduces_memorized_corpus():
