@@ -9,12 +9,15 @@ interpretable and the vocabulary stays small.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
 import re
+import sys
+import typing
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .rng import ROLE_SYNTH, substream
 
@@ -85,17 +88,6 @@ class Tokenizer:
         return [self.token_to_id.get(w, self.unk) for w in split_words(text)]
 
 
-def open_text(path: str, data: bytes | None = None):
-    """A UTF-8 text stream over `data` if given, else over the file at path.
-
-    Callers that hash a file's bytes pass them here, so that what they parse
-    is exactly what they hashed.
-    """
-    if data is None:
-        return open(path, encoding="utf-8")
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-
-
 @contextlib.contextmanager
 def open_atomic(path: str):
     """A UTF-8 text stream that replaces the file at path when the block ends.
@@ -116,47 +108,94 @@ def open_atomic(path: str):
         raise
 
 
+def _json_lines(path: str, data: bytes | None = None, whole: bool = False):
+    """(lineno, value) per nonblank line of a UTF-8 JSONL file, or for a whole
+    JSON file; a line that is not UTF-8 JSON, or nests too deeply, raises
+    ValueError naming it. Callers pass the bytes they hashed as `data`."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+        for lineno, line in enumerate([fh.read()] if whole else fh, start=1):
+            if whole or line.strip():
+                try:
+                    value = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                    raise ValueError(f"line {getattr(exc, 'lineno', 1) if whole else lineno}: "
+                                     f"malformed JSON ({getattr(exc, 'msg', exc)})") from exc
+                yield lineno, value
+
+
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               dict: "an object", type(None): "null"}
+
+
+@functools.cache
+def _json_fields(cls) -> tuple[dict, tuple]:
+    """({field: (accepted types, their names)}, required fields) of dataclass cls."""
+    hints, types = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        wanted = typing.get_args(hints[f.name]) or (hints[f.name],)
+        types[f.name] = (wanted + (int,) * (float in wanted),
+                         " or ".join(map(_JSON_NAMES.get, wanted)))
+    return types, tuple(f.name for f in fields(cls)
+                        if f.default is MISSING and f.default_factory is MISSING)
+
+
+def _from_json(cls, obj, where: str, ignore_unknown: bool = False):
+    """The dataclass cls from a decoded JSON object, by exact JSON types:
+    `true` is not an integer, an integer is accepted (as is) where a number
+    is wanted, `X | None` admits null, and NaN, infinities and numbers beyond
+    float range are refused. A non-object, a mistyped field, a missing field
+    without a default or, unless ignore_unknown, an unknown field raises
+    ValueError starting `where: ` and naming the field."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: not a JSON object")
+    types, required = _json_fields(cls)
+    values = {}
+    for name, value in obj.items():
+        spec = types.get(name)
+        if spec is None:
+            if ignore_unknown:
+                continue
+            raise ValueError(f"{where}: unknown field {name!r}")
+        if type(value) not in spec[0] or (type(value) in (int, float)
+                                          and not abs(value) <= sys.float_info.max):
+            raise ValueError(f"{where}: field {name} is not {spec[1]}")
+        values[name] = value
+    for name in required:
+        if name not in values:
+            raise ValueError(f"{where}: missing field {name}")
+    return cls(**values)
+
+
+@dataclass  # not frozen: a frozen init costs a microsecond more per line
+class _DatasetLine:
+    instruction: str
+    output: str
+    input: str = ""
+    id: int | str | None = None
+    stratum: str | None = None
+
+
 def load_dataset(path: str, data: bytes | None = None) -> list[Instance]:
     """Read instances from JSONL in file order (from `data` if given).
 
     Each line is a JSON object with string fields `instruction` and `output`;
-    `input` (a string), `id`, and `stratum` are optional. Missing ids become
-    zero-padded 1-based line numbers. Ids are compared as strings, generated
-    ones included, so `5` and `"5"` collide.
+    `input` (a string), `id` (an integer or a string) and `stratum` are
+    optional, other fields are ignored. Missing ids become zero-padded line
+    numbers. Ids compare as strings, generated ones too: `5` and `"5"` collide.
     """
-    instances: list[Instance] = []
-    seen_ids: set[str] = set()
-    with open_text(path, data) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {lineno}: not a JSON object")
-            for field in ("instruction", "output"):
-                if field not in obj:
-                    raise ValueError(f"line {lineno}: missing field {field}")
-            for field in ("instruction", "input", "output"):
-                if not isinstance(obj.get(field, ""), str):
-                    raise ValueError(f"line {lineno}: field {field} is not a string")
-            if not obj["output"]:
-                raise ValueError(f"line {lineno}: empty field output")
-            prompt = obj["instruction"]
-            if obj.get("input"):
-                prompt = prompt + "\n" + obj["input"]
-            inst_id = obj.get("id")
-            inst_id = f"{lineno:06d}" if inst_id is None else str(inst_id)
-            if inst_id in seen_ids:
-                raise ValueError(f"line {lineno}: duplicate id {inst_id!r}")
-            seen_ids.add(inst_id)
-            stratum = obj.get("stratum")
-            if stratum is not None and stratum not in STRATA:
-                raise ValueError(f"line {lineno}: unknown stratum {stratum!r}")
-            instances.append(Instance(inst_id, prompt, obj["output"], stratum))
-    return instances
+    by_id: dict[str, Instance] = {}
+    for lineno, obj in _json_lines(path, data):
+        line = _from_json(_DatasetLine, obj, f"line {lineno}", ignore_unknown=True)
+        if not line.output:
+            raise ValueError(f"line {lineno}: empty field output")
+        prompt = line.instruction + "\n" + line.input if line.input else line.instruction
+        inst_id = f"{lineno:06d}" if line.id is None else str(line.id)
+        if inst_id in by_id:
+            raise ValueError(f"line {lineno}: duplicate id {inst_id!r}")
+        if line.stratum not in (None, *STRATA):
+            raise ValueError(f"line {lineno}: unknown stratum {line.stratum!r}")
+        by_id[inst_id] = Instance(inst_id, prompt, line.output, line.stratum)
+    return list(by_id.values())
 
 
 def save_dataset(instances: list[Instance], path: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ROLE_SPECIAL, TokenSequence, open_atomic, open_text
+from .corpus import ROLE_SPECIAL, TokenSequence, _from_json, _json_lines, open_atomic
 from .tinylm.training import GradientBundle
 
 NORM_MODES = ("mean_of_norms", "norm_of_mean")
@@ -108,50 +108,21 @@ def write_records(records: list[GradientRecord], path: str) -> None:
             )
 
 
-# Each record field and the conversion read_records applies to its JSON value.
-_RECORD_FIELDS = (("instance_id", str), ("g_emb", float), ("g_lm", float),
-                  ("g_grads", float), ("n_emb_tokens", int), ("n_lm_tokens", int),
-                  ("model_fingerprint", str), ("step_index", int))
-
-
 def read_records(path: str, data: bytes | None = None) -> list[GradientRecord]:
-    """Load records (from `data` if given, else from path), enforcing the sum
-    invariant and unique instance ids.
-
-    Records remain usable across models (that is the point of persisting
-    them), so the model fingerprint each carries is kept but not checked.
-    """
-    records: list[GradientRecord] = []
-    seen: set[str] = set()
-    with open_text(path, data) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed record ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"line {lineno}: not a JSON object")
-            values = {}
-            for name, convert in _RECORD_FIELDS:
-                if name not in obj:
-                    raise ValueError(f"line {lineno}: missing field {name}")
-                try:
-                    values[name] = convert(obj[name])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ValueError(f"line {lineno}: bad field {name} ({exc})") from exc
-            rec = GradientRecord(**values)
-            if rec.g_emb < 0 or rec.g_lm < 0:
-                raise ValueError(f"line {lineno}: negative magnitude in record {rec.instance_id}")
-            if rec.g_grads != rec.g_emb + rec.g_lm:
-                raise ValueError(
-                    f"line {lineno}: record {rec.instance_id}: g_grads does not equal g_emb + g_lm"
-                )
-            if not rec.n_emb_tokens >= rec.n_lm_tokens >= 1:
-                raise ValueError(f"line {lineno}: record {rec.instance_id}: bad token counts")
-            if rec.instance_id in seen:
-                raise ValueError(f"line {lineno}: duplicate instance_id {rec.instance_id!r}")
-            seen.add(rec.instance_id)
-            records.append(rec)
-    return records
+    """Load records (from `data` if given), enforcing exact field types, the
+    sum invariant and unique ids. Records are meant for use across models, so
+    the model fingerprint each carries is kept but not checked."""
+    by_id: dict[str, GradientRecord] = {}
+    for lineno, obj in _json_lines(path, data):
+        rec = _from_json(GradientRecord, obj, f"line {lineno}")
+        if rec.g_emb < 0 or rec.g_lm < 0:
+            raise ValueError(f"line {lineno}: negative magnitude in record {rec.instance_id}")
+        if rec.g_grads != rec.g_emb + rec.g_lm:
+            raise ValueError(f"line {lineno}: record {rec.instance_id}: "
+                             "g_grads does not equal g_emb + g_lm")
+        if not rec.n_emb_tokens >= rec.n_lm_tokens >= 1:
+            raise ValueError(f"line {lineno}: record {rec.instance_id}: bad token counts")
+        if rec.instance_id in by_id:
+            raise ValueError(f"line {lineno}: duplicate instance_id {rec.instance_id!r}")
+        by_id[rec.instance_id] = rec
+    return list(by_id.values())

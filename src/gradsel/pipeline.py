@@ -32,6 +32,8 @@ from .corpus import (
     save_dataset,
     split_words,
     synth_corpus,
+    _from_json,
+    _json_lines,
 )
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
 from .gradstats import (NORM_MODES, GradientRecord, aggregate_instance, read_records,
@@ -158,21 +160,12 @@ class RunConfig:
         return d
 
 
-_CONFIG_FIELDS = set(RunConfig.__dataclass_fields__)
-
-
 def load_config(path: str, **overrides) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    if "dataset" not in raw or "out_dir" not in raw:
-        raise ValueError("config must provide dataset and out_dir")
-    cfg = RunConfig(**raw)
+    """The file's RunConfig with the non-None overrides, by exact JSON types."""
+    (_, raw), = _json_lines(path, whole=True)
+    if type(raw) is dict:
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+    cfg = _from_json(RunConfig, raw, path)
     cfg.validate()
     return cfg
 
@@ -236,6 +229,18 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True)
+class _Sidecar:  # the fields read back from a manifest or a meta
+    files: dict = field(default_factory=dict)
+    dataset_hash: str | None = None
+    config: dict = field(default_factory=dict)
+
+
+def _read_sidecar(path: str) -> _Sidecar:
+    (_, obj), = _json_lines(path, whole=True)
+    return _from_json(_Sidecar, obj, path, ignore_unknown=True)
+
+
 def write_manifest(out_dir: str, filenames: list[str]) -> str:
     """Hash every deterministic artifact of a command run.
 
@@ -243,10 +248,7 @@ def write_manifest(out_dir: str, filenames: list[str]) -> str:
     rehashed file simply replaces its previous entry.
     """
     path = os.path.join(out_dir, MANIFEST_FILE)
-    entries: dict[str, str] = {}
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh).get("files", {})
+    entries = _read_sidecar(path).files if os.path.isfile(path) else {}
     for name in filenames:
         entries[name] = sha256_file(os.path.join(out_dir, name))
     write_json(path, {"files": entries})
@@ -448,19 +450,17 @@ def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
         raise RuntimeError(
             f"no provenance metadata next to {records_path} (rerun extract, or force)"
         )
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("dataset_hash") != prep.dataset_hash:
+    meta = _read_sidecar(meta_path)
+    if meta.dataset_hash != prep.dataset_hash:
         raise RuntimeError(
             "provenance mismatch: records were extracted from a different "
             "dataset (pass force to override)"
         )
-    extracted = meta.get("config", {})
     for name in PROVENANCE_FIELDS:
-        if extracted.get(name) != getattr(cfg, name):
+        if meta.config.get(name) != getattr(cfg, name):
             raise RuntimeError(
                 f"provenance mismatch: records were extracted with {name}="
-                f"{extracted.get(name)!r}, this config has {getattr(cfg, name)!r} "
+                f"{meta.config.get(name)!r}, this config has {getattr(cfg, name)!r} "
                 "(pass force to override)"
             )
 
@@ -472,9 +472,8 @@ def check_selection_provenance(selection_path: str, prep: Prepared, force: bool)
     meta_path = os.path.splitext(selection_path)[0] + "_meta.json"
     if force or not os.path.isfile(meta_path):
         return
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("dataset_hash") not in (None, prep.dataset_hash):
+    meta = _read_sidecar(meta_path)
+    if meta.dataset_hash not in (None, prep.dataset_hash):
         raise RuntimeError(
             "provenance mismatch: selection belongs to a different "
             "dataset (pass force to override)"
@@ -631,12 +630,15 @@ def run_baseline(
     return _select_from_records(cfg, name, records_path, fraction, force, model_path)
 
 
+@dataclass(frozen=True)
+class _SelectionLine:
+    id: str
+
+
 def read_selection_ids(path: str) -> list[str]:
-    ids: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                ids.append(json.loads(line)["id"])
+    """The string `id` of each line of a selection file, in file order."""
+    ids = [_from_json(_SelectionLine, obj, f"line {lineno}", ignore_unknown=True).id
+           for lineno, obj in _json_lines(path)]
     if not ids:
         raise ValueError(f"empty selection file: {path}")
     if len(set(ids)) != len(ids):
@@ -884,6 +886,10 @@ def run_compare(
     for frac in fractions:
         if not 0.0 < frac <= 100.0:
             raise ValueError("fraction must lie in (0, 100]")
+    row_names = [f"{name}@{frac:g}" for name in strategies for frac in fractions]
+    for i, row_name in enumerate(row_names):
+        if row_name in row_names[:i]:
+            raise ValueError(f"compare row {row_name} is repeated")
 
     timings: dict[str, float] = {}
     produced: list[str] = []

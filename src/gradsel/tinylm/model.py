@@ -28,11 +28,11 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..corpus import Tokenizer, TokenSequence, open_atomic
+from ..corpus import Tokenizer, TokenSequence, _from_json, _json_lines, open_atomic
 from ..rng import ROLE_INIT, substream
 from .erf import erf
 
@@ -379,7 +379,7 @@ class BackwardResult:
 
 
 def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
-                   want_param_grads: bool = True) -> BackwardResult:
+                   want_param_grads: bool = True, *, out=None) -> BackwardResult:
     """Each instance's mean response-token cross-entropy and its exact gradients.
 
     The backward pass differentiates w.r.t. pre-softmax logits (form p - y,
@@ -388,7 +388,9 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
     -w/p at the target coordinate and zero elsewhere; everything else is
     unchanged. param_grads, laid out like model.flat, is the mean of the
     instance gradients, summed in batch order: the same bits as accumulating
-    (1/B) * gradient one instance at a time.
+    (1/B) * gradient one instance at a time. Given out, a parameter-sized
+    vector and its param_views, param_grads is written there (a training
+    loop allocates it once) in place of a fresh vector.
     """
     cfg = model.cfg
     if trace.losses is None:
@@ -409,8 +411,11 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         g_lm = dlogits
 
     P = model.params
-    grads = np.zeros_like(model.flat) if want_param_grads else None
-    G = param_views(cfg, grads) if want_param_grads else {}
+    grads, G = None, {}
+    if want_param_grads:
+        grads = np.empty_like(model.flat) if out is None else out[0]
+        G = param_views(cfg, grads) if out is None else out[1]
+        grads.fill(0.0)
     inv = 1.0 / B
 
     def put(name: str, per_instance_grads: np.ndarray) -> None:
@@ -431,7 +436,7 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         put(prefix + ".b", per_instance(dy).sum(axis=1))
 
     Wlm = lm_head_matrix(model)
-    head = np.zeros((B,) + Wlm.shape) if want_param_grads else None  # per instance
+    head = np.zeros((B,) + Wlm.shape) if want_param_grads and cfg.tie_lm_head else None
     dhf = np.zeros((B * T, d))
     starts = batch.row_starts.tolist()
     for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
@@ -440,10 +445,12 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         dlogits_own[rows[lo:hi] - b * T] = dlogits[lo:hi]
         dhf[own] = dlogits_own @ Wlm.T
         if want_param_grads:
-            head[b] = trace.hf[own].T @ dlogits_own
+            part = trace.hf[own].T @ dlogits_own
+            if cfg.tie_lm_head:
+                head[b] = part
+            else:  # put()'s sum of the scaled instances, in batch order
+                G["lm_head"] += np.multiply(part, inv, out=part)
     if want_param_grads:
-        if not cfg.tie_lm_head:
-            put("lm_head", head)
         layernorm_grads("lnf", dhf, trace.hf_xhat)
     dh = _layernorm_backward(dhf, trace.hf_xhat, trace.hf_inv, P["lnf.g"])
 
@@ -495,35 +502,9 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
     return BackwardResult(trace.losses, g_emb, g_lm, grads)
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
-# ModelConfig's field annotations are strings (postponed evaluation).
-_CONFIG_TYPES = {"int": int, "bool": bool, "str": str}
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of config_to_dict; a missing, unknown or mistyped field raises
-    ValueError naming it. Fields with a default may be absent."""
-    if not isinstance(d, dict):
-        raise ValueError("checkpoint config is not a JSON object")
-    known = {f.name: f for f in fields(ModelConfig)}
-    for name in d:
-        if name not in known:
-            raise ValueError(f"checkpoint config has unknown field {name!r}")
-    for name, f in known.items():
-        if name not in d:
-            if f.default is MISSING:
-                raise ValueError(f"checkpoint config missing field {name}")
-        elif type(d[name]) is not _CONFIG_TYPES[f.type]:  # True is not an int here
-            raise ValueError(f"checkpoint config field {name} is not {f.type}")
-    return ModelConfig(**d)
-
-
 def model_fingerprint(cfg: ModelConfig) -> str:
     """64-bit hex digest of the canonical config (init_seed included)."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -536,7 +517,7 @@ def save_checkpoint(model: Model, path: str) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(model.cfg),
+        "config": asdict(model.cfg),
         "params": {
             name: {
                 "shape": list(arr.shape),
@@ -552,13 +533,13 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Inverse of save_checkpoint; a malformed file raises a named ValueError."""
+    (_, payload), = _json_lines(path, whole=True)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    cfg = config_from_dict(payload.get("config"))
+    cfg = _from_json(ModelConfig, payload.get("config"), "checkpoint config")
     cfg.validate()
     params = payload.get("params")
     if not isinstance(params, dict):

@@ -16,7 +16,7 @@ import numpy as np
 from ..corpus import TokenSequence
 from ..rng import ROLE_SHUFFLE, substream
 from .model import (BackwardResult, Batch, Model, batches, forward, loss_and_grads,
-                    loss_positions_of)
+                    loss_positions_of, param_views)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -140,6 +140,8 @@ class Trainer:
         self.total_steps = total_steps
         self.adam = AdamState(model)
         self.epoch_losses: list[float] = []
+        grads = np.zeros_like(model.flat)  # reused by every step
+        self._grads = (grads, param_views(model.cfg, grads))
 
     def apply_batch(self, batch: list[TokenSequence],
                     capture: list[GradientBundle] | None = None) -> float:
@@ -149,7 +151,7 @@ class Trainer:
         is appended before the update is applied.
         """
         padded = Batch.of(batch)
-        res = loss_and_grads(self.model, padded, forward(self.model, padded))
+        res = loss_and_grads(self.model, padded, forward(self.model, padded), out=self._grads)
         _check_losses(padded, res.losses, f"step {self.adam.t + 1}")
         if capture is not None:
             capture.extend(_bundles(batch, padded, res, self.adam.t))

@@ -111,6 +111,20 @@ def test_runtime_failure_exits_one(workspace, capsys):
     assert main(["select", "--config", cfg, "--records", str(root / "bad_records.jsonl"),
                  "--force"]) == 1
     assert "error: line 1: not a JSON object" in capsys.readouterr().err
+    (root / "bad_selection.jsonl").write_text("[1]\n")
+    assert main(["train", "--config", cfg, "--selection", str(root / "bad_selection.jsonl"),
+                 "--out", str(root / "bad_train")]) == 1
+    assert capsys.readouterr().err == "error: line 1: not a JSON object\n"
+    bad_cfg = root / "bad_config.json"
+    bad_cfg.write_text(json.dumps({**json.load(open(cfg)), "fraction": "50"}))
+    assert main(["extract", "--config", str(bad_cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {bad_cfg}: field fraction is not a number\n"
+    (root / "bad_out").mkdir()
+    (root / "bad_out" / "manifest.json").write_text("[1]")
+    assert main(["select", "--config", cfg, "--records", str(root / "run" / "records.jsonl"),
+                 "--out", str(root / "bad_out")]) == 1
+    manifest = root / "bad_out" / "manifest.json"
+    assert capsys.readouterr().err == f"error: {manifest}: not a JSON object\n"
 
 
 def test_compare_smoke_and_error_cells(workspace, capsys, monkeypatch):

@@ -267,6 +267,25 @@ def test_train_checks_the_selection_provenance(extract_run, tmp_path):
     check_selection_provenance(str(sel), prep, force=True)
 
 
+@pytest.mark.parametrize("artifact", [
+    "manifest.json", "extract_meta.json", "selection_hand_meta.json",
+])
+def test_a_non_object_manifest_or_meta_is_a_named_value_error(extract_run, tmp_path,
+                                                               artifact):
+    cfg, _ = extract_run
+    prep = prepare(cfg)
+    (tmp_path / artifact).write_text("[1]\n")
+    read = {
+        "manifest.json": lambda: pipeline.write_manifest(str(tmp_path), []),
+        "extract_meta.json": lambda: check_provenance(
+            str(tmp_path / "records.jsonl"), prep, cfg, force=False),
+        "selection_hand_meta.json": lambda: check_selection_provenance(
+            str(tmp_path / "selection_hand.jsonl"), prep, force=False),
+    }[artifact]
+    with pytest.raises(ValueError, match=f"{artifact}: not a JSON object$"):
+        read()
+
+
 def test_constant_gradients_select_the_first_instances_with_null_bandwidth(
         extract_run, tmp_path):
     cfg, out = extract_run
@@ -366,6 +385,15 @@ def test_compare_rerun_byte_identical(corpus_dir, tmp_path):
         paths.append(tmp_path / sub)
     for name in ("report.json", "records.jsonl", "manifest.json"):
         assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
+
+
+def test_compare_rejects_a_repeated_row_before_extracting(corpus_dir, tmp_path):
+    cfg = _cfg(corpus_dir, str(tmp_path))
+    for strategies, fractions, row in ((["grads", "grads"], [50.0], "grads@50"),
+                                       (["random"], [50, 50.0], "random@50")):
+        with pytest.raises(ValueError, match=f"^compare row {row} is repeated$"):
+            run_compare(cfg, strategies, fractions)
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_compare_records_error_cells(corpus_dir, tmp_path, monkeypatch):

@@ -342,6 +342,24 @@ def test_padded_batch_is_bit_identical_to_batches_of_one(case):
     assert worst <= 1e-12 * np.abs(ordered_mean).max()
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one(tied):
+    """The second batch is shorter and uses other tokens, so every embedding
+    and position row the first one left in the buffer must be cleared."""
+    cfg = replace(WIDE, tie_lm_head=tied)
+    m = init_model(cfg)
+    rng = np.random.default_rng(5)
+    long = [_random_seq(rng, cfg, 10, 20, f"l{i}") for i in range(3)]
+    short = [_random_seq(rng, cfg, 2, i + 1, f"s{i}") for i in range(4)]
+    buf = np.full_like(m.flat, np.nan)
+    out = (buf, param_views(cfg, buf))
+    for seqs in (long, short):
+        batch, _, fresh = _run(m, seqs)
+        res = loss_and_grads(m, batch, forward(m, batch), out=out)
+        assert res.param_grads is buf
+        assert np.array_equal(buf, fresh.param_grads)
+
+
 def test_full_score_batch_is_bit_identical_to_batches_of_one():
     """Frozen extraction runs SCORE_BATCH sequences at once; the case above
     draws only 2 to 5."""
