@@ -1,11 +1,12 @@
 """Byte-identity of a small end-to-end run: every hashed artifact is pinned.
 
-The run covers frozen and online extraction, all 8 density strategies, the
-random, bm25 and dsir baselines, train (full pool and from a selection),
-eval, pilot and `compare grads,random @50`, at the `test_pipeline._cfg`
-scale (90 instances, 30 warmup steps). Each command's `manifest.json` hashes
-are checked against GOLDEN. The run uses relative paths from a temporary
-working directory, because metas echo the dataset path.
+The run covers frozen and online extraction, all 8 density strategies, all
+6 baselines (less twice: full width and projection_dim 8), train (full pool
+and from a selection), eval, pilot and `compare grads,random @50`, at the
+`test_pipeline._cfg` scale (90 instances, 30 warmup steps). Each command's
+`manifest.json` hashes are checked against GOLDEN. The run uses relative
+paths from a temporary working directory, because metas echo the dataset
+path.
 
 A change that moves one bit of training, extraction, selection or
 evaluation fails here and names the file. A deliberate bit change re-pins
@@ -25,6 +26,7 @@ import os
 from dataclasses import replace
 
 from gradsel.pipeline import (
+    BASELINE_NAMES,
     MANIFEST_FILE,
     RunConfig,
     run_baseline,
@@ -59,12 +61,18 @@ GOLDEN = {
     'frozen/selection_emb_only_meta.json': '7b046bc356cef8cb7f02d5f3aecc8793ef6135607ed41df6876b536f7b772b14',
     'frozen/selection_grads.jsonl': 'dd8ea87dfa5cec9098bc4dba56d796956a48aaacebfb7bbf7b07285797fd0f1f',
     'frozen/selection_grads_meta.json': '19c76972fb73115ee205c626ee9a35994f115933b18c1da34873de0116d99063',
+    'frozen/selection_less.jsonl': 'fe6bc7d7c399342032ddf7bdb2347e41683a0edf9a5448363e4389b5c156ef40',
+    'frozen/selection_less_meta.json': '85286641d67e70f2374d5971072dbeae4089b84d62b0121654203035e4e1d0fe',
     'frozen/selection_lm_only.jsonl': 'edbf0c524c45b98e4a795849debbb9e609d4d0897b4ac1a9fbeffac7c49925ee',
     'frozen/selection_lm_only_meta.json': 'cc85256012d60b4abbc58a49564be90a0901e1cf1ba77750ad7a6cfa8beef22a',
     'frozen/selection_mid_grad.jsonl': 'b20a1740eb8a34f412bce6a15e8f509ca189c726d0c785043ba795678d8a9ab5',
     'frozen/selection_mid_grad_meta.json': 'c3d6e1c136365324ff3866ed5aed593b40bd980e3f0899ea601c44f188327fcb',
+    'frozen/selection_ppl.jsonl': '4042fcce5874356216c6ab97f1f93ea7af152d7b6f29aa1f06418744508be790',
+    'frozen/selection_ppl_meta.json': 'cb0b8bb4914acb48556de574ea45df4ec7675235dad23bb06ec2c1bad7c764ce',
     'frozen/selection_random.jsonl': 'e0a379ca57531bb821b3e1fa4764d9c404c5d1af16610d8c2ea79fbaca19101a',
     'frozen/selection_random_meta.json': '58098ef95201fcad74f087a967c384986099e28e3c5965665529dd6fb78dfbdd',
+    'frozen/selection_rds.jsonl': 'a27bf77cf5cfc8e0ffc885bcaa4ba882badfffee09adf5361924d27c915f93f5',
+    'frozen/selection_rds_meta.json': 'ee5f16545c5f11d4128475d8bb6d079be27f94a7908c03778223b53a89fefa73',
     'frozen/selection_tail_grad.jsonl': '91c4071e46e1a28d0c6dd22d2b72c4b2de7cc38a213e64b7db270bbe46c36a70',
     'frozen/selection_tail_grad_meta.json': '6424dcf765bb46a4aee1fd31b93b2f2422d498fe7c785c74b9a886307c9c3914',
     'frozen/selection_top_grad.jsonl': '948bc7704e7a2313dc702ad590401d0dcba0c9e50dd394a78bc5695e47a526db',
@@ -73,6 +81,8 @@ GOLDEN = {
     'frozen/selection_weight_meta.json': 'e9a10195956434ea45f7466eafb121075634003cf8d5d33c3ef51600cd43b046',
     'frozen/selection_weightr.jsonl': 'df0dc8464be1a7bfb060bfb054a2fb9f94cba504bae43f83f5483672b1ff3ec4',
     'frozen/selection_weightr_meta.json': 'f1fae962b127db90d238bafd10ce3a5993542a9195afb9c3ac5c909c9e77e20d',
+    'less8/selection_less.jsonl': 'b6b59ef8808dd14d227017f18664c27c5c46a7c7003be5f9f04e9b1a32624c26',
+    'less8/selection_less_meta.json': '85286641d67e70f2374d5971072dbeae4089b84d62b0121654203035e4e1d0fe',
     'online/eval.json': 'dbfa56ffec3fbbb4682f689f2fc2d1c89c2f4fe0e7bdf13a3e111a5cce0a23a6',
     'online/extract_meta.json': '0b3663407b78ced78d246a96e52d926937e39b853e4ae825433590a349736172',
     'online/extract_model.json': '823ec00de7ea60c302e570bcf3b047d900f9937dd9a5e0c7f828ce72c8655bb5',
@@ -104,8 +114,9 @@ def _run_all() -> dict[str, str]:
     run_extract(frozen)
     for name in STRATEGIES:
         run_select(frozen, records, name, 50.0)
-    for name in ("random", "bm25", "dsir"):
+    for name in BASELINE_NAMES:
         run_baseline(frozen, name, records, 50.0)
+    run_baseline(replace(frozen, out_dir="less8", projection_dim=8), "less", records, 50.0)
     run_train(replace(frozen, out_dir="train"), "frozen/selection_grads.jsonl")
     run_pilot(replace(frozen, out_dir="pilot"), records)
 
@@ -116,7 +127,8 @@ def _run_all() -> dict[str, str]:
 
     run_compare(replace(frozen, out_dir="compare"), ["grads", "random"], [50.0])
 
-    return _manifest_hashes(["corpus", "frozen", "train", "pilot", "online", "compare"])
+    return _manifest_hashes(["corpus", "frozen", "less8", "train", "pilot", "online",
+                             "compare"])
 
 
 def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch):
