@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import TokenSequence
+from .gradstats import token_vectors
 from .rng import ROLE_GUMBEL, ROLE_PROJECT, ROLE_SELECT, substream
 from .selector import (
     SelectionResult,
@@ -24,21 +24,13 @@ from .selector import (
     selection_from_order,
     subset_size,
 )
-from .tinylm.model import Model, batches, forward, loss_and_grads
+from .tinylm.model import Model, batches, forward
+from .tinylm.training import frozen_gradients
 
 BM25_K1 = 1.2
 BM25_B = 0.75
 DSIR_BUCKETS = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    instance_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"non-finite features for {self.instance_id}")
+BM25_AGGREGATES = ("mean", "max")
 
 
 def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
@@ -63,7 +55,7 @@ def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
         raise ValueError("empty corpus")
     if any(not q for q in queries):
         raise ValueError("empty query terms")
-    if aggregate not in ("mean", "max"):
+    if aggregate not in BM25_AGGREGATES:
         raise ValueError(f"unknown aggregate {aggregate!r}")
     M = len(candidates)
     df: Counter[str] = Counter()
@@ -180,32 +172,41 @@ def dsir_select(ids: list[str], candidates: list[list[str]],
     return selection_from_order("dsir", percent, ids, descending_order(keys), logw, seed=seed)
 
 
-def representation_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVector]:
-    """Final-layer hidden state at each sequence's last position."""
-    out = []
-    for chunk, batch in batches(seqs):
+def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
+    """The rows stacked into one (len(seqs), dim) array; a non-finite row is
+    refused, naming its instance."""
+    if not seqs:
+        raise ValueError("no sequences to take features of")
+    feats = np.vstack(rows)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite features for {seqs[bad[0]].instance_id}")
+    return feats
+
+
+def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
+    """Final-layer hidden state at each sequence's last position, one row per
+    sequence."""
+    blocks = []
+    for _, batch in batches(seqs):
         trace = forward(model, batch, last_only=True)
-        for seq, row in zip(chunk, trace.rows):
-            out.append(FeatureVector(seq.instance_id, trace.hf[row].copy()))
-    return out
+        blocks.append(trace.hf[trace.rows])
+    return _feature_matrix(seqs, blocks)
 
 
-def gradient_features(model: Model, seqs: list[TokenSequence]) -> list[FeatureVector]:
-    """Concatenated mean embedding-gradient (d) and mean logit-gradient (V).
+def _mean_token_vectors(bundle, seq) -> np.ndarray:
+    emb_vecs, lm_vecs = token_vectors(bundle, seq)
+    return np.concatenate([emb_vecs.mean(axis=0), lm_vecs.mean(axis=0)])
 
-    The logit part divides out the uniform loss weight so feature direction
-    does not depend on response length.
+
+def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
+    """Concatenated mean embedding-gradient (d) and mean logit-gradient (V) of
+    each sequence's token_vectors, one row per sequence.
+
+    The logit rows have the uniform loss weight divided out, so feature
+    direction does not depend on response length.
     """
-    out = []
-    for chunk, batch in batches(seqs):
-        res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
-        starts = batch.row_starts
-        for b, seq in enumerate(chunk):
-            content = [t for t, r in enumerate(seq.roles) if r != "special"]
-            emb_part = res.g_emb[b, content].mean(axis=0)
-            lm_part = (res.g_lm[starts[b] : starts[b + 1]] / batch.w[b]).mean(axis=0)
-            out.append(FeatureVector(seq.instance_id, np.concatenate([emb_part, lm_part])))
-    return out
+    return _feature_matrix(seqs, frozen_gradients(model, seqs, _mean_token_vectors))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -215,31 +216,22 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def _feature_dim(candidates: list[FeatureVector], queries: list[FeatureVector]) -> int:
-    """The one length every candidate and query feature vector has."""
-    if not candidates or not queries:
-        raise ValueError("empty feature set")
-    dim = candidates[0].values.shape[0]
-    for f in candidates + queries:
-        if f.values.shape != (dim,):
-            raise ValueError(f"feature length mismatch for {f.instance_id}")
-    return dim
-
-
-def rds_select(candidate_feats: list[FeatureVector],
-               query_feats: list[FeatureVector], percent: float) -> SelectionResult:
-    """Mean cosine to the query representations; zero-norm candidates last."""
-    _feature_dim(candidate_feats, query_feats)
-    usable = [q for q in query_feats if np.linalg.norm(q.values) > 0]
+def rds_select(ids: list[str], cands: np.ndarray, queries: np.ndarray,
+               percent: float) -> SelectionResult:
+    """Mean cosine of each candidate row to the query rows; zero-norm
+    candidates last."""
+    if cands.shape != (len(ids), queries.shape[-1]):
+        raise ValueError(f"feature width mismatch: {len(ids)} ids, candidates "
+                         f"{cands.shape}, queries {queries.shape}")
+    usable = [q for q in queries if np.linalg.norm(q) > 0]
     if not usable:
         raise ValueError("all query features have zero norm")
-    ids = [f.instance_id for f in candidate_feats]
-    scores = np.empty(len(candidate_feats))
-    for i, f in enumerate(candidate_feats):
-        if np.linalg.norm(f.values) == 0:
+    scores = np.empty(len(ids))
+    for i, f in enumerate(cands):
+        if np.linalg.norm(f) == 0:
             scores[i] = -1.0
         else:
-            scores[i] = float(np.mean([_cosine(f.values, q.values) for q in usable]))
+            scores[i] = float(np.mean([_cosine(f, q) for q in usable]))
     return selection_from_order("rds", percent, ids, descending_order(scores), scores)
 
 
@@ -251,22 +243,22 @@ def sign_projection(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
     return signs.reshape(dim_in, dim_out) / math.sqrt(dim_out)
 
 
-def less_select(candidate_grads: list[FeatureVector],
-                query_grads: list[FeatureVector], percent: float,
+def less_select(ids: list[str], cands: np.ndarray, queries: np.ndarray, percent: float,
                 projection_dim: int | None, seed: int) -> SelectionResult:
-    """Max cosine to query gradient features, in sign-projected space."""
-    dim = _feature_dim(candidate_grads, query_grads)
-    if projection_dim is not None and projection_dim > dim:
-        raise ValueError("projection_dim exceeds feature dimension")
-    cmat = np.stack([f.values for f in candidate_grads])
-    qmat = np.stack([f.values for f in query_grads])
+    """Max cosine of each candidate row to the query rows, in sign-projected
+    space."""
+    if not len(queries) or cands.shape != (len(ids), queries.shape[-1]):
+        raise ValueError(f"feature width mismatch: {len(ids)} ids, candidates "
+                         f"{cands.shape}, queries {queries.shape}")
+    dim = cands.shape[1]
+    if projection_dim is not None and not 1 <= projection_dim <= dim:
+        raise ValueError(f"projection_dim must lie in [1, {dim}]")
     if projection_dim is not None and projection_dim != dim:
         proj = sign_projection(dim, projection_dim, seed)
-        cmat, qmat = cmat @ proj, qmat @ proj
-    ids = [f.instance_id for f in candidate_grads]
+        cands, queries = cands @ proj, queries @ proj
     scores = np.empty(len(ids))
     for i in range(len(ids)):
-        scores[i] = max(_cosine(cmat[i], qmat[j]) for j in range(qmat.shape[0]))
+        scores[i] = max(_cosine(cands[i], queries[j]) for j in range(queries.shape[0]))
     return selection_from_order("less", percent, ids, descending_order(scores), scores, seed=seed)
 
 

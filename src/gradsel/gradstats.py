@@ -39,31 +39,33 @@ def combine(g_emb: float, g_lm: float) -> float:
     return g_emb + g_lm
 
 
+def token_vectors(bundle: GradientBundle,
+                  seq: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient rows an instance is measured by: the embedding gradient
+    of every non-special token (prompt and response), and the logit gradient
+    of every response target with the 1/n loss weight divided out, so the
+    rows reflect per-token magnitude rather than response length."""
+    if bundle.g_emb.shape[0] != len(seq):
+        raise ValueError(f"bundle/sequence length mismatch for {bundle.instance_id}")
+    content = [t for t, role in enumerate(seq.roles) if role != ROLE_SPECIAL]
+    if not content:
+        raise ValueError(f"no content tokens in {bundle.instance_id}")
+    return bundle.g_emb[content], bundle.g_lm / bundle.weight
+
+
 def aggregate_instance(
     bundle: GradientBundle,
     seq: TokenSequence,
     fingerprint: str,
     norm_mode: str = "mean_of_norms",
 ) -> GradientRecord:
-    """One scalar record from one instance's token gradients.
-
-    Embedding side averages over every non-special token (prompt and
-    response); logit side averages over response-target positions only and
-    divides out the 1/n loss weight so the value reflects per-token magnitude
-    rather than response length. norm_of_mean averages the vectors first and
-    takes one norm, kept for sensitivity analysis.
+    """One scalar record from one instance's token_vectors: the mean L2 norm
+    of each side's rows. norm_of_mean averages the rows first and takes one
+    norm, kept for sensitivity analysis.
     """
     if norm_mode not in NORM_MODES:
         raise ValueError(f"unknown norm_mode {norm_mode!r}")
-    if bundle.g_emb.shape[0] != len(seq):
-        raise ValueError(
-            f"bundle/sequence length mismatch for {bundle.instance_id}"
-        )
-    content = [t for t, role in enumerate(seq.roles) if role != ROLE_SPECIAL]
-    if not content:
-        raise ValueError(f"no content tokens in {bundle.instance_id}")
-    emb_vecs = bundle.g_emb[content]
-    lm_vecs = bundle.g_lm / bundle.weight
+    emb_vecs, lm_vecs = token_vectors(bundle, seq)
     if norm_mode == "mean_of_norms":
         g_emb = float(np.linalg.norm(emb_vecs, axis=1).mean())
         g_lm = float(np.linalg.norm(lm_vecs, axis=1).mean())
@@ -75,7 +77,7 @@ def aggregate_instance(
         g_emb=g_emb,
         g_lm=g_lm,
         g_grads=combine(g_emb, g_lm),
-        n_emb_tokens=len(content),
+        n_emb_tokens=emb_vecs.shape[0],
         n_lm_tokens=len(bundle.loss_positions),
         model_fingerprint=fingerprint,
         step_index=bundle.step_index,
@@ -84,7 +86,7 @@ def aggregate_instance(
 
 def _fmt(x: float) -> str:
     # 17 significant digits: enough for exact float64 round trips
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def write_records(records: list[GradientRecord], path: str) -> None:

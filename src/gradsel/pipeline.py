@@ -36,8 +36,8 @@ from .corpus import (
     _json_lines,
 )
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
-from .gradstats import (NORM_MODES, GradientRecord, aggregate_instance, read_records,
-                        write_records)
+from .gradstats import (NORM_MODES, GradientRecord, _fmt, aggregate_instance,
+                        read_records, write_records)
 from .rng import ROLE_SPLIT, substream
 from .selector import STRATEGIES, SelectionResult, attach_strata, select_strategy
 from .tinylm import (
@@ -128,6 +128,10 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.compare_epochs < 1:
             raise ValueError("compare_epochs must be >= 1")
+        if self.bm25_aggregate not in baselines.BM25_AGGREGATES:
+            raise ValueError(f"unknown bm25_aggregate {self.bm25_aggregate!r}")
+        if self.projection_dim is not None and self.projection_dim < 1:
+            raise ValueError("projection_dim must be >= 1")
         self.train_hyper().validate()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -253,10 +257,6 @@ def write_manifest(out_dir: str, filenames: list[str]) -> str:
         entries[name] = sha256_file(os.path.join(out_dir, name))
     write_json(path, {"files": entries})
     return path
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +540,7 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
         if model_path is None:
             raise ValueError(f"{name} needs a reference model checkpoint")
         ref_model = load_checkpoint(model_path)
-    result = attach_strata(
-        run_selection_by_name(name, fraction, records, prep, cfg, ref_model),
-        prep.strata(),
-    )
+    result = run_selection_by_name(name, fraction, records, prep, cfg, ref_model)
     files = write_selection(cfg.out_dir, name, result, records, records_path,
                            records_hash, prep.dataset_hash)
     write_manifest(cfg.out_dir, files)
@@ -572,48 +569,41 @@ def run_selection_by_name(
     cfg: RunConfig,
     ref_model: Model | None,
 ) -> SelectionResult:
-    """Dispatch a density strategy or a baseline over the training pool."""
-    if name in STRATEGIES:
-        return select_strategy(pool_records, name, fraction)
-    if name not in BASELINE_NAMES:
-        raise ValueError(f"unknown strategy {name!r}")
+    """Dispatch a density strategy or a baseline over the training pool; the
+    result carries the stratum mix of what it selected."""
     pool_ids = [r.instance_id for r in pool_records]
-    if name == "random":
-        return baselines.select_random(pool_ids, fraction, cfg.seed)
-    if name in ("bm25", "dsir"):
-        def words(ids) -> list[list[str]]:
-            return [split_words(i.prompt + " " + i.response) for i in prep.instances_for(ids)]
-
-        cand_words, query_words = words(pool_ids), words(prep.split.query)
-        if not query_words:
-            raise ValueError(f"{name} needs a nonempty query split")
-        if name == "bm25":
-            return baselines.bm25_select(
-                pool_ids, cand_words, query_words, fraction, cfg.bm25_aggregate
-            )
-        return baselines.dsir_select(pool_ids, cand_words, query_words, fraction, cfg.seed)
-    if ref_model is None:
-        raise ValueError(f"{name} needs a reference model")
-    pool_seqs = prep.seqs_for(pool_ids)
-    if name == "ppl":
-        ppls = baselines.sequence_perplexities(ref_model, pool_seqs)
-        return baselines.ppl_select(pool_ids, ppls, fraction)
-    query_seqs = prep.seqs_for(prep.split.query)
-    if not query_seqs:
+    query_ids = prep.split.query
+    if name in ("bm25", "dsir", "rds", "less") and not query_ids:
         raise ValueError(f"{name} needs a nonempty query split")
-    if name == "rds":
-        return baselines.rds_select(
-            baselines.representation_features(ref_model, pool_seqs),
-            baselines.representation_features(ref_model, query_seqs),
-            fraction,
-        )
-    return baselines.less_select(
-        baselines.gradient_features(ref_model, pool_seqs),
-        baselines.gradient_features(ref_model, query_seqs),
-        fraction,
-        cfg.projection_dim,
-        cfg.seed,
-    )
+    if name in MODEL_BASELINES and ref_model is None:
+        raise ValueError(f"{name} needs a reference model")
+    if name in STRATEGIES:
+        result = select_strategy(pool_records, name, fraction)
+    elif name == "random":
+        result = baselines.select_random(pool_ids, fraction, cfg.seed)
+    elif name in ("bm25", "dsir"):
+        cands, queries = ([split_words(i.prompt + " " + i.response)
+                           for i in prep.instances_for(ids)] for ids in (pool_ids, query_ids))
+        if name == "bm25":
+            result = baselines.bm25_select(pool_ids, cands, queries, fraction,
+                                           cfg.bm25_aggregate)
+        else:
+            result = baselines.dsir_select(pool_ids, cands, queries, fraction, cfg.seed)
+    elif name == "ppl":
+        ppls = baselines.sequence_perplexities(ref_model, prep.seqs_for(pool_ids))
+        result = baselines.ppl_select(pool_ids, ppls, fraction)
+    elif name in ("rds", "less"):
+        feats = (baselines.representation_features if name == "rds"
+                 else baselines.gradient_features)
+        cands, queries = (feats(ref_model, prep.seqs_for(ids)) for ids in (pool_ids, query_ids))
+        if name == "rds":
+            result = baselines.rds_select(pool_ids, cands, queries, fraction)
+        else:
+            result = baselines.less_select(pool_ids, cands, queries, fraction,
+                                           cfg.projection_dim, cfg.seed)
+    else:
+        raise ValueError(f"unknown strategy {name!r}")
+    return attach_strata(result, prep.strata())
 
 
 def run_baseline(
@@ -935,12 +925,8 @@ def run_compare(
             row_name = f"{name}@{frac:g}"
             t0 = time.perf_counter()
             try:
-                result = attach_strata(
-                    run_selection_by_name(
-                        name, frac, pool_records, prep, cfg, ref_model
-                    ),
-                    prep.strata(),
-                )
+                result = run_selection_by_name(name, frac, pool_records, prep, cfg,
+                                               ref_model)
                 files = write_selection(cfg.out_dir, f"{name}_{frac:g}", result,
                                        pool_records, records_path, records_hash,
                                        prep.dataset_hash)

@@ -32,12 +32,6 @@ TIE_BREAK = "f_desc_then_dataset_index"
 
 
 @dataclass(frozen=True)
-class DensityScore:
-    instance_id: str
-    f_value: float
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     strategy: str
     fraction_percent: float
@@ -111,16 +105,6 @@ def kde_density(values: list[float] | np.ndarray, h: float,
     return out
 
 
-def kde_scores(values: list[float] | np.ndarray, h: float,
-               ids: list[str] | None = None) -> list[DensityScore]:
-    """Gaussian KDE evaluated at every sample point, self-term included."""
-    x = np.asarray(values, dtype=float)
-    if ids is None:
-        ids = [str(i) for i in range(x.size)]
-    dens = kde_density(x, h, x)
-    return [DensityScore(i, float(f)) for i, f in zip(ids, dens)]
-
-
 def descending_order(x) -> list[int]:
     """Indices from the largest value down; ties keep the lower index first."""
     return np.lexsort((-np.asarray(x, dtype=float),)).tolist()
@@ -148,7 +132,8 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
 
 def select_by_density(values: np.ndarray, ids: list[str], percent: float,
                       strategy: str) -> SelectionResult:
-    """Fit a Silverman-bandwidth KDE to values and keep the densest percent.
+    """Fit a Silverman-bandwidth KDE to values and keep the densest percent,
+    ties broken by dataset position.
 
     When every value is the same, every instance has the same density: the
     tie-break keeps the first ones in dataset order, and the result carries
@@ -157,38 +142,13 @@ def select_by_density(values: np.ndarray, ids: list[str], percent: float,
     h = silverman_bandwidth(values)
     if h is None:
         return selection_from_order(strategy, percent, ids, list(range(len(ids))), None)
-    scores = kde_scores(values, h, ids=ids)
-    return select_top_density(scores, percent, strategy=strategy, bandwidth=h)
-
-
-def select_top_density(scores: list[DensityScore], percent: float,
-                       strategy: str = "grads",
-                       bandwidth: float | None = None) -> SelectionResult:
-    """Keep the densest percent, ties broken by dataset position."""
-    if not scores:
-        raise ValueError("no scores to select from")
-    f = [s.f_value for s in scores]
+    f = kde_density(values, h, values)
     order = descending_order(f)
-    result = selection_from_order(strategy, percent, [s.instance_id for s in scores],
-                                  order, f, bandwidth=bandwidth)
+    result = selection_from_order(strategy, percent, ids, order, f, bandwidth=h)
     size = len(result.ordered_ids)
     if size < len(order):  # every kept density dominates every dropped one
-        assert min(f[i] for i in order[:size]) >= max(f[i] for i in order[size:])
+        assert f[order[:size]].min() >= f[order[size:]].max()
     return result
-
-
-def _select_by_value_order(records: list[GradientRecord], percent: float,
-                           strategy: str, window: str) -> SelectionResult:
-    g = np.array([r.g_grads for r in records])
-    if window == "top":
-        order = descending_order(g)
-    elif window == "tail":  # ascending, ties keep the lower index first
-        order = np.lexsort((g,)).tolist()
-    else:  # centered on the median rank, symmetric, clipped by construction
-        lo = (len(records) - subset_size(len(records), percent)) // 2
-        order = descending_order(g)[lo:]
-    return selection_from_order(strategy, percent, [r.instance_id for r in records],
-                                order, g)
 
 
 def minmax_unit(x: np.ndarray) -> np.ndarray:
@@ -222,16 +182,24 @@ def weightr_values(records: list[GradientRecord]) -> np.ndarray:
 
 def select_strategy(records: list[GradientRecord], strategy: str,
                     percent: float) -> SelectionResult:
-    """Dispatch over the ablation families; density variants share the KDE path."""
+    """Dispatch over the ablation families: the top, tail and mid windows rank
+    g_grads itself; the density variants share the KDE path."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not records:
         raise ValueError("no records to select from")
-    if strategy in ("top_grad", "tail_grad", "mid_grad"):
-        return _select_by_value_order(records, percent, strategy,
-                                      window=strategy.split("_")[0])
+    ids = [r.instance_id for r in records]
+    g = np.array([r.g_grads for r in records])
+    window = strategy.split("_")[0]
+    if window in ("top", "tail", "mid"):
+        if window == "tail":  # ascending, ties keep the lower index first
+            order = np.lexsort((g,)).tolist()
+        else:  # top from rank 0; mid centered on the median rank, clipped by construction
+            lo = 0 if window == "top" else (len(ids) - subset_size(len(ids), percent)) // 2
+            order = descending_order(g)[lo:]
+        return selection_from_order(strategy, percent, ids, order, g)
     if strategy == "grads":
-        values = np.array([r.g_grads for r in records])
+        values = g
     elif strategy == "emb_only":
         values = np.array([r.g_emb for r in records])
     elif strategy == "lm_only":
@@ -240,7 +208,7 @@ def select_strategy(records: list[GradientRecord], strategy: str,
         values = weight_values(records)
     else:
         values = weightr_values(records)
-    return select_by_density(values, [r.instance_id for r in records], percent, strategy)
+    return select_by_density(values, ids, percent, strategy)
 
 
 def attach_strata(result: SelectionResult,

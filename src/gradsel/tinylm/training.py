@@ -190,6 +190,22 @@ class Trainer:
         return reduced
 
 
+def frozen_gradients(model: Model, seqs: list[TokenSequence], reduce) -> list:
+    """reduce(bundle, seq) of every instance's raw token gradients against
+    fixed parameters, in dataset order, with no update.
+
+    Runs in batches of SCORE_BATCH; each bundle is bit-identical to a batch
+    of one, so the result does not depend on order or batching. No bundle
+    outlives its batch.
+    """
+    reduced: list = []
+    for chunk, batch in batches(seqs):
+        res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
+        _check_losses(batch, res.losses, "frozen extraction")
+        reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)
+    return reduced
+
+
 def extract_epoch(
     model: Model,
     seqs: list[TokenSequence],
@@ -206,20 +222,13 @@ def extract_epoch(
     online: one training epoch; each bundle reflects the parameters at the
     step where its instance is consumed, so bundle values depend on shuffle
     order (faithful to extract-while-training).
-    frozen: pure measurement against fixed parameters, in dataset order and
-    batches of SCORE_BATCH, no updates; each bundle is bit-identical to a
-    batch of one, so the result does not depend on order or batching, and
-    the training batch_size does not apply.
+    frozen: frozen_gradients, pure measurement against fixed parameters; the
+    training batch_size does not apply.
     """
     if not seqs:
         raise ValueError("empty dataset")
     if mode == "frozen":
-        reduced: list = []
-        for chunk, batch in batches(seqs):
-            res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
-            _check_losses(batch, res.losses, "frozen extraction")
-            reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)
-        return model, reduced
+        return model, frozen_gradients(model, seqs, reduce)
     if mode != "online":
         raise ValueError(f"unknown extraction mode {mode!r}")
 

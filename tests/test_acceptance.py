@@ -31,7 +31,6 @@ from gradsel.pipeline import (
 )
 from gradsel.selector import (
     kde_density,
-    kde_scores,
     select_strategy,
     silverman_bandwidth,
     subset_size,
@@ -206,7 +205,7 @@ def test_criterion_03_kde_density_normalization():
         integral = float(np.trapezoid(kde_density(values, h, xs), xs))
         worst = max(worst, abs(integral - 1.0) + 1.0)
         assert 0.99 <= integral <= 1.01
-    f0 = kde_scores([0.0, 1.0], h=1.0)[0].f_value
+    f0 = float(kde_density([0.0, 1.0], 1.0, [0.0])[0])
     hand = 0.5 * (1 + math.exp(-0.5)) / math.sqrt(2 * math.pi)
     ok = abs(f0 - hand) < 1e-12 and abs(f0 - 0.32046) < 1e-5
     _verdict(3, ok, f"20 integrals within {worst - 1.0:.4f} of 1, f(0) = {f0:.6f}")

@@ -8,7 +8,6 @@ import pytest
 from gradsel.baselines import (
     BM25_B,
     BM25_K1,
-    FeatureVector,
     bm25_scores,
     bm25_select,
     dsir_log_weights,
@@ -215,40 +214,49 @@ def test_ngram_features_orders():
     assert len(ngram_features(["a", "b", "c"], (1, 2))) == 5
 
 
-def _fv(i, vals):
-    return FeatureVector(f"c{i:03d}", np.asarray(vals, dtype=float))
+def _rows(*rows):
+    return np.array(rows, dtype=float)
 
 
 def test_rds_self_similarity_ranks_first():
-    q = [_fv(99, [1.0, 2.0, 3.0])]
-    cands = [_fv(0, [3.0, -1.0, 0.5]), _fv(1, [1.0, 2.0, 3.0]), _fv(2, [-1.0, -2.0, -3.0])]
-    res = rds_select(cands, q, 34)
+    q = _rows([1.0, 2.0, 3.0])
+    cands = _rows([3.0, -1.0, 0.5], [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
+    res = rds_select(_ids(3), cands, q, 34)
     assert res.selected_ids == ("c001",)
     assert res.f_values["c001"] == pytest.approx(1.0)
     assert res.f_values["c002"] == pytest.approx(-1.0)
 
 
 def test_rds_orthogonal_and_scale_invariance():
-    q = [_fv(99, [1.0, 0.0])]
-    cands = [_fv(0, [0.0, 2.0]), _fv(1, [5.0, 0.0])]
-    res = rds_select(cands, q, 100)
+    q = _rows([1.0, 0.0])
+    cands = _rows([0.0, 2.0], [5.0, 0.0])
+    res = rds_select(_ids(2), cands, q, 100)
     assert res.f_values["c000"] == pytest.approx(0.0)
     assert res.f_values["c001"] == pytest.approx(1.0)
-    scaled = rds_select([_fv(0, [0.0, 10.0]), _fv(1, [0.2, 0.0])], q, 50)
+    scaled = rds_select(_ids(2), _rows([0.0, 10.0], [0.2, 0.0]), q, 50)
     assert scaled.selected_ids == res.selected_ids[:1] or scaled.selected_ids == ("c001",)
 
 
 def test_rds_zero_norm_candidate_scores_minus_one():
-    q = [_fv(99, [1.0, 1.0])]
-    cands = [_fv(0, [0.0, 0.0]), _fv(1, [1.0, 1.0])]
-    res = rds_select(cands, q, 50)
+    q = _rows([1.0, 1.0])
+    cands = _rows([0.0, 0.0], [1.0, 1.0])
+    res = rds_select(_ids(2), cands, q, 50)
     assert res.f_values["c000"] == -1.0
     assert res.selected_ids == ("c001",)
 
 
 def test_rds_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length mismatch"):
-        rds_select([_fv(0, [1.0, 2.0])], [_fv(9, [1.0, 2.0, 3.0])], 100)
+    with pytest.raises(ValueError, match="width mismatch"):
+        rds_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100)
+    with pytest.raises(ValueError, match="width mismatch"):  # one row per id
+        rds_select(_ids(2), _rows([1.0, 2.0]), _rows([1.0, 2.0]), 100)
+
+
+def test_less_shape_mismatch_rejected():
+    with pytest.raises(ValueError, match="width mismatch"):
+        less_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100, None, 0)
+    with pytest.raises(ValueError, match="width mismatch"):  # no query rows
+        less_select(_ids(1), _rows([1.0, 2.0]), np.empty((0, 2)), 100, None, 0)
 
 
 def test_ppl_outlier_rejected():
@@ -274,8 +282,8 @@ def test_less_identical_vector_scores_one():
     rng = np.random.default_rng(2)
     dim = 300
     q = rng.normal(size=dim)
-    cands = [_fv(0, rng.normal(size=dim)), _fv(1, q.copy())]
-    res = less_select(cands, [_fv(9, q)], 50, projection_dim=256, seed=3)
+    cands = _rows(rng.normal(size=dim), q)
+    res = less_select(_ids(2), cands, _rows(q), 50, projection_dim=256, seed=3)
     assert res.f_values["c001"] == pytest.approx(1.0, abs=1e-12)
     assert res.selected_ids == ("c001",)
 
@@ -288,8 +296,7 @@ def test_less_projection_preserves_cosine_roughly():
         u = rng.normal(size=dim)
         v = rng.normal(size=dim)
         exact = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-        res = less_select([_fv(0, u)], [_fv(9, v)],
-                          100, projection_dim=256, seed=trial)
+        res = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=256, seed=trial)
         worst = max(worst, abs(res.f_values["c000"] - exact))
     assert worst < 0.15
 
@@ -297,20 +304,18 @@ def test_less_projection_preserves_cosine_roughly():
 def test_less_no_projection_is_exact_cosine():
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([2.0, 4.0, 4.0])
-    res = less_select([_fv(0, u)], [_fv(9, v)],
-                      100, projection_dim=None, seed=0)
+    res = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=None, seed=0)
     assert res.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
-    res3 = less_select([_fv(0, u)], [_fv(9, v)],
-                       100, projection_dim=3, seed=0)
+    res3 = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=3, seed=0)
     assert res3.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_less_deterministic_per_seed():
     rng = np.random.default_rng(4)
-    cands = [_fv(i, rng.normal(size=40)) for i in range(10)]
-    qs = [_fv(99, rng.normal(size=40))]
-    a = less_select(cands, qs, 30, projection_dim=16, seed=5)
-    b = less_select(cands, qs, 30, projection_dim=16, seed=5)
+    cands = rng.normal(size=(10, 40))
+    qs = rng.normal(size=(1, 40))
+    a = less_select(_ids(10), cands, qs, 30, projection_dim=16, seed=5)
+    b = less_select(_ids(10), cands, qs, 30, projection_dim=16, seed=5)
     assert a.selected_ids == b.selected_ids
 
 
@@ -320,21 +325,39 @@ def test_sign_projection_entries():
     np.testing.assert_allclose(np.abs(proj), 1.0 / math.sqrt(4))
 
 
+_SEQS = [
+    TokenSequence("a", (1, 5, 3, 6, 2),
+                  ("special", "prompt", "special", "response", "special")),
+    TokenSequence("b", (1, 7, 3, 8, 9, 2),
+                  ("special", "prompt", "special", "response", "response", "special")),
+]
+
+
 def test_feature_extraction_shapes_and_kinds():
-    cfg = ModelConfig(8, 1, 2, 16, 30, 12, 0)
-    m = init_model(cfg)
-    seqs = [
-        TokenSequence("a", (1, 5, 3, 6, 2),
-                      ("special", "prompt", "special", "response", "special")),
-        TokenSequence("b", (1, 7, 3, 8, 9, 2),
-                      ("special", "prompt", "special", "response", "response", "special")),
-    ]
-    reps = representation_features(m, seqs)
-    assert [f.instance_id for f in reps] == ["a", "b"]
-    assert all(f.values.shape == (8,) for f in reps)
-    grads = gradient_features(m, seqs)
-    assert [f.instance_id for f in grads] == ["a", "b"]
-    assert all(f.values.shape == (8 + 30,) for f in grads)
+    m = init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0))
+    reps = representation_features(m, _SEQS)
+    assert reps.shape == (2, 8)
+    assert np.array_equal(reps[1], representation_features(m, _SEQS[1:])[0])
+    grads = gradient_features(m, _SEQS)
+    assert grads.shape == (2, 8 + 30)
+    assert np.array_equal(grads[1], gradient_features(m, _SEQS[1:])[0])
+
+
+def test_non_finite_features_are_refused_by_instance():
+    m = init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0))
+    m.params["emb"][8] = np.nan  # token 8 occurs in b only
+    with pytest.raises(ValueError, match="^non-finite features for b$"):
+        representation_features(m, _SEQS)
+    assert np.isfinite(representation_features(m, _SEQS[:1])).all()
+    with pytest.raises(RuntimeError, match="instance b has loss nan"):
+        gradient_features(m, _SEQS)
+
+
+def test_less_refuses_a_projection_outside_one_to_the_feature_width():
+    cands, queries = _rows([1.0, 2.0, 3.0]), _rows([1.0, 0.0, 0.0])
+    for bad in (0, -3, 4):
+        with pytest.raises(ValueError, match=r"projection_dim must lie in \[1, 3\]"):
+            less_select(_ids(1), cands, queries, 100, bad, 0)
 
 
 def test_all_baselines_subset_size_matches_rule():
@@ -342,17 +365,17 @@ def test_all_baselines_subset_size_matches_rule():
     docs = [[f"w{i}", "x"] for i in range(7)]
     qs = [["x", "w0"]]
     rng = np.random.default_rng(6)
-    feats = [_fv(i, rng.normal(size=5)) for i in range(7)]
-    qf = [_fv(99, rng.normal(size=5))]
-    gfeats = [_fv(i, rng.normal(size=5)) for i in range(7)]
-    gq = [_fv(99, rng.normal(size=5))]
+    feats = rng.normal(size=(7, 5))
+    qf = rng.normal(size=(1, 5))
+    gfeats = rng.normal(size=(7, 5))
+    gq = rng.normal(size=(1, 5))
     ppls = list(rng.uniform(5, 9, 7))
     for res in (
         select_random(ids, 50, 0),
         bm25_select(ids, docs, qs, 50),
         dsir_select(ids, docs, qs, 50, 0),
-        rds_select(feats, qf, 50),
-        less_select(gfeats, gq, 50, None, 0),
+        rds_select(ids, feats, qf, 50),
+        less_select(ids, gfeats, gq, 50, None, 0),
         ppl_select(ids, ppls, 50),
     ):
         assert len(res.selected_ids) == 4  # 3.5 rounds half-up

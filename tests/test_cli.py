@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +35,7 @@ def test_synth_writes_dataset_and_manifest(workspace, capsys):
     out = capsys.readouterr().out
     dataset = root / "corpus" / "dataset.jsonl"
     assert dataset.is_file()
-    assert sum(1 for _ in open(dataset)) == 90
+    assert len(dataset.read_text().splitlines()) == 90
     assert (root / "corpus" / "manifest.json").is_file()
 
 
@@ -116,9 +117,12 @@ def test_runtime_failure_exits_one(workspace, capsys):
                  "--out", str(root / "bad_train")]) == 1
     assert capsys.readouterr().err == "error: line 1: not a JSON object\n"
     bad_cfg = root / "bad_config.json"
-    bad_cfg.write_text(json.dumps({**json.load(open(cfg)), "fraction": "50"}))
+    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "fraction": "50"}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
     assert capsys.readouterr().err == f"error: {bad_cfg}: field fraction is not a number\n"
+    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "projection_dim": 0}))
+    assert main(["extract", "--config", str(bad_cfg)]) == 1
+    assert capsys.readouterr().err == "error: projection_dim must be >= 1\n"
     (root / "bad_out").mkdir()
     (root / "bad_out" / "manifest.json").write_text("[1]")
     assert main(["select", "--config", cfg, "--records", str(root / "run" / "records.jsonl"),

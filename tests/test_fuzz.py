@@ -198,6 +198,20 @@ def test_load_config_names_a_mistyped_field(tmp_path, field, value, wanted):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("projection_dim", 0, "projection_dim must be >= 1"),
+    ("projection_dim", -3, "projection_dim must be >= 1"),
+    ("bm25_aggregate", "sum", "unknown bm25_aggregate 'sum'"),
+])
+def test_load_config_refuses_an_out_of_range_value(tmp_path, field, value, message):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('{"instruction": "a", "output": "x"}\n')
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_config(str(dataset)), field: value}))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_config(str(path))
+
+
 _CKPT_CFG = ModelConfig(4, 1, 2, 4, 6, 3, 0)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,8 +155,8 @@ def test_round_trip_exact(tmp_path):
 def test_read_rejects_broken_sum(tmp_path):
     path = str(tmp_path / "recs.jsonl")
     write_records([_mk_record(0, 0.5, 0.5)], path)
-    text = open(path).read().replace('"g_grads": 1', '"g_grads": 1.000001')
-    open(path, "w").write(text)
+    text = Path(path).read_text().replace('"g_grads": 1', '"g_grads": 1.000001')
+    Path(path).write_text(text)
     with pytest.raises(ValueError, match="id000"):
         read_records(path)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -161,13 +162,13 @@ def test_select_sees_a_rewritten_record_file(extract_run, tmp_path):
     src = os.path.dirname(out["records"])
     records = tmp_path / "records.jsonl"
     (tmp_path / "extract_meta.json").write_bytes(
-        open(os.path.join(src, "extract_meta.json"), "rb").read())
-    original = open(out["records"], "rb").read()
+        Path(src, "extract_meta.json").read_bytes())
+    original = Path(out["records"]).read_bytes()
     records.write_bytes(original)
     sel_cfg = replace(cfg, out_dir=str(tmp_path / "sel"))
     meta_path = tmp_path / "sel" / "selection_top_grad_meta.json"
     first = run_select(sel_cfg, str(records), "top_grad", 50.0)
-    assert json.load(open(meta_path))["records_hash"] == sha256_file(str(records))
+    assert json.loads(meta_path.read_text())["records_hash"] == sha256_file(str(records))
 
     # same values, ids shifted by one line: the top half names other ids
     lines = [json.loads(l) for l in original.decode().splitlines()]
@@ -177,7 +178,7 @@ def test_select_sees_a_rewritten_record_file(extract_run, tmp_path):
     records.write_text("".join(json.dumps(l) + "\n" for l in lines))
     second = run_select(sel_cfg, str(records), "top_grad", 50.0)
     assert second.selected_ids != first.selected_ids
-    meta = json.load(open(meta_path))
+    meta = json.loads(meta_path.read_text())
     assert meta["records_hash"] == sha256_file(str(records)) != sha256_file(out["records"])
 
     # a new file is validated in full, even right after a valid one was read
@@ -201,7 +202,7 @@ def test_select_refuses_records_of_another_extraction_config(extract_run, tmp_pa
 def test_extract_rerun_byte_identical(corpus_dir, extract_run, tmp_path):
     cfg, first = extract_run
     second = run_extract(replace(cfg, out_dir=str(tmp_path)))
-    assert open(first["records"], "rb").read() == open(second["records"], "rb").read()
+    assert Path(first["records"]).read_bytes() == Path(second["records"]).read_bytes()
 
 
 def test_online_vs_frozen_same_ids_different_values(corpus_dir, extract_run, tmp_path):
@@ -219,11 +220,12 @@ def test_select_metadata_and_file_shape(corpus_dir, extract_run, tmp_path):
         replace(cfg, out_dir=str(tmp_path)), out["records"], "grads", 50.0
     )
     assert len(result.selected_ids) == 45
-    meta = json.load(open(tmp_path / "selection_grads_meta.json"))
+    meta = json.loads((tmp_path / "selection_grads_meta.json").read_text())
     records = read_records(out["records"])
     assert meta["bandwidth"] == silverman_bandwidth([r.g_grads for r in records])
     assert meta["n_selected"] == 45
-    lines = [json.loads(l) for l in open(tmp_path / "selection_grads.jsonl")]
+    text = (tmp_path / "selection_grads.jsonl").read_text()
+    lines = [json.loads(l) for l in text.splitlines()]
     assert [l["rank"] for l in lines] == list(range(1, 46))
     f_vals = [l["f_value"] for l in lines]
     assert all(a >= b for a, b in zip(f_vals, f_vals[1:]))  # density rank order
@@ -246,7 +248,7 @@ def test_provenance_checks_sidecar(corpus_dir, extract_run, tmp_path):
     prep = prepare(cfg)
     check_provenance(out["records"], prep, cfg, force=False)
     bare = tmp_path / "records.jsonl"
-    bare.write_bytes(open(out["records"], "rb").read())
+    bare.write_bytes(Path(out["records"]).read_bytes())
     with pytest.raises(RuntimeError, match="metadata"):
         check_provenance(str(bare), prep, cfg, force=False)
     check_provenance(str(bare), prep, cfg, force=True)
@@ -296,9 +298,10 @@ def test_constant_gradients_select_the_first_instances_with_null_bandwidth(
     result = run_select(replace(cfg, out_dir=str(tmp_path / "sel")), str(records),
                         "grads", 50.0, force=True)
     assert result.ordered_ids == tuple(ids[:45])
-    meta = json.load(open(tmp_path / "sel" / "selection_grads_meta.json"))
+    meta = json.loads((tmp_path / "sel" / "selection_grads_meta.json").read_text())
     assert meta["bandwidth"] is None
-    lines = [json.loads(l) for l in open(tmp_path / "sel" / "selection_grads.jsonl")]
+    text = (tmp_path / "sel" / "selection_grads.jsonl").read_text()
+    lines = [json.loads(l) for l in text.splitlines()]
     assert [l["id"] for l in lines] == ids[:45]
     assert {l["f_value"] for l in lines} == {None}
 
@@ -409,7 +412,7 @@ def test_compare_records_error_cells(corpus_dir, tmp_path, monkeypatch):
     report = run_compare(cfg, ["grads", "random"], [50.0])
     assert report.row("random@50")["error"] == "forced failure"
     assert report.row("grads@50")["error"] is None
-    saved = json.load(open(tmp_path / "report.json"))
+    saved = json.loads((tmp_path / "report.json").read_text())
     assert len(saved["rows"]) == 4
 
 
@@ -431,7 +434,7 @@ def test_manifest_merges_across_commands(corpus_dir, tmp_path):
     cfg = _cfg(corpus_dir, str(tmp_path))
     out = run_extract(cfg)
     run_select(cfg, out["records"], "grads", 50.0)
-    manifest = json.load(open(tmp_path / "manifest.json"))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     expected = {
         "records.jsonl",
         "extract_meta.json",

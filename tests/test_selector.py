@@ -10,14 +10,13 @@ from gradsel import selector
 from gradsel.gradstats import GradientRecord
 from gradsel.selector import (
     KDE_BLOCK_CELLS,
-    DensityScore,
     descending_order,
     descending_ranks,
     kde_density,
-    kde_scores,
     minmax_unit,
+    select_by_density,
     select_strategy,
-    select_top_density,
+    selection_from_order,
     silverman_bandwidth,
     subset_size,
     attach_strata,
@@ -98,16 +97,16 @@ def test_constant_values_keep_the_first_instances_without_a_bandwidth(strategy):
 
 
 def test_kde_single_point_kernel_center():
-    scores = kde_scores([0.0], h=1.0)
-    assert scores[0].f_value == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
+    f = kde_density([0.0], 1.0, [0.0])
+    assert f[0] == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
 
 
 def test_kde_two_point_hand_value():
-    scores = kde_scores([0.0, 1.0], h=1.0)
+    f = kde_density([0.0, 1.0], 1.0, [0.0, 1.0])
     phi0 = 1 / math.sqrt(2 * math.pi)
     phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
-    assert scores[0].f_value == pytest.approx(0.5 * (phi0 + phi1), rel=1e-12)
-    assert scores[0].f_value == pytest.approx(0.32046, abs=5e-6)
+    assert f[0] == pytest.approx(0.5 * (phi0 + phi1), rel=1e-12)
+    assert f[0] == pytest.approx(0.32046, abs=5e-6)
 
 
 def test_blocked_kde_matches_dense_bit_for_bit(monkeypatch):
@@ -142,11 +141,11 @@ def test_kde_matches_brute_force():
     rng = np.random.default_rng(0)
     vals = list(rng.normal(size=40))
     h = silverman_bandwidth(vals)
-    scores = kde_scores(vals, h)
+    f = kde_density(vals, h, vals)
     brute = _brute_kde(vals, h)
-    for s, b in zip(scores, brute):
-        assert s.f_value == pytest.approx(b, rel=1e-12)
-        assert s.f_value > 0
+    for s, b in zip(f, brute):
+        assert s == pytest.approx(b, rel=1e-12)
+        assert s > 0
 
 
 def test_subset_size_rules():
@@ -164,28 +163,35 @@ def test_subset_size_rules():
         subset_size(10, 101)
 
 
-def test_select_top_density_counts_and_order():
-    scores = [DensityScore(f"s{i}", f) for i, f in enumerate([0.5, 0.9, 0.1, 0.7])]
-    res = select_top_density(scores, 50)
+def _keep_densest(f, percent):
+    """The ranking select_by_density applies to its densities f."""
+    ids = [f"s{i}" for i in range(len(f))]
+    return selection_from_order("grads", percent, ids, descending_order(f), f)
+
+
+def test_densest_counts_and_order():
+    res = _keep_densest([0.5, 0.9, 0.1, 0.7], 50)
     assert res.selected_ids == ("s1", "s3")
     assert res.ordered_ids == ("s1", "s3")
-    full = select_top_density(scores, 100)
+    full = _keep_densest([0.5, 0.9, 0.1, 0.7], 100)
     assert full.selected_ids == ("s0", "s1", "s2", "s3")
 
 
-def test_select_top_density_tie_break_by_index():
-    scores = [DensityScore(f"s{i}", 1.0) for i in range(4)]
-    res = select_top_density(scores, 50)
+def test_densest_tie_break_by_index():
+    res = _keep_densest([1.0] * 4, 50)
     assert res.selected_ids == ("s0", "s1")
 
 
-def test_select_top_density_boundary_dominance():
+def test_select_by_density_boundary_dominance():
     rng = np.random.default_rng(3)
     vals = rng.uniform(size=31)
-    scores = [DensityScore(f"s{i}", float(v)) for i, v in enumerate(vals)]
-    res = select_top_density(scores, 37)
-    kept = {s.f_value for s in scores if s.instance_id in res.selected_ids}
-    dropped = {s.f_value for s in scores if s.instance_id not in res.selected_ids}
+    ids = [f"s{i}" for i in range(31)]
+    res = select_by_density(vals, ids, 37, "grads")
+    assert res.bandwidth == silverman_bandwidth(vals)
+    assert list(res.f_values.values()) == kde_density(vals, res.bandwidth, vals).tolist()
+    kept = {f for i, f in res.f_values.items() if i in res.selected_ids}
+    dropped = {f for i, f in res.f_values.items() if i not in res.selected_ids}
+    assert len(kept) == subset_size(31, 37)
     assert min(kept) >= max(dropped)
 
 
@@ -272,7 +278,9 @@ def test_unknown_strategy_and_empty_records():
     with pytest.raises(ValueError):
         select_strategy([], "grads", 50)
     with pytest.raises(ValueError):
-        select_top_density([], 50)
+        select_by_density(np.array([]), [], 50, "grads")
+    with pytest.raises(ValueError):
+        _keep_densest([], 50)
 
 
 def test_permutation_invariance_of_selected_set():
@@ -316,6 +324,5 @@ def test_numpy_rankings_match_sorted_reference():
             res = select_strategy(recs, strategy, 50)
             assert res.ordered_ids == tuple(recs[i].instance_id for i in ref)
             assert res.selected_ids == tuple(recs[i].instance_id for i in sorted(ref))
-        scores = [DensityScore(f"s{i}", float(v)) for i, v in enumerate(x)]
-        res = select_top_density(scores, 50)
+        res = _keep_densest(x, 50)
         assert res.ordered_ids == tuple(f"s{i}" for i in desc[:size])
