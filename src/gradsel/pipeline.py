@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import baselines, selector
+from . import baselines
 from .corpus import (
     ROLE_RESPONSE,
     Instance,

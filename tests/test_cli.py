@@ -1,7 +1,6 @@
 """Command-line interface tests: exit codes, wiring, and output files."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
