@@ -150,3 +150,30 @@ def test_compare_smoke_and_error_cells(workspace, capsys, monkeypatch):
                  "--fraction", "50", "--out", str(root / "cmp2")])
     assert code == 1
     assert "ERROR forced failure" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def bare_records(workspace):
+    """Records extracted with their meta, the checkpoint next to them removed."""
+    root, cfg = workspace
+    assert main(["extract", "--config", cfg, "--out", str(root / "bare")]) == 0
+    (root / "bare" / "extract_model.json").unlink()
+    return str(root / "bare" / "records.jsonl")
+
+
+@pytest.mark.parametrize("name", ["rds", "less", "ppl"])
+def test_a_model_baseline_with_no_checkpoint_exits_one(workspace, bare_records, capsys,
+                                                       name):
+    root, cfg = workspace
+    assert main(["baseline", "--config", cfg, "--records", bare_records,
+                 "--strategy", name, "--out", str(root / "bare_sel")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {name} needs a reference model")
+
+
+def test_compare_over_records_with_no_checkpoint_has_an_error_row(workspace, bare_records,
+                                                                 capsys):
+    root, cfg = workspace
+    assert main(["compare", "--config", cfg, "--strategy", "rds", "--fraction", "50",
+                 "--records", bare_records, "--out", str(root / "bare_cmp")]) == 1
+    assert "rds@50: ERROR rds needs a reference model\n" in capsys.readouterr().out

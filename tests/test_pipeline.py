@@ -19,6 +19,7 @@ from gradsel.pipeline import (
     run_compare,
     run_eval,
     run_extract,
+    run_baseline,
     run_pilot,
     run_select,
     run_synth,
@@ -26,7 +27,8 @@ from gradsel.pipeline import (
     sha256_file,
 )
 from gradsel.selector import silverman_bandwidth
-from gradsel.tinylm import extract_epoch, load_checkpoint, model_fingerprint, save_checkpoint
+from gradsel.tinylm import (extract_epoch, init_model, load_checkpoint, model_fingerprint,
+                            save_checkpoint)
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -445,3 +447,55 @@ def test_manifest_merges_across_commands(corpus_dir, tmp_path):
     assert expected <= set(manifest["files"])
     for name in expected:
         assert manifest["files"][name] == sha256_file(str(tmp_path / name))
+
+
+def _records_without_checkpoint(out, where) -> str:
+    """A copy of the extracted records and their meta, with no checkpoint."""
+    for name in ("records.jsonl", "extract_meta.json"):
+        (where / name).write_bytes(Path(os.path.dirname(out["records"]), name).read_bytes())
+    return str(where / "records.jsonl")
+
+
+@pytest.mark.parametrize("name", ["rds", "less", "ppl"])
+def test_a_model_baseline_with_no_checkpoint_needs_a_reference_model(extract_run, tmp_path,
+                                                                    name):
+    cfg, out = extract_run
+    records = _records_without_checkpoint(out, tmp_path)
+    with pytest.raises(ValueError, match=f"^{name} needs a reference model"):
+        run_baseline(replace(cfg, out_dir=str(tmp_path / "sel")), name, records, 50.0)
+    assert not (tmp_path / "sel").exists()
+
+
+def test_bm25_with_no_query_split_is_refused(extract_run, tmp_path):
+    cfg, out = extract_run
+    with pytest.raises(ValueError, match="^bm25 needs a nonempty query split$"):
+        run_baseline(replace(cfg, out_dir=str(tmp_path), query_size=0), "bm25",
+                     out["records"], 50.0)
+
+
+def test_compare_refuses_records_that_miss_a_pool_instance(extract_run, tmp_path):
+    cfg, out = extract_run
+    records = _records_without_checkpoint(out, tmp_path)
+    dropped = min(prepare(cfg).split.train)
+    write_records([r for r in read_records(records) if r.instance_id != dropped], records)
+    with pytest.raises(RuntimeError,
+                       match=r"^records do not cover the training pool \(1 missing\)$"):
+        run_compare(replace(cfg, out_dir=str(tmp_path / "cmp")), ["grads"], [50.0],
+                    records_path=records)
+
+
+def test_eval_refuses_a_checkpoint_of_another_vocabulary(extract_run, tmp_path):
+    cfg, _ = extract_run
+    path = str(tmp_path / "model.json")
+    save_checkpoint(init_model(cfg.model_config(prepare(cfg).tok.vocab_size + 1)), path)
+    with pytest.raises(RuntimeError,
+                       match="^checkpoint vocabulary does not match the dataset tokenizer$"):
+        run_eval(replace(cfg, out_dir=str(tmp_path / "eval")), path)
+
+
+def test_train_refuses_a_selection_with_no_pool_instance(extract_run, tmp_path):
+    cfg, _ = extract_run
+    sel = tmp_path / "selection_test.jsonl"
+    sel.write_text("".join(json.dumps({"id": i}) + "\n" for i in prepare(cfg).split.test))
+    with pytest.raises(ValueError, match="^selection contains no training-pool instances$"):
+        run_train(replace(cfg, out_dir=str(tmp_path / "train")), str(sel))
