@@ -92,11 +92,12 @@ class Tokenizer:
 def open_atomic(path: str):
     """A UTF-8 text stream that replaces the file at path when the block ends.
 
-    The text goes to a temporary file in the same directory, which
-    os.replace moves over path once the block has finished. A block that
-    raises removes the temporary file and leaves path as it was, so no
-    reader (nor a manifest hash) ever meets a half-written artifact.
+    The text goes to a temporary file in the same directory (made if
+    missing), which os.replace moves over path once the block has finished.
+    A block that raises removes the temporary file and leaves path as it
+    was, so no reader (nor a manifest hash) ever meets a half-written artifact.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

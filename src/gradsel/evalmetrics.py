@@ -21,14 +21,6 @@ METEOR_GAMMA = 0.5
 METEOR_BETA = 3.0
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    name: str
-    corpus_score: float
-    per_instance: tuple[float, ...]
-    config: dict
-
-
 def greedy_decode(model: Model, prompts: list[list[int]], max_new: list[int],
                   eos_id: int = Tokenizer.eos) -> list[list[int]]:
     """Argmax continuation of each prompt; each stops at EOS or its budget.
@@ -78,25 +70,8 @@ def _brevity_penalty(c: int, r: int) -> float:
     return 1.0 if c > r else math.exp(1.0 - r / c)
 
 
-def _instance_bleu(cand: list, ref: list, max_order: int) -> float:
-    # add-1 smoothing on orders above 1 keeps short-text scores informative
-    if not cand:
-        return 0.0
-    logs = 0.0
-    for n in range(1, max_order + 1):
-        m, tot = _clipped_matches(cand, ref, n)
-        if n == 1:
-            if m == 0:
-                return 0.0
-            p = m / tot
-        else:
-            p = (m + 1.0) / (tot + 1.0)
-        logs += math.log(p)
-    return _brevity_penalty(len(cand), len(ref)) * math.exp(logs / max_order)
-
-
-def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> MetricReport:
-    """Corpus BLEU (unsmoothed) plus smoothed per-instance scores."""
+def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> float:
+    """Corpus BLEU, unsmoothed: 0.0 when some n-gram order has no match."""
     if not candidates:
         raise ValueError("no candidates to score")
     if len(candidates) != len(references):
@@ -113,12 +88,9 @@ def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> 
     c = sum(len(x) for x in candidates)
     r = sum(len(x) for x in references)
     if any(m == 0 for m in match_sum):
-        corpus = 0.0
-    else:
-        logs = sum(math.log(m / t) for m, t in zip(match_sum, total_sum))
-        corpus = _brevity_penalty(c, r) * math.exp(logs / max_order)
-    per = tuple(_instance_bleu(cd, rf, max_order) for cd, rf in zip(candidates, references))
-    return MetricReport("bleu", corpus, per, {"max_order": max_order})
+        return 0.0
+    logs = sum(math.log(m / t) for m, t in zip(match_sum, total_sum))
+    return _brevity_penalty(c, r) * math.exp(logs / max_order)
 
 
 def _lcs_len(a: list, b: list) -> int:
@@ -250,17 +222,16 @@ def meteor_lite(candidate: list, reference: list) -> float:
     return f_mean * (1.0 - penalty)
 
 
-def meteor_report(candidates: list[list], references: list[list]) -> MetricReport:
-    per = tuple(meteor_lite(c, r) for c, r in zip(candidates, references))
-    corpus = float(np.mean(per)) if per else 0.0
-    return MetricReport("meteor_lite", corpus, per,
-                        {"alpha": METEOR_ALPHA, "gamma": METEOR_GAMMA, "beta": METEOR_BETA})
+def meteor_report(candidates: list[list], references: list[list]) -> float:
+    """Mean meteor_lite over the pairs (0.0 for none)."""
+    per = [meteor_lite(c, r) for c, r in zip(candidates, references)]
+    return float(np.mean(per)) if per else 0.0
 
 
-def rouge_report(candidates: list[list], references: list[list]) -> MetricReport:
-    per = tuple(rouge_l(c, r) for c, r in zip(candidates, references))
-    corpus = float(np.mean(per)) if per else 0.0
-    return MetricReport("rouge_l", corpus, per, {})
+def rouge_report(candidates: list[list], references: list[list]) -> float:
+    """Mean rouge_l over the pairs (0.0 for none)."""
+    per = [rouge_l(c, r) for c, r in zip(candidates, references)]
+    return float(np.mean(per)) if per else 0.0
 
 
 @dataclass(frozen=True)

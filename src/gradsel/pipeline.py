@@ -45,7 +45,7 @@ from .tinylm import (
     ModelConfig,
     TrainHyper,
     Trainer,
-    extract_epoch,
+    frozen_gradients,
     init_model,
     load_checkpoint,
     model_fingerprint,
@@ -215,21 +215,9 @@ class _LastValue:
         return self._value
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def write_json(path: str, obj) -> None:
     with open_atomic(path) as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -245,7 +233,7 @@ def _read_sidecar(path: str) -> _Sidecar:
     return _from_json(_Sidecar, obj, path, ignore_unknown=True)
 
 
-def write_manifest(out_dir: str, filenames: list[str]) -> str:
+def write_manifest(out_dir: str, filenames: list[str]) -> None:
     """Hash every deterministic artifact of a command run.
 
     Entries accumulate across commands sharing one output directory; a
@@ -256,7 +244,6 @@ def write_manifest(out_dir: str, filenames: list[str]) -> str:
     for name in filenames:
         entries[name] = sha256_file(os.path.join(out_dir, name))
     write_json(path, {"files": entries})
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +377,18 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     """Gradient records for every instance in the dataset file."""
     t0 = time.perf_counter()
     prep = prep or prepare(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     model = build_reference_model(cfg, prep)
     fingerprint = model_fingerprint(model.cfg)
-    model, records = extract_epoch(
-        model, prep.seqs, cfg.train_hyper(epochs=1), cfg.mode,
-        reduce=lambda bundle, seq: aggregate_instance(bundle, seq, fingerprint,
-                                                      cfg.norm_mode),
-    )
+    reduce = functools.partial(aggregate_instance, fingerprint=fingerprint,
+                               norm_mode=cfg.norm_mode)
+    # frozen: pure measurement against the warmup parameters; online: one
+    # training epoch, each instance measured at the step that consumes it
+    if cfg.mode == "frozen":
+        records = frozen_gradients(model, prep.seqs, reduce)
+    else:
+        hyper = cfg.train_hyper(epochs=1)
+        trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
+        records = trainer.run(prep.seqs, reduce=reduce)
     records.sort(key=lambda r: r.instance_id)
 
     records_path = os.path.join(cfg.out_dir, RECORDS_FILE)
@@ -424,6 +415,20 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
         "meta": meta_path,
         "n_records": len(records),
     }
+
+
+def _resolve_records(cfg: RunConfig, prep: Prepared, records_path: str | None,
+                     force: bool) -> tuple[str, list[GradientRecord], str, str | None]:
+    """Extract into cfg.out_dir when records_path is None, else check the
+    records' provenance; returns the records path, its records and their
+    hash, and the path of the reference checkpoint next to them (or None)."""
+    if records_path is None:
+        records_path = run_extract(cfg, prep)["records"]
+    else:
+        check_provenance(records_path, prep, cfg, force)
+    records, records_hash = _read_records_hashed(records_path)
+    checkpoint = extract_sibling(records_path, EXTRACT_MODEL_FILE)
+    return records_path, records, records_hash, checkpoint
 
 
 def extract_sibling(records_path: str, name: str) -> str | None:
@@ -492,10 +497,10 @@ def write_selection(
     records_path: str,
     records_hash: str,
     dataset_hash: str,
-) -> list[str]:
+) -> str:
     """Write selection_<stem>.jsonl (rank order, one line per selected
-    instance) and selection_<stem>_meta.json into out_dir; returns both file
-    names for the manifest."""
+    instance) and selection_<stem>_meta.json into out_dir, and record both
+    in its manifest; returns the selection file name."""
     records_by_id = {r.instance_id: r for r in records}
     lines = []
     for rank, inst_id in enumerate(result.ordered_ids, start=1):
@@ -504,7 +509,6 @@ def write_selection(
         lines.append(f'{{"id": {json.dumps(inst_id)}, "rank": {rank}, '
                      f'"f_value": {"null" if f_val is None else _fmt(f_val)}, '
                      f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}')
-    os.makedirs(out_dir, exist_ok=True)
     sel_file = f"selection_{stem}.jsonl"
     with open_atomic(os.path.join(out_dir, sel_file)) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -522,7 +526,8 @@ def write_selection(
     }
     meta_file = f"selection_{stem}_meta.json"
     write_json(os.path.join(out_dir, meta_file), meta)
-    return [sel_file, meta_file]
+    write_manifest(out_dir, [sel_file, meta_file])
+    return sel_file
 
 
 def _select_from_records(cfg: RunConfig, name: str, records_path: str,
@@ -531,19 +536,15 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
     """The select and baseline commands: one named selection over a record
     file, written with its meta and manifest entries into cfg.out_dir."""
     prep = prepare(cfg)
-    check_provenance(records_path, prep, cfg, force)
-    fraction = cfg.fraction if fraction is None else fraction
-    records, records_hash = _read_records_hashed(records_path)
-    ref_model = None
-    if name in MODEL_BASELINES:
-        model_path = model_path or extract_sibling(records_path, EXTRACT_MODEL_FILE)
-        if model_path is None:
-            raise ValueError(f"{name} needs a reference model checkpoint")
-        ref_model = load_checkpoint(model_path)
-    result = run_selection_by_name(name, fraction, records, prep, cfg, ref_model)
-    files = write_selection(cfg.out_dir, name, result, records, records_path,
-                           records_hash, prep.dataset_hash)
-    write_manifest(cfg.out_dir, files)
+    records_path, records, records_hash, checkpoint = _resolve_records(
+        cfg, prep, records_path, force)
+    model_path = model_path or checkpoint
+    ref_model = (load_checkpoint(model_path)
+                 if name in MODEL_BASELINES and model_path is not None else None)
+    result = run_selection_by_name(name, cfg.fraction if fraction is None else fraction,
+                                   records, prep, cfg, ref_model)
+    write_selection(cfg.out_dir, name, result, records, records_path, records_hash,
+                    prep.dataset_hash)
     return result
 
 
@@ -680,9 +681,9 @@ def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
     outs = greedy_decode(model, prompts, [len(ref) for ref in refs])
     cands = [[tok.id_to_token[t] for t in out] for out in outs]
     return {
-        "bleu": bleu(cands, refs).corpus_score,
-        "rouge_l": rouge_report(cands, refs).corpus_score,
-        "meteor": meteor_report(cands, refs).corpus_score,
+        "bleu": bleu(cands, refs),
+        "rouge_l": rouge_report(cands, refs),
+        "meteor": meteor_report(cands, refs),
     }
 
 
@@ -709,7 +710,6 @@ def run_train(
         selection_hash = sha256_file(selection_path)
     t0 = time.perf_counter()
     model, epoch_losses = fine_tune(cfg, prep, train_ids, cfg.epochs)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_file = "model.json"
     save_checkpoint(model, os.path.join(cfg.out_dir, ckpt_file))
     meta = {
@@ -746,7 +746,6 @@ def run_eval(cfg: RunConfig, model_path: str) -> dict:
         "model_file": os.path.basename(model_path),
         "model_hash": sha256_file(model_path),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_json(os.path.join(cfg.out_dir, "eval.json"), out)
     write_manifest(cfg.out_dir, ["eval.json"])
     return out
@@ -764,20 +763,13 @@ def run_pilot(
 ) -> dict:
     """Decile report over gradient records, CSV for plotting."""
     prep = prepare(cfg)
-    if records_path is None:
-        extract = run_extract(cfg, prep)
-        records_path = extract["records"]
-        model_path = model_path or extract["model"]
-    else:
-        check_provenance(records_path, prep, cfg, force)
-        model_path = model_path or extract_sibling(records_path, EXTRACT_MODEL_FILE)
-    records, records_hash = _read_records_hashed(records_path)
+    _, records, records_hash, checkpoint = _resolve_records(cfg, prep, records_path, force)
+    model_path = model_path or checkpoint
     if model_path is None:
         base_model = init_model(cfg.model_config(prep.tok.vocab_size))
     else:
         base_model = load_checkpoint(model_path)
     report = pilot_deciles(records, prep.seqs, base_model)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open_atomic(os.path.join(cfg.out_dir, "deciles.csv")) as fh:
         fh.write(report.to_csv())
     meta = {
@@ -804,12 +796,6 @@ class ExperimentReport:
     records_hash: str
     split_sizes: dict[str, int]
     timings: dict[str, float] = field(default_factory=dict)
-
-    def row(self, name: str) -> dict:
-        for r in self.rows:
-            if r["row"] == name:
-                return r
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
@@ -869,7 +855,6 @@ def run_compare(
     """
     t_start = time.perf_counter()
     prep = prepare(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for name in strategies:
         if name not in STRATEGIES + BASELINE_NAMES:
             raise ValueError(f"unknown strategy {name!r}")
@@ -882,20 +867,10 @@ def run_compare(
             raise ValueError(f"compare row {row_name} is repeated")
 
     timings: dict[str, float] = {}
-    produced: list[str] = []
-
     t0 = time.perf_counter()
-    ref_model: Model | None
-    if records_path is None:
-        extract = run_extract(cfg, prep)
-        records_path = extract["records"]
-        ref_model = load_checkpoint(extract["model"])
-        produced += [RECORDS_FILE, EXTRACT_META_FILE, EXTRACT_MODEL_FILE]
-    else:
-        check_provenance(records_path, prep, cfg, force)
-        sibling = extract_sibling(records_path, EXTRACT_MODEL_FILE)
-        ref_model = None if sibling is None else load_checkpoint(sibling)
-    records, records_hash = _read_records_hashed(records_path)
+    records_path, records, records_hash, checkpoint = _resolve_records(
+        cfg, prep, records_path, force)
+    ref_model = None if checkpoint is None else load_checkpoint(checkpoint)
     timings["extract"] = time.perf_counter() - t0
 
     pool = set(prep.split.train)
@@ -927,11 +902,9 @@ def run_compare(
             try:
                 result = run_selection_by_name(name, frac, pool_records, prep, cfg,
                                                ref_model)
-                files = write_selection(cfg.out_dir, f"{name}_{frac:g}", result,
-                                       pool_records, records_path, records_hash,
-                                       prep.dataset_hash)
-                produced += files
-
+                sel_file = write_selection(cfg.out_dir, f"{name}_{frac:g}", result,
+                                           pool_records, records_path, records_hash,
+                                           prep.dataset_hash)
                 row = _train_and_eval_row(
                     row_name, cfg, prep, list(result.selected_ids), epochs
                 )
@@ -941,8 +914,8 @@ def run_compare(
                 row["gradient_percentiles"] = gradient_percentile_summary(
                     result.selected_ids, pool_records
                 )
-                row["selection_file"] = files[0]
-                row["selection_hash"] = sha256_file(os.path.join(cfg.out_dir, files[0]))
+                row["selection_file"] = sel_file
+                row["selection_hash"] = sha256_file(os.path.join(cfg.out_dir, sel_file))
             except (ValueError, RuntimeError) as exc:
                 row = {"row": row_name, "strategy": name, "fraction_percent": frac,
                        "error": str(exc)}
@@ -959,7 +932,7 @@ def run_compare(
     )
     write_json(os.path.join(cfg.out_dir, "report.json"), report.to_dict())
     write_json(os.path.join(cfg.out_dir, TIMINGS_FILE), timings)
-    write_manifest(cfg.out_dir, produced + ["report.json"])
+    write_manifest(cfg.out_dir, ["report.json"])
     return report
 
 
@@ -976,7 +949,6 @@ def run_synth(
 ) -> str:
     """Write a labeled synthetic corpus and its manifest; returns the path."""
     instances = synth_corpus(SynthSpec(n_domain, n_noise, n_trivial, seed))
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "dataset.jsonl")
     save_dataset(instances, path)
     write_manifest(out_dir, ["dataset.jsonl"])

@@ -15,7 +15,7 @@ from .model import (
 from .training import (
     TrainHyper,
     Trainer,
-    extract_epoch,
+    frozen_gradients,
     total_update_steps,
     warmup_lr,
 )

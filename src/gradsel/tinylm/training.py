@@ -1,4 +1,4 @@
-"""Adam training loop, single-epoch gradient extraction, and checkpointing glue.
+"""Adam training loop and the frozen per-instance gradient pass.
 
 The loop is deliberately plain: each update runs one forward/backward over
 the padded batch, the instance gradients are averaged into the batch
@@ -9,7 +9,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,34 +204,3 @@ def frozen_gradients(model: Model, seqs: list[TokenSequence], reduce) -> list:
         _check_losses(batch, res.losses, "frozen extraction")
         reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)
     return reduced
-
-
-def extract_epoch(
-    model: Model,
-    seqs: list[TokenSequence],
-    hyper: TrainHyper,
-    mode: str = "online",
-    *,
-    reduce,
-) -> tuple[Model, list]:
-    """Capture every instance's raw token gradients exactly once.
-
-    Each batch's bundles go through reduce(bundle, seq) before the next batch
-    runs, so no bundle, nor its (n_loss, V) logit-gradient rows, outlives its
-    batch; the returned list holds what reduce returned, in consumption order.
-    online: one training epoch; each bundle reflects the parameters at the
-    step where its instance is consumed, so bundle values depend on shuffle
-    order (faithful to extract-while-training).
-    frozen: frozen_gradients, pure measurement against fixed parameters; the
-    training batch_size does not apply.
-    """
-    if not seqs:
-        raise ValueError("empty dataset")
-    if mode == "frozen":
-        return model, frozen_gradients(model, seqs, reduce)
-    if mode != "online":
-        raise ValueError(f"unknown extraction mode {mode!r}")
-
-    one_epoch = replace(hyper, epochs=1)
-    trainer = Trainer(model, one_epoch, total_update_steps(len(seqs), one_epoch))
-    return model, trainer.run(seqs, reduce=reduce)

@@ -110,8 +110,12 @@ def trend_runs(tmp_path_factory):
     return runs
 
 
+def _row(report, name: str) -> dict:
+    return next(r for r in report.rows if r["row"] == name)
+
+
 def _row_mean(runs, name, key):
-    return float(np.mean([r["report"].row(name)[key] for r in runs.values()]))
+    return float(np.mean([_row(r["report"], name)[key] for r in runs.values()]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +439,8 @@ def test_criterion_11_cross_model_transfer(tmp_path):
     report = run_compare(
         cfg_b, ["grads", "random"], [50.0], records_path=extracted["records"]
     )
-    grads_b = report.row("grads@50")["bleu"]
-    rand_b = report.row("random@50")["bleu"]
+    grads_b = _row(report, "grads@50")["bleu"]
+    rand_b = _row(report, "random@50")["bleu"]
     ok = grads_b > rand_b
     _verdict(11, ok, f"d=16 records -> d=32 tuning: bleu {grads_b:.3f} > random {rand_b:.3f}")
     assert grads_b > rand_b

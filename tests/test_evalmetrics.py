@@ -12,6 +12,7 @@ import pytest
 from gradsel.corpus import SynthSpec, build_vocab, encode_instance, synth_corpus
 from gradsel.evalmetrics import (
     DecileReport,
+    _min_chunks,
     bleu,
     decile_slices,
     greedy_decode,
@@ -34,21 +35,19 @@ from gradsel.tinylm.model import SCORE_BATCH
 
 
 def test_bleu_identity_and_disjoint():
-    assert bleu([["a", "b", "c", "d"]], [["a", "b", "c", "d"]]).corpus_score == pytest.approx(1.0)
-    assert bleu([["x", "y", "z", "w"]], [["a", "b", "c", "d"]]).corpus_score == 0.0
+    assert bleu([["a", "b", "c", "d"]], [["a", "b", "c", "d"]]) == pytest.approx(1.0)
+    assert bleu([["x", "y", "z", "w"]], [["a", "b", "c", "d"]]) == 0.0
 
 
 def test_bleu_brevity_penalty_hand_value():
-    rep = bleu([["a", "b", "c", "d"]], [["a", "b", "c", "d", "e"]])
-    assert rep.corpus_score == pytest.approx(math.exp(1 - 5 / 4), rel=1e-12)
-    assert rep.corpus_score == pytest.approx(0.7788, abs=5e-5)
+    score = bleu([["a", "b", "c", "d"]], [["a", "b", "c", "d", "e"]])
+    assert score == pytest.approx(math.exp(1 - 5 / 4), rel=1e-12)
+    assert score == pytest.approx(0.7788, abs=5e-5)
 
 
 def test_bleu_zero_when_any_order_empty():
     # unigrams overlap but no common bigram
-    rep = bleu([["a", "c", "b"]], [["a", "x", "b"]], max_order=2)
-    assert rep.corpus_score == 0.0
-    assert rep.per_instance[0] > 0.0  # smoothed per-instance stays informative
+    assert bleu([["a", "c", "b"]], [["a", "x", "b"]], max_order=2) == 0.0
 
 
 def _brute_clipped(cand, ref, n):
@@ -80,14 +79,14 @@ def test_bleu_clipping_matches_brute_force():
             logs = sum(math.log(m / t) for m, t in zip(match_sum, total_sum))
             bp = 1.0 if len(cand) > len(ref) else math.exp(1 - len(ref) / len(cand))
             expected = bp * math.exp(logs / 4)
-        assert bleu([cand], [ref]).corpus_score == pytest.approx(expected, rel=1e-12)
+        assert bleu([cand], [ref]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bleu_corpus_invariant_to_pair_order():
     cands = [["a", "b", "c", "d"], ["e", "f", "g", "h"], ["a", "a", "b", "c"]]
     refs = [["a", "b", "c", "d"], ["e", "f", "x", "h"], ["a", "b", "b", "c"]]
-    fwd = bleu(cands, refs).corpus_score
-    rev = bleu(cands[::-1], refs[::-1]).corpus_score
+    fwd = bleu(cands, refs)
+    rev = bleu(cands[::-1], refs[::-1])
     assert fwd == pytest.approx(rev, rel=1e-15)
 
 
@@ -216,12 +215,33 @@ def test_meteor_chunks_match_exhaustive_oracle():
         assert meteor_lite(cand, ref) == pytest.approx(expected, rel=1e-12)
 
 
+def test_meteor_greedy_fallback_hand_value():
+    # node_cap=0 stops the exact search at its first node. Greedy aligns
+    # a->0, x->2, then b->1 in three runs; the exact search skips the first
+    # "a" and takes "a b" as one run, plus "x": two.
+    cand, ref = ["a", "x", "a", "b"], ["a", "b", "x"]
+    quota = Counter(cand) & Counter(ref)
+    assert _min_chunks(cand, ref, quota, node_cap=0) == 3
+    assert _min_chunks(cand, ref, quota) == _chunks_oracle(cand, ref) == 2
+
+
+def test_meteor_greedy_fallback_never_beats_the_exact_search():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        cand = [f"w{int(x)}" for x in rng.integers(0, 4, rng.integers(1, 9))]
+        ref = [f"w{int(x)}" for x in rng.integers(0, 4, rng.integers(1, 9))]
+        quota = Counter(cand) & Counter(ref)
+        if quota:
+            exact = _min_chunks(cand, ref, quota)
+            assert exact <= _min_chunks(cand, ref, quota, node_cap=0) <= sum(quota.values())
+
+
 def test_scores_bounded():
     rng = np.random.default_rng(4)
     for _ in range(25):
         cand = [int(x) for x in rng.integers(0, 3, rng.integers(1, 9))]
         ref = [int(x) for x in rng.integers(0, 3, rng.integers(1, 9))]
-        for v in (bleu([cand], [ref]).corpus_score, rouge_l(cand, ref),
+        for v in (bleu([cand], [ref]), rouge_l(cand, ref),
                   meteor_lite(cand, ref)):
             assert 0.0 <= v <= 1.0
 

@@ -27,8 +27,8 @@ from gradsel.pipeline import (
     sha256_file,
 )
 from gradsel.selector import silverman_bandwidth
-from gradsel.tinylm import (extract_epoch, init_model, load_checkpoint, model_fingerprint,
-                            save_checkpoint)
+from gradsel.tinylm import (Trainer, frozen_gradients, init_model, load_checkpoint,
+                            model_fingerprint, save_checkpoint, total_update_steps)
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -95,6 +95,10 @@ def test_extract_covers_dataset(extract_run):
     assert len({r.instance_id for r in records}) == 90
 
 
+def _pair(bundle, seq):
+    return bundle, seq
+
+
 def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
     # reference: keep every raw bundle of the epoch, aggregate, sort by id
     for mode in ("frozen", "online"):
@@ -103,8 +107,12 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         prep = prepare(cfg)
         model = pipeline.build_reference_model(cfg, prep)
         fingerprint = model_fingerprint(model.cfg)
-        _, pairs = extract_epoch(model, prep.seqs, cfg.train_hyper(epochs=1), mode,
-                                 reduce=lambda bundle, seq: (bundle, seq))
+        hyper = cfg.train_hyper(epochs=1)
+        if mode == "frozen":
+            pairs = frozen_gradients(model, prep.seqs, _pair)
+        else:
+            trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
+            pairs = trainer.run(prep.seqs, reduce=_pair)
         expected = [aggregate_instance(b, s, fingerprint, cfg.norm_mode) for b, s in pairs]
         ids = [r.instance_id for r in records]
         assert ids == sorted(ids)
@@ -363,15 +371,19 @@ def test_train_then_eval_roundtrip(corpus_dir, extract_run, tmp_path):
     assert os.path.isfile(tmp_path / "eval" / "eval.json")
 
 
+def _row(report, name: str) -> dict:
+    return next(r for r in report.rows if r["row"] == name)
+
+
 def test_compare_layout_identity_and_traceability(corpus_dir, tmp_path):
     cfg = _cfg(corpus_dir, str(tmp_path / "cmp"))
     report = run_compare(cfg, ["grads", "random"], [50.0, 100.0])
     assert len(report.rows) == 2 * 2 + 2
     assert report.rows[0]["row"] == "base" and report.rows[1]["row"] == "all"
     # N=100 selection is the identity, so the row must equal the all row
-    full = report.row("all")
+    full = _row(report, "all")
     for name in ("grads@100", "random@100"):
-        row = report.row(name)
+        row = _row(report, name)
         assert row["error"] is None
         for key in ("bleu", "rouge_l", "meteor"):
             assert row[key] == full[key]
@@ -412,8 +424,8 @@ def test_compare_records_error_cells(corpus_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "run_selection_by_name", boom)
     cfg = _cfg(corpus_dir, str(tmp_path))
     report = run_compare(cfg, ["grads", "random"], [50.0])
-    assert report.row("random@50")["error"] == "forced failure"
-    assert report.row("grads@50")["error"] is None
+    assert _row(report, "random@50")["error"] == "forced failure"
+    assert _row(report, "grads@50")["error"] is None
     saved = json.loads((tmp_path / "report.json").read_text())
     assert len(saved["rows"]) == 4
 

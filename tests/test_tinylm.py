@@ -22,8 +22,8 @@ from gradsel.tinylm import (
     ModelConfig,
     TrainHyper,
     Trainer,
-    extract_epoch,
     forward,
+    frozen_gradients,
     init_model,
     load_checkpoint,
     loss_and_grads,
@@ -370,8 +370,7 @@ def test_full_score_batch_is_bit_identical_to_batches_of_one():
                                 1 + (11 * i) % (36 - t_prompt), f"s{i}"))
     assert len({len(s) for s in seqs}) > 10
     m = init_model(WIDE)
-    _, bundles = extract_epoch(m, seqs, TrainHyper(batch_size=1), mode="frozen",
-                               reduce=_keep)
+    bundles = frozen_gradients(m, seqs, _keep)
     for bundle, seq in zip(bundles, seqs):
         _, _, one = _run(m, [seq], want_param_grads=False)
         assert bundle.loss == one.losses[0]
@@ -491,14 +490,18 @@ def _keep(bundle, seq):
     return bundle
 
 
+def _online_epoch(model, seqs, hyper):
+    """Every raw bundle of one training epoch, each taken before its update."""
+    return Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run(seqs, reduce=_keep)
+
+
 def test_extract_frozen_order_independent():
     m = init_model(TINY)
     seqs = [_random_seq(np.random.default_rng(60 + i), TINY) for i in range(8)]
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
-    _, bundles = extract_epoch(m, seqs, TrainHyper(), mode="frozen", reduce=_keep)
-    _, shuffled = extract_epoch(m, list(reversed(seqs)), TrainHyper(), mode="frozen",
-                                reduce=_keep)
+    bundles = frozen_gradients(m, seqs, _keep)
+    shuffled = frozen_gradients(m, list(reversed(seqs)), _keep)
     by_id = {b.instance_id: b for b in shuffled}
     for b in bundles:
         assert np.array_equal(b.g_emb, by_id[b.instance_id].g_emb)
@@ -511,10 +514,9 @@ def test_extract_online_single_batch_matches_frozen():
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     frozen_model = init_model(TINY)
-    _, frozen = extract_epoch(frozen_model, seqs, TrainHyper(), mode="frozen", reduce=_keep)
-    online_model = init_model(TINY)
+    frozen = frozen_gradients(frozen_model, seqs, _keep)
     hyper = TrainHyper(batch_size=len(seqs), shuffle_seed=3)
-    _, online = extract_epoch(online_model, seqs, hyper, mode="online", reduce=_keep)
+    online = _online_epoch(init_model(TINY), seqs, hyper)
     assert sorted(b.instance_id for b in online) == sorted(b.instance_id for b in frozen)
     fro = {b.instance_id: b for b in frozen}
     for b in online:
@@ -527,7 +529,7 @@ def test_extract_online_one_bundle_per_instance():
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     m = init_model(TINY)
-    _, bundles = extract_epoch(m, seqs, TrainHyper(batch_size=2), mode="online", reduce=_keep)
+    bundles = _online_epoch(m, seqs, TrainHyper(batch_size=2))
     assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
     steps = {b.instance_id: b.step_index for b in bundles}
     assert min(steps.values()) == 0
@@ -561,7 +563,7 @@ def test_nonfinite_instance_loss_is_named():
         Trainer(m, TrainHyper(), 1).apply_batch(seqs)
     assert np.array_equal(before, m.flat)  # no update was applied
     with pytest.raises(RuntimeError, match="instance bad has loss inf"):
-        extract_epoch(m, seqs, TrainHyper(batch_size=4), mode="frozen", reduce=_keep)
+        frozen_gradients(m, seqs, _keep)
 
 
 def test_last_only_trace_keeps_no_caches_and_refuses_backward():
