@@ -11,7 +11,6 @@ import pytest
 
 from gradsel.corpus import SynthSpec, build_vocab, encode_instance, synth_corpus
 from gradsel.evalmetrics import (
-    DecileReport,
     _min_chunks,
     bleu,
     decile_slices,

@@ -16,10 +16,10 @@ from gradsel.pipeline import (
     check_selection_provenance,
     load_config,
     prepare,
+    run_baseline,
     run_compare,
     run_eval,
     run_extract,
-    run_baseline,
     run_pilot,
     run_select,
     run_synth,
@@ -107,10 +107,10 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         prep = prepare(cfg)
         model = pipeline.build_reference_model(cfg, prep)
         fingerprint = model_fingerprint(model.cfg)
-        hyper = cfg.train_hyper(epochs=1)
         if mode == "frozen":
             pairs = frozen_gradients(model, prep.seqs, _pair)
         else:
+            hyper = cfg.train_hyper(epochs=1)
             trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
             pairs = trainer.run(prep.seqs, reduce=_pair)
         expected = [aggregate_instance(b, s, fingerprint, cfg.norm_mode) for b, s in pairs]
