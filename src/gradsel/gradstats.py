@@ -17,8 +17,6 @@ import numpy as np
 from .corpus import ROLE_SPECIAL, TokenSequence, _from_json, _json_lines, open_atomic
 from .tinylm.training import GradientBundle
 
-NORM_MODES = ("mean_of_norms", "norm_of_mean")
-
 
 @dataclass(frozen=True)
 class GradientRecord:
@@ -53,25 +51,13 @@ def token_vectors(bundle: GradientBundle,
     return bundle.g_emb[content], bundle.g_lm / bundle.weight
 
 
-def aggregate_instance(
-    bundle: GradientBundle,
-    seq: TokenSequence,
-    fingerprint: str,
-    norm_mode: str = "mean_of_norms",
-) -> GradientRecord:
+def aggregate_instance(bundle: GradientBundle, seq: TokenSequence,
+                       fingerprint: str) -> GradientRecord:
     """One scalar record from one instance's token_vectors: the mean L2 norm
-    of each side's rows. norm_of_mean averages the rows first and takes one
-    norm, kept for sensitivity analysis.
-    """
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"unknown norm_mode {norm_mode!r}")
+    of each side's rows."""
     emb_vecs, lm_vecs = token_vectors(bundle, seq)
-    if norm_mode == "mean_of_norms":
-        g_emb = float(np.linalg.norm(emb_vecs, axis=1).mean())
-        g_lm = float(np.linalg.norm(lm_vecs, axis=1).mean())
-    else:
-        g_emb = float(np.linalg.norm(emb_vecs.mean(axis=0)))
-        g_lm = float(np.linalg.norm(lm_vecs.mean(axis=0)))
+    g_emb = float(np.linalg.norm(emb_vecs, axis=1).mean())
+    g_lm = float(np.linalg.norm(lm_vecs, axis=1).mean())
     return GradientRecord(
         instance_id=bundle.instance_id,
         g_emb=g_emb,

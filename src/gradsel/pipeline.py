@@ -36,8 +36,7 @@ from .corpus import (
     _json_lines,
 )
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
-from .gradstats import (NORM_MODES, GradientRecord, _fmt, aggregate_instance,
-                        read_records, write_records)
+from .gradstats import GradientRecord, _fmt, aggregate_instance, read_records, write_records
 from .rng import ROLE_SPLIT, substream
 from .selector import STRATEGIES, SelectionResult, attach_strata, select_strategy
 from .tinylm import (
@@ -84,8 +83,6 @@ class RunConfig:
     n_layers: int = 2
     n_heads: int = 2
     d_ff: int = 64
-    tie_lm_head: bool = False
-    lm_grad_space: str = "logits"
 
     # optimization
     learning_rate: float = 3e-3
@@ -96,7 +93,6 @@ class RunConfig:
     # extraction
     mode: str = "frozen"
     warmup_steps: int = 200
-    norm_mode: str = "mean_of_norms"
 
     # selection
     strategy: str = "grads"
@@ -116,8 +112,6 @@ class RunConfig:
             raise ValueError(f"dataset not found: {self.dataset}")
         if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
         if not 0.0 < self.fraction <= 100.0:
             raise ValueError("fraction must lie in (0, 100]")
         if not 0.0 <= self.test_fraction < 1.0:
@@ -144,8 +138,6 @@ class RunConfig:
             vocab_size=vocab_size,
             max_seq_len=self.max_seq_len,
             init_seed=self.seed,
-            tie_lm_head=self.tie_lm_head,
-            lm_grad_space=self.lm_grad_space,
         )
 
     def train_hyper(self, epochs: int | None = None) -> TrainHyper:
@@ -233,8 +225,9 @@ def _read_sidecar(path: str) -> _Sidecar:
     return _from_json(_Sidecar, obj, path, ignore_unknown=True)
 
 
-def write_manifest(out_dir: str, filenames: list[str]) -> None:
-    """Hash every deterministic artifact of a command run.
+def write_manifest(out_dir: str, filenames: list[str]) -> dict[str, str]:
+    """Hash every deterministic artifact of a command run; returns the
+    manifest's entries, file name to sha256.
 
     Entries accumulate across commands sharing one output directory; a
     rehashed file simply replaces its previous entry.
@@ -244,6 +237,7 @@ def write_manifest(out_dir: str, filenames: list[str]) -> None:
     for name in filenames:
         entries[name] = sha256_file(os.path.join(out_dir, name))
     write_json(path, {"files": entries})
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +372,8 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     t0 = time.perf_counter()
     prep = prep or prepare(cfg)
     model = build_reference_model(cfg, prep)
-    fingerprint = model_fingerprint(model.cfg)
-    reduce = functools.partial(aggregate_instance, fingerprint=fingerprint,
-                               norm_mode=cfg.norm_mode)
+    fingerprint = model_fingerprint(model)
+    reduce = functools.partial(aggregate_instance, fingerprint=fingerprint)
     # frozen: pure measurement against the warmup parameters; online: one
     # training epoch, each instance measured at the step that consumes it
     if cfg.mode == "frozen":
@@ -440,8 +433,8 @@ def extract_sibling(records_path: str, name: str) -> str | None:
 
 
 # Config fields that change what a record measures: the token ids and the
-# truncation behind each gradient, and how per-token norms are reduced.
-PROVENANCE_FIELDS = ("max_vocab", "max_seq_len", "norm_mode")
+# truncation behind each gradient.
+PROVENANCE_FIELDS = ("max_vocab", "max_seq_len")
 
 
 def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
@@ -497,10 +490,10 @@ def write_selection(
     records_path: str,
     records_hash: str,
     dataset_hash: str,
-) -> str:
+) -> tuple[str, str]:
     """Write selection_<stem>.jsonl (rank order, one line per selected
     instance) and selection_<stem>_meta.json into out_dir, and record both
-    in its manifest; returns the selection file name."""
+    in its manifest; returns the selection file name and its sha256."""
     records_by_id = {r.instance_id: r for r in records}
     lines = []
     for rank, inst_id in enumerate(result.ordered_ids, start=1):
@@ -526,8 +519,7 @@ def write_selection(
     }
     meta_file = f"selection_{stem}_meta.json"
     write_json(os.path.join(out_dir, meta_file), meta)
-    write_manifest(out_dir, [sel_file, meta_file])
-    return sel_file
+    return sel_file, write_manifest(out_dir, [sel_file, meta_file])[sel_file]
 
 
 def _select_from_records(cfg: RunConfig, name: str, records_path: str,
@@ -902,9 +894,9 @@ def run_compare(
             try:
                 result = run_selection_by_name(name, frac, pool_records, prep, cfg,
                                                ref_model)
-                sel_file = write_selection(cfg.out_dir, f"{name}_{frac:g}", result,
-                                           pool_records, records_path, records_hash,
-                                           prep.dataset_hash)
+                sel_file, sel_hash = write_selection(
+                    cfg.out_dir, f"{name}_{frac:g}", result, pool_records, records_path,
+                    records_hash, prep.dataset_hash)
                 row = _train_and_eval_row(
                     row_name, cfg, prep, list(result.selected_ids), epochs
                 )
@@ -915,7 +907,7 @@ def run_compare(
                     result.selected_ids, pool_records
                 )
                 row["selection_file"] = sel_file
-                row["selection_hash"] = sha256_file(os.path.join(cfg.out_dir, sel_file))
+                row["selection_hash"] = sel_hash
             except (ValueError, RuntimeError) as exc:
                 row = {"row": row_name, "strategy": name, "fraction_percent": frac,
                        "error": str(exc)}

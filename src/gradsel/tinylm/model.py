@@ -48,12 +48,6 @@ class ModelConfig:
     vocab_size: int
     max_seq_len: int
     init_seed: int
-    tie_lm_head: bool = False
-    # Which space recorded logit-gradients live in. "logits" is the standard
-    # cross-entropy form p - y; "probs" differentiates w.r.t. the post-softmax
-    # distribution instead (-w/p at the target, 0 elsewhere). Parameter
-    # gradients are unaffected.
-    lm_grad_space: str = "logits"
 
     def validate(self) -> None:
         if min(self.d_model, self.n_layers, self.n_heads, self.d_ff,
@@ -63,8 +57,6 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.lm_grad_space not in ("logits", "probs"):
-            raise ValueError(f"unknown lm_grad_space {self.lm_grad_space!r}")
 
 
 class Model:
@@ -89,8 +81,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes.update((f"l{i}.{name}", shape) for name, shape in layer)
     shapes["lnf.g"] = (d,)
     shapes["lnf.b"] = (d,)
-    if not cfg.tie_lm_head:
-        shapes["lm_head"] = (d, V)
+    shapes["lm_head"] = (d, V)
     return shapes
 
 
@@ -290,12 +281,6 @@ class ForwardTrace:
     losses: np.ndarray | None  # (B,) per instance; None with last_only
 
 
-def lm_head_matrix(model: Model) -> np.ndarray:
-    if model.cfg.tie_lm_head:
-        return model.params["emb"].T
-    return model.params["lm_head"]
-
-
 def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
             last_only: bool = False) -> ForwardTrace:
     """Run the model over a batch, caching activations for backprop.
@@ -348,7 +333,7 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
             layers.append(LayerTrace(a, a_xhat, a_inv, q, k, v, att, ctx,
                                      b, b_xhat, b_inv, f1, erf1, gact))
     hf, hf_xhat, hf_inv = _layernorm(h, P["lnf.g"], P["lnf.b"])
-    W = lm_head_matrix(model)
+    W = P["lm_head"]
     starts = batch.row_starts.tolist()
     if last_only:
         rows = np.arange(B) * T + batch.lengths - 1
@@ -382,15 +367,13 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
                    want_param_grads: bool = True, *, out=None) -> BackwardResult:
     """Each instance's mean response-token cross-entropy and its exact gradients.
 
-    The backward pass differentiates w.r.t. pre-softmax logits (form p - y,
-    scaled by the instance's uniform position weight). When cfg.lm_grad_space
-    == "probs" the *recorded* g_lm instead holds d loss / d probs, which is
-    -w/p at the target coordinate and zero elsewhere; everything else is
-    unchanged. param_grads, laid out like model.flat, is the mean of the
-    instance gradients, summed in batch order: the same bits as accumulating
-    (1/B) * gradient one instance at a time. Given out, a parameter-sized
-    vector and its param_views, param_grads is written there (a training
-    loop allocates it once) in place of a fresh vector.
+    g_lm is the gradient w.r.t. the pre-softmax logits: p - y, scaled by the
+    instance's uniform position weight. param_grads, laid out like
+    model.flat, is the mean of the instance gradients, summed in batch order:
+    the same bits as accumulating (1/B) * gradient one instance at a time.
+    Given out, a parameter-sized vector and its param_views, param_grads is
+    written there (a training loop allocates it once) in place of a fresh
+    vector.
     """
     cfg = model.cfg
     if trace.losses is None:
@@ -400,15 +383,9 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
     d, H = cfg.d_model, cfg.n_heads
     scale = 1.0 / math.sqrt(d // H)
     rows = trace.rows
-    target = (np.arange(rows.size), batch.targets)
     w = batch.weights.reshape(-1)[rows]
     dlogits = w[:, None] * trace.probs
-    dlogits[target] -= w
-    if cfg.lm_grad_space == "probs":
-        g_lm = np.zeros_like(trace.probs)
-        g_lm[target] = -w / trace.probs[target]
-    else:
-        g_lm = dlogits
+    dlogits[np.arange(rows.size), batch.targets] -= w
 
     P = model.params
     grads, G = None, {}
@@ -435,21 +412,17 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         put(prefix + ".g", per_instance(dy * xhat).sum(axis=1))
         put(prefix + ".b", per_instance(dy).sum(axis=1))
 
-    Wlm = lm_head_matrix(model)
-    head = np.zeros((B,) + Wlm.shape) if want_param_grads and cfg.tie_lm_head else None
+    Wlm = P["lm_head"]
     dhf = np.zeros((B * T, d))
     starts = batch.row_starts.tolist()
     for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
         own = slice(b * T, b * T + batch.lengths[b])
-        dlogits_own = np.zeros((batch.lengths[b], Wlm.shape[1]))
+        dlogits_own = np.zeros((batch.lengths[b], cfg.vocab_size))
         dlogits_own[rows[lo:hi] - b * T] = dlogits[lo:hi]
         dhf[own] = dlogits_own @ Wlm.T
-        if want_param_grads:
+        if want_param_grads:  # put()'s sum of the scaled instances, in batch order
             part = trace.hf[own].T @ dlogits_own
-            if cfg.tie_lm_head:
-                head[b] = part
-            else:  # put()'s sum of the scaled instances, in batch order
-                G["lm_head"] += np.multiply(part, inv, out=part)
+            G["lm_head"] += np.multiply(part, inv, out=part)
     if want_param_grads:
         layernorm_grads("lnf", dhf, trace.hf_xhat)
     dh = _layernorm_backward(dhf, trace.hf_xhat, trace.hf_inv, P["lnf.g"])
@@ -488,28 +461,31 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         dh = dh_mid + _layernorm_backward(da, tr.a_xhat, tr.a_inv, P[p + "ln1.g"])
 
     g_emb = per_instance(dh)  # dLoss/de[t]: e feeds layer 0 directly
-    if want_param_grads:
-        # per instance: the tied head's gradient first, then each used row's
-        if cfg.tie_lm_head:
-            used, index = np.arange(cfg.vocab_size), batch.tokens
-            emb = head.transpose(0, 2, 1).copy()
-        else:  # only the rows the batch uses
-            used, index = np.unique(batch.tokens, return_inverse=True)
-            emb = np.zeros((B, used.size, d))
+    if want_param_grads:  # per instance, only the rows the batch uses
+        used, index = np.unique(batch.tokens, return_inverse=True)
+        emb = np.zeros((B, used.size, d))
         np.add.at(emb, (np.repeat(np.arange(B), T), index.reshape(-1)), dh)
         G["emb"][used] += (inv * emb).sum(axis=0)
         G["pos"][:T] += (inv * g_emb).sum(axis=0)
-    return BackwardResult(trace.losses, g_emb, g_lm, grads)
+    return BackwardResult(trace.losses, g_emb, dlogits, grads)
 
 
-def model_fingerprint(cfg: ModelConfig) -> str:
-    """64-bit hex digest of the canonical config (init_seed included)."""
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def model_fingerprint(model: Model) -> str:
+    """64-bit hex digest of the canonical config (init_seed included)
+    followed by the little-endian float64 bytes of the parameters.
+
+    A gradient record carries the fingerprint of the model its extraction
+    started from. In frozen mode that is the checkpoint written next to the
+    records; in online mode it is the warmup model, before the epoch that
+    trains it runs.
+    """
+    digest = hashlib.sha256(json.dumps(asdict(model.cfg), sort_keys=True).encode())
+    digest.update(model.flat.astype("<f8", copy=False))  # no copy on little-endian hosts
+    return digest.hexdigest()[:16]
 
 
 CHECKPOINT_FORMAT = "tinylm-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: Model, path: str) -> None:

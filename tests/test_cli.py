@@ -122,6 +122,11 @@ def test_runtime_failure_exits_one(workspace, capsys):
     bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "projection_dim": 0}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
     assert capsys.readouterr().err == "error: projection_dim must be >= 1\n"
+    for name, value in [("tie_lm_head", False), ("lm_grad_space", "logits"),
+                        ("norm_mode", "mean_of_norms")]:  # removed fields
+        bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), name: value}))
+        assert main(["extract", "--config", str(bad_cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {bad_cfg}: unknown field {name!r}\n"
     (root / "bad_out").mkdir()
     (root / "bad_out" / "manifest.json").write_text("[1]")
     assert main(["select", "--config", cfg, "--records", str(root / "run" / "records.jsonl"),

@@ -82,8 +82,7 @@ _MANIFEST = {"files": {"records.jsonl": "ab" * 32}}
 
 def _config(dataset: str) -> dict:
     return {"dataset": dataset, "out_dir": "out", "seed": 3, "fraction": 50.0,
-            "test_fraction": 0.1, "batch_size": 4, "tie_lm_head": False,
-            "projection_dim": None}
+            "test_fraction": 0.1, "batch_size": 4, "projection_dim": None}
 
 
 def _raises_only_value_errors(read, path, data: bytes):
@@ -271,9 +270,11 @@ def test_load_checkpoint_names_the_fault(tmp_path, checkpoint_payload):
          "checkpoint config: missing field d_ff"),
         ({**p, "config": {**config, "d_model": "4"}},
          "checkpoint config: field d_model is not an integer"),
-        ({**p, "config": {**config, "tie_lm_head": 0}},
-         "checkpoint config: field tie_lm_head is not a boolean"),
         ({**p, "config": {**config, "extra": 1}}, "checkpoint config: unknown field 'extra'"),
+        # version 1, and a config field that only version 1 had
+        ({**p, "version": 1}, "unsupported checkpoint version 1"),
+        ({**p, "config": {**config, "tie_lm_head": False}},
+         "checkpoint config: unknown field 'tie_lm_head'"),
         ({**p, "params": {**p["params"], "emb": {"shape": [6, 4]}}},
          "checkpoint missing parameter emb"),
         ({**p, "params": {**p["params"], "emb": {**p["params"]["emb"], "shape": [4, 6]}}},
@@ -286,7 +287,3 @@ def test_load_checkpoint_names_the_fault(tmp_path, checkpoint_payload):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_checkpoint(str(path))
-    # a config without its defaulted fields still loads
-    path.write_text(json.dumps({**p, "config": {k: v for k, v in config.items()
-                                                if k not in ("tie_lm_head", "lm_grad_space")}}))
-    assert load_checkpoint(str(path)).cfg == _CKPT_CFG

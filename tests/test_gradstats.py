@@ -80,20 +80,6 @@ def test_weight_divided_out_gives_length_independence():
     assert rec2.g_lm == pytest.approx(np.linalg.norm(row), rel=1e-12)
 
 
-def test_norm_of_mean_switch():
-    seq = _seq(["special", "prompt", "prompt", "special"])
-    g_emb = np.zeros((4, 2))
-    g_emb[1] = [1.0, 0.0]
-    g_emb[2] = [-1.0, 0.0]
-    b = _bundle("x", g_emb, [[0.1, -0.1]], [1], weight=1.0)
-    mean_norms = aggregate_instance(b, seq, FP, norm_mode="mean_of_norms")
-    norm_mean = aggregate_instance(b, seq, FP, norm_mode="norm_of_mean")
-    assert mean_norms.g_emb == pytest.approx(1.0)
-    assert norm_mean.g_emb == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="norm_mode"):
-        aggregate_instance(b, seq, FP, norm_mode="median")
-
-
 def test_permutation_invariance_within_role():
     roles = ["special", "prompt", "prompt", "response", "response", "special"]
     rng = np.random.default_rng(0)

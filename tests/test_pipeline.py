@@ -95,6 +95,13 @@ def test_extract_covers_dataset(extract_run):
     assert len({r.instance_id for r in records}) == 90
 
 
+def test_frozen_records_name_the_checkpoint_next_to_them(extract_run):
+    _, out = extract_run
+    fingerprint = model_fingerprint(load_checkpoint(out["model"]))
+    assert {r.model_fingerprint for r in read_records(out["records"])} == {fingerprint}
+    assert json.loads(Path(out["meta"]).read_text())["model_fingerprint"] == fingerprint
+
+
 def _pair(bundle, seq):
     return bundle, seq
 
@@ -106,14 +113,14 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         records = read_records(run_extract(cfg)["records"])
         prep = prepare(cfg)
         model = pipeline.build_reference_model(cfg, prep)
-        fingerprint = model_fingerprint(model.cfg)
+        fingerprint = model_fingerprint(model)
         if mode == "frozen":
             pairs = frozen_gradients(model, prep.seqs, _pair)
         else:
             hyper = cfg.train_hyper(epochs=1)
             trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
             pairs = trainer.run(prep.seqs, reduce=_pair)
-        expected = [aggregate_instance(b, s, fingerprint, cfg.norm_mode) for b, s in pairs]
+        expected = [aggregate_instance(b, s, fingerprint) for b, s in pairs]
         ids = [r.instance_id for r in records]
         assert ids == sorted(ids)
         assert records == sorted(expected, key=lambda r: r.instance_id)
@@ -197,9 +204,7 @@ def test_select_sees_a_rewritten_record_file(extract_run, tmp_path):
         run_select(sel_cfg, str(records), "top_grad", 50.0)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("max_vocab", 256), ("max_seq_len", 64), ("norm_mode", "norm_of_mean"),
-])
+@pytest.mark.parametrize("field, value", [("max_vocab", 256), ("max_seq_len", 64)])
 def test_select_refuses_records_of_another_extraction_config(extract_run, tmp_path,
                                                              field, value):
     cfg, out = extract_run

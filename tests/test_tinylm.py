@@ -92,7 +92,7 @@ def test_init_deterministic_and_validated():
 
 
 def test_init_matches_scalar_normal_stream():
-    for cfg in (TINY, replace(TINY, n_layers=3, tie_lm_head=True, init_seed=99)):
+    for cfg in (TINY, replace(TINY, n_layers=3, init_seed=99)):
         m = init_model(cfg)
         rng = substream(cfg.init_seed, ROLE_INIT)
         for name, p in m.params.items():
@@ -132,8 +132,6 @@ def test_parameter_total_closed_form():
         + d * V
     )
     assert m.flat.size == expected
-    tied = init_model(ModelConfig(8, 1, 2, 16, 30, 10, 0, tie_lm_head=True))
-    assert tied.flat.size == expected - d * V
 
 
 def test_probability_rows_sum_to_one():
@@ -210,20 +208,6 @@ def test_g_lm_zero_sum_and_masked_rows():
         assert abs(row.sum()) < 1e-9
 
 
-def test_probs_space_switch():
-    cfg = replace(TINY, lm_grad_space="probs")
-    m = init_model(cfg)
-    seq = _random_seq(np.random.default_rng(3), cfg)
-    batch, trace, res = _run(m, [seq])
-    w = batch.w[0]
-    for row, t in enumerate(loss_positions_of(seq)):
-        target = seq.tokens[t + 1]
-        expect = -w / trace.probs[row, target]
-        assert res.g_lm[row, target] == pytest.approx(expect, rel=1e-12)
-        off = np.delete(res.g_lm[row], target)
-        assert np.all(off == 0.0)
-
-
 def test_empty_response_rejected():
     m = init_model(TINY)
     ok = _random_seq(np.random.default_rng(4), TINY, instance_id="ok")
@@ -248,10 +232,10 @@ def test_embedding_gradients_match_finite_differences():
     np.testing.assert_allclose(res.g_emb, fd, rtol=1e-4, atol=1e-8)
 
 
-def _assert_param_grads_match_fd(m, batch, param_grads, names=None):
+def _assert_param_grads_match_fd(m, batch, param_grads):
     eps = 1e-5
     analytic = param_views(m.cfg, param_grads)
-    for name in names or m.params:
+    for name in m.params:
         flat = m.params[name].reshape(-1)
         fd = np.zeros(flat.size)
         for idx in range(flat.size):
@@ -293,15 +277,6 @@ def test_padded_batch_gradients_match_finite_differences():
     assert not res.g_emb[1, 6:].any() and not res.g_emb[2, 9:].any()
 
 
-def test_tied_head_gradients_match_finite_differences():
-    cfg = ModelConfig(8, 1, 2, 16, 20, 12, 3, tie_lm_head=True)
-    m = init_model(cfg)
-    seq = _seq([1, 7, 3, 9, 10, 2],
-               ["special", "prompt", "special", "response", "response", "special"])
-    batch, _, res = _run(m, [seq])
-    _assert_param_grads_match_fd(m, batch, res.param_grads, names=["emb"])
-
-
 @st.composite
 def _mixed_batch(draw):
     """2-5 sequences of mixed lengths (4 to 40 tokens) under one model."""
@@ -315,16 +290,13 @@ def _mixed_batch(draw):
         roles = (["special"] + ["prompt"] * t_prompt + ["special"]
                  + ["response"] * t_resp + ["special"])
         seqs.append(_seq(toks, roles, f"s{i}"))
-    cfg = replace(WIDE, tie_lm_head=draw(st.booleans()),
-                  lm_grad_space=draw(st.sampled_from(["logits", "probs"])))
-    return cfg, seqs
+    return seqs
 
 
 @settings(max_examples=30, deadline=None)
 @given(_mixed_batch())
-def test_padded_batch_is_bit_identical_to_batches_of_one(case):
-    cfg, seqs = case
-    m = init_model(cfg)
+def test_padded_batch_is_bit_identical_to_batches_of_one(seqs):
+    m = init_model(WIDE)
     batch, _, res = _run(m, seqs)
     starts = batch.row_starts
     ordered_mean = np.zeros_like(m.flat)
@@ -342,17 +314,15 @@ def test_padded_batch_is_bit_identical_to_batches_of_one(case):
     assert worst <= 1e-12 * np.abs(ordered_mean).max()
 
 
-@pytest.mark.parametrize("tied", [False, True])
-def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one(tied):
+def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one():
     """The second batch is shorter and uses other tokens, so every embedding
     and position row the first one left in the buffer must be cleared."""
-    cfg = replace(WIDE, tie_lm_head=tied)
-    m = init_model(cfg)
+    m = init_model(WIDE)
     rng = np.random.default_rng(5)
-    long = [_random_seq(rng, cfg, 10, 20, f"l{i}") for i in range(3)]
-    short = [_random_seq(rng, cfg, 2, i + 1, f"s{i}") for i in range(4)]
+    long = [_random_seq(rng, WIDE, 10, 20, f"l{i}") for i in range(3)]
+    short = [_random_seq(rng, WIDE, 2, i + 1, f"s{i}") for i in range(4)]
     buf = np.full_like(m.flat, np.nan)
-    out = (buf, param_views(cfg, buf))
+    out = (buf, param_views(WIDE, buf))
     for seqs in (long, short):
         batch, _, fresh = _run(m, seqs)
         res = loss_and_grads(m, batch, forward(m, batch), out=out)
@@ -410,11 +380,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_fingerprint_covers_config_and_seed():
-    a = model_fingerprint(TINY)
+    m = init_model(TINY)
+    a = model_fingerprint(m)
     assert len(a) == 16 and int(a, 16) >= 0
-    assert a == model_fingerprint(TINY)
-    other = ModelConfig(16, 2, 2, 32, 50, 12, init_seed=8)
+    assert a == model_fingerprint(init_model(TINY))
+    # the config: another seed, even over the same parameters
+    other = init_model(replace(TINY, init_seed=8))
     assert model_fingerprint(other) != a
+    other.flat[:] = m.flat
+    assert model_fingerprint(other) != a
+    # the parameters: one ulp of one of them, and one training step
+    flat = m.flat.copy()
+    m.flat[17] = np.nextafter(m.flat[17], np.inf)
+    assert model_fingerprint(m) != a
+    m.flat[:] = flat
+    assert model_fingerprint(m) == a
+    hyper = TrainHyper(epochs=1, batch_size=2, shuffle_seed=1)
+    _train(m, [_random_seq(np.random.default_rng(8), TINY, instance_id=f"s{i}")
+               for i in range(2)], hyper)
+    assert model_fingerprint(m) != a
 
 
 def test_train_zero_epochs_is_identity():
