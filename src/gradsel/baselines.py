@@ -10,7 +10,7 @@ place of gradient magnitude.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,51 +45,82 @@ def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
     return selection_from_order("random", percent, ids, picked, scores, seed=seed)
 
 
-def bm25_scores(candidates: list[list[str]], queries: list[list[str]],
+def _encode(docs: Iterable[list[str]],
+            vocab: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The words of docs as one flat id array, plus each document's length.
+
+    vocab maps words to ids and gains an id for each word it lacks. Each
+    document is consumed as it is encoded, so a generator of word lists
+    keeps no list alive past its own turn.
+    """
+    ids: list[int] = []
+    lens: list[int] = []
+    add = vocab.setdefault
+    for doc in docs:
+        start = len(ids)
+        ids += [add(w, len(vocab)) for w in doc]
+        lens.append(len(ids) - start)
+    return np.array(ids, dtype=np.intc), np.array(lens, dtype=np.intc)
+
+
+def _check_one_score_per_id(ids: list[str], scores: np.ndarray) -> None:
+    if len(ids) != len(scores):
+        raise ValueError(f"{len(ids)} ids for {len(scores)} candidates")
+
+
+def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]],
                 aggregate: str = "mean") -> np.ndarray:
     """Mean (or max) BM25 of each candidate document against the query set.
 
     IDF uses the candidate corpus only; query terms count with multiplicity.
+    A candidate's score for one query adds its terms in query order.
     """
-    if not candidates or not queries:
+    vocab: dict[str, int] = {}
+    ids, lens = _encode(candidates, vocab)
+    query_ids = [[vocab.get(w, -1) for w in q] for q in queries]  # -1: in no candidate
+    M = len(lens)
+    if not M or not query_ids:
         raise ValueError("empty corpus")
-    if any(not q for q in queries):
+    if any(not q for q in query_ids):
         raise ValueError("empty query terms")
     if aggregate not in BM25_AGGREGATES:
         raise ValueError(f"unknown aggregate {aggregate!r}")
-    M = len(candidates)
-    df: Counter[str] = Counter()
-    for doc in candidates:
-        df.update(set(doc))
-    avgdl = sum(len(d) for d in candidates) / M
-    tfs = [Counter(doc) for doc in candidates]
+    avgdl = int(lens.sum()) / M
 
-    idf: dict[str, float] = {}
-    for term in {t for q in queries for t in q}:
-        d = df.get(term, 0)
-        idf[term] = math.log(1.0 + (M - d + 0.5) / (d + 0.5))
+    # One posting list (docs, tf) per distinct query term some candidate has,
+    # turned into that term's BM25 contribution to each of its docs.
+    pos = np.flatnonzero(np.isin(ids, [t for q in query_ids for t in q]))
+    doc = np.searchsorted(np.cumsum(lens), pos, side="right")  # the document holding pos
+    keys, tf = np.unique(ids[pos].astype(np.int64) * M + doc, return_counts=True)
+    term_of, doc_of = np.divmod(keys, M)
+    bounds = np.flatnonzero(np.diff(term_of, prepend=-1, append=-1)).tolist()
+    contrib: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        docs, t_tf = doc_of[lo:hi], tf[lo:hi]
+        d = hi - lo
+        idf = math.log(1.0 + (M - d + 0.5) / (d + 0.5))
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lens[docs] / avgdl)
+        contrib[int(term_of[lo])] = docs, idf * t_tf * (BM25_K1 + 1.0) / (t_tf + norm)
 
     out = np.zeros(M)
-    for i, doc in enumerate(candidates):
-        if not doc:
-            continue
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(doc) / avgdl)
-        per_query = []
-        for q in queries:
-            s = 0.0
-            for term in q:
-                tf = tfs[i].get(term, 0)
-                if tf:
-                    s += idf[term] * tf * (BM25_K1 + 1.0) / (tf + norm)
-            per_query.append(s)
-        out[i] = max(per_query) if aggregate == "max" else sum(per_query) / len(per_query)
-    return out
+    for q in query_ids:
+        s = np.zeros(M)
+        for term in q:
+            if term in contrib:
+                docs, c = contrib[term]
+                s[docs] += c
+        if aggregate == "max":
+            np.maximum(out, s, out=out)
+        else:
+            out += s
+    return out if aggregate == "max" else out / len(query_ids)
 
 
-def bm25_select(ids: list[str], candidates: list[list[str]],
-                queries: list[list[str]], percent: float,
+def bm25_select(ids: list[str], candidates: Iterable[list[str]],
+                queries: Iterable[list[str]], percent: float,
                 aggregate: str = "mean") -> SelectionResult:
     scores = bm25_scores(candidates, queries, aggregate=aggregate)
+    _check_one_score_per_id(ids, scores)
     return selection_from_order("bm25", percent, ids, descending_order(scores), scores)
 
 
@@ -101,74 +132,94 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-def ngram_features(tokens: list[str], orders: tuple[int, ...] = (1, 2)) -> list[str]:
-    feats = []
-    for n in orders:
-        for i in range(len(tokens) - n + 1):
-            feats.append("\x1f".join(tokens[i : i + n]))
-    return feats
-
-
 def hash_bucket(feature: str, n_buckets: int) -> int:
     return _fnv1a(feature.encode("utf-8")) % n_buckets
 
 
-def _bucket_counts(doc_buckets: list[list[int]], n_buckets: int) -> np.ndarray:
-    flat = [b for buckets in doc_buckets for b in buckets]
-    return np.bincount(flat, minlength=n_buckets).astype(np.float64)
+def _ngram_starts(lens: np.ndarray, n: int) -> np.ndarray:
+    """The flat positions where an n-gram starts inside its document."""
+    inside = np.ones(int(lens.sum()), dtype=bool)
+    ends = np.cumsum(lens)
+    for k in range(1, n):  # an n-gram cannot start in a document's last n-1 words
+        inside[(ends - k)[lens >= k]] = False
+    return np.flatnonzero(inside)
 
 
-def dsir_log_weights(candidates: list[list[str]], target: list[list[str]],
+def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]],
                      n_buckets: int = DSIR_BUCKETS,
                      orders: tuple[int, ...] = (1, 2),
                      smooth_target: bool = True) -> np.ndarray:
     """Per-candidate hashed n-gram importance log-weights ln p/q.
 
-    p is the (optionally add-1 smoothed) target bucket distribution, q the raw
-    candidate distribution; raw q is safe because every feature of a candidate
-    occurs in the candidate corpus by construction.
+    An n-gram's feature is its words joined by U+001F, hashed with FNV-1a
+    into one of n_buckets. p is the (optionally add-1 smoothed) target
+    bucket distribution, q the raw candidate distribution; raw q is safe
+    because every feature of a candidate occurs in the candidate corpus by
+    construction. A candidate's log-weight sums its features' ln p/q in
+    order: unigrams by position, then bigrams, and so on through orders.
     """
-    if not candidates or not target:
+    vocab: dict[str, int] = {}
+    (cand_ids, cand_lens), (targ_ids, targ_lens) = (_encode(candidates, vocab),
+                                                    _encode(target, vocab))
+    if not cand_lens.size or not targ_lens.size:
         raise ValueError("empty corpus")
-    bucket_of: dict[str, int] = {}  # each distinct feature is hashed once
-
-    def buckets(doc: list[str]) -> list[int]:
-        out = []
-        for f in ngram_features(doc, orders):
-            b = bucket_of.get(f)
-            if b is None:
-                b = bucket_of[f] = hash_bucket(f, n_buckets)
-            out.append(b)
-        return out
-
-    cand_buckets = [buckets(doc) for doc in candidates]
-    tc = _bucket_counts([buckets(doc) for doc in target], n_buckets)
-    cc = _bucket_counts(cand_buckets, n_buckets)
+    words = np.array(list(vocab), dtype=object)
+    ids, lens = np.concatenate([cand_ids, targ_ids]), np.concatenate([cand_lens, targ_lens])
+    cand_buckets = []  # per order, the bucket of each candidate n-gram
+    cc = np.zeros(n_buckets, dtype=np.int64)
+    tc = np.zeros(n_buckets, dtype=np.int64)
+    for n in orders:
+        starts = _ngram_starts(lens, n)
+        # one hash per distinct n-gram: key the n-grams one word at a time,
+        # renumbering the keys densely so that they never overflow
+        key = np.zeros(len(starts), dtype=np.int64)
+        for k in range(n):
+            key *= len(words)
+            key += ids[starts + k]
+            distinct = np.unique(key)
+            key = np.searchsorted(distinct, key)
+        at = np.empty(len(distinct), dtype=np.int64)
+        at[key] = starts  # where an occurrence of each distinct n-gram starts
+        grams = zip(*(words[ids[at + k]].tolist() for k in range(n)))
+        bucket = np.fromiter((hash_bucket("\x1f".join(g), n_buckets) for g in grams),
+                             dtype=np.int64, count=len(at))[key]
+        n_cand = np.searchsorted(starts, len(cand_ids))
+        cand_buckets.append(bucket[:n_cand])
+        cc += np.bincount(bucket[:n_cand], minlength=n_buckets)
+        tc += np.bincount(bucket[n_cand:], minlength=n_buckets)
+    cc, tc = cc.astype(np.float64), tc.astype(np.float64)
+    used = np.flatnonzero(cc)
     if smooth_target:
-        p = (tc + 1.0) / (tc.sum() + n_buckets)
+        p = (tc[used] + 1.0) / (tc.sum() + n_buckets)
     else:
-        p = tc / tc.sum()
-    q = cc / cc.sum()
-    log_ratio: dict[int, float] = {}
-    out = np.zeros(len(candidates))
-    for i, doc_buckets in enumerate(cand_buckets):
-        s = 0.0
-        for b in doc_buckets:
-            term = log_ratio.get(b)
-            if term is None:
-                term = log_ratio[b] = math.log(p[b]) - math.log(q[b])
-            s += term
-        out[i] = s
+        p = tc[used] / tc.sum()
+    q = cc[used] / cc.sum()
+    log_ratio = np.zeros(n_buckets)
+    for b, pb, qb in zip(used.tolist(), p.tolist(), q.tolist()):
+        log_ratio[b] = math.log(pb) - math.log(qb)
+
+    # Add each candidate's terms one feature position at a time, so each
+    # sum runs in its candidate's feature order.
+    out = np.zeros(len(cand_lens))
+    longest_first = np.argsort(-cand_lens, kind="stable")
+    neg_sorted = -cand_lens[longest_first]
+    for n, bucket in zip(orders, cand_buckets):
+        count = np.maximum(cand_lens - n + 1, 0)
+        first = np.cumsum(count) - count  # each candidate's first n-gram in bucket
+        for j in range(int(count.max())):
+            docs = longest_first[: np.searchsorted(neg_sorted, -(j + n), side="right")]
+            out[docs] += log_ratio[bucket[first[docs] + j]]
     return out
 
 
-def dsir_select(ids: list[str], candidates: list[list[str]],
-                target: list[list[str]], percent: float, seed: int,
+def dsir_select(ids: list[str], candidates: Iterable[list[str]],
+                target: Iterable[list[str]], percent: float, seed: int,
                 n_buckets: int = DSIR_BUCKETS) -> SelectionResult:
     """Importance resampling: Gumbel-top-k over the log-weights."""
     logw = dsir_log_weights(candidates, target, n_buckets=n_buckets)
+    _check_one_score_per_id(ids, logw)
     rng = substream(seed, ROLE_GUMBEL)
-    keys = logw + np.array([rng.gumbel() for _ in range(len(candidates))])
+    keys = logw + np.array([rng.gumbel() for _ in range(len(logw))])
     return selection_from_order("dsir", percent, ids, descending_order(keys), logw, seed=seed)
 
 

@@ -310,6 +310,7 @@ class Prepared:
     def instances_for(self, ids) -> list[Instance]:
         return [self.instances[self.by_id[i]] for i in ids]
 
+    @functools.cached_property
     def strata(self) -> dict[str, str | None]:
         return {inst.id: inst.stratum for inst in self.instances}
 
@@ -495,16 +496,14 @@ def write_selection(
     instance) and selection_<stem>_meta.json into out_dir, and record both
     in its manifest; returns the selection file name and its sha256."""
     records_by_id = {r.instance_id: r for r in records}
-    lines = []
-    for rank, inst_id in enumerate(result.ordered_ids, start=1):
-        f_val = result.f_values.get(inst_id)
-        rec = records_by_id.get(inst_id)
-        lines.append(f'{{"id": {json.dumps(inst_id)}, "rank": {rank}, '
-                     f'"f_value": {"null" if f_val is None else _fmt(f_val)}, '
-                     f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}')
     sel_file = f"selection_{stem}.jsonl"
     with open_atomic(os.path.join(out_dir, sel_file)) as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+        for rank, inst_id in enumerate(result.ordered_ids, start=1):
+            f_val = result.f_values.get(inst_id)
+            rec = records_by_id.get(inst_id)
+            fh.write(f'{{"id": {json.dumps(inst_id)}, "rank": {rank}, '
+                     f'"f_value": {"null" if f_val is None else _fmt(f_val)}, '
+                     f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}\n')
     meta = {
         "strategy": result.strategy,
         "fraction_percent": result.fraction_percent,
@@ -575,8 +574,8 @@ def run_selection_by_name(
     elif name == "random":
         result = baselines.select_random(pool_ids, fraction, cfg.seed)
     elif name in ("bm25", "dsir"):
-        cands, queries = ([split_words(i.prompt + " " + i.response)
-                           for i in prep.instances_for(ids)] for ids in (pool_ids, query_ids))
+        cands, queries = ((split_words(i.prompt + " " + i.response)
+                           for i in prep.instances_for(ids)) for ids in (pool_ids, query_ids))
         if name == "bm25":
             result = baselines.bm25_select(pool_ids, cands, queries, fraction,
                                            cfg.bm25_aggregate)
@@ -596,7 +595,7 @@ def run_selection_by_name(
                                            cfg.projection_dim, cfg.seed)
     else:
         raise ValueError(f"unknown strategy {name!r}")
-    return attach_strata(result, prep.strata())
+    return attach_strata(result, prep.strata)
 
 
 def run_baseline(

@@ -1,6 +1,7 @@
 """Baseline selector tests with hand-computed oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from gradsel.baselines import (
     gradient_features,
     hash_bucket,
     less_select,
-    ngram_features,
     ppl_select,
     rds_select,
     representation_features,
@@ -163,6 +163,15 @@ def test_dsir_equal_distributions_zero_weights():
     np.testing.assert_allclose(logw, 0.0, atol=1e-12)
 
 
+def ngram_features(tokens, orders=(1, 2)):
+    """Every n-gram of tokens for each n in orders, words joined by U+001F."""
+    feats = []
+    for n in orders:
+        for i in range(len(tokens) - n + 1):
+            feats.append("\x1f".join(tokens[i : i + n]))
+    return feats
+
+
 def _dsir_log_weights_per_occurrence(candidates, target, n_buckets, orders, smooth_target):
     # reference: one hash per n-gram occurrence, counted and summed in order
     def counts(docs):
@@ -206,6 +215,89 @@ def test_dsir_deterministic_and_sized():
     b = dsir_select(_ids(4), cands, target, 50, seed=7)
     assert a.selected_ids == b.selected_ids
     assert len(a.selected_ids) == 2
+
+
+# Empty and one-word documents, a word no other document has, and repeats.
+_EDGE_POOLS = {
+    "empty docs": [[], ["a", "b", "a"], [], ["b", "c"]],
+    "one-word docs": [["a"], ["b"], ["a"], ["c"]],
+    "mixed": [["a", "b", "a", "c"], [], ["c"], ["b", "c", "b", "c", "d"], ["e"]],
+}
+# "zz" is in no candidate; "a" and "c" repeat within a query.
+_EDGE_QUERIES = [["a", "a", "zz"], ["zz"], ["c", "b", "c"]]
+
+
+@pytest.mark.parametrize("pool", sorted(_EDGE_POOLS))
+def test_bm25_edge_cases_match_the_reference_bit_for_bit(pool):
+    docs = _EDGE_POOLS[pool]
+    for aggregate in ("mean", "max"):
+        want = _bm25_reference(docs, _EDGE_QUERIES, aggregate)
+        assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES, aggregate), want)
+        assert np.array_equal(bm25_scores(iter(docs), iter(_EDGE_QUERIES), aggregate), want)
+
+
+@pytest.mark.parametrize("pool", sorted(_EDGE_POOLS))
+def test_dsir_edge_cases_match_the_reference_bit_for_bit(pool):
+    docs = _EDGE_POOLS[pool]
+    for orders in ((1,), (1, 2)):
+        # unsmoothed p needs every candidate feature in the target
+        for target, smooth in ((_EDGE_QUERIES, True), (docs + _EDGE_QUERIES, False)):
+            want = _dsir_log_weights_per_occurrence(docs, target, 4096, orders, smooth)
+            got = dsir_log_weights(docs, target, orders=orders, smooth_target=smooth)
+            assert np.array_equal(got, want)
+            got = dsir_log_weights(iter(docs), iter(target), orders=orders,
+                                   smooth_target=smooth)
+            assert np.array_equal(got, want)
+
+
+def test_an_all_empty_pool_scores_zero_without_a_warning():
+    docs = [[], [], []]
+    for aggregate in ("mean", "max"):
+        assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES, aggregate), np.zeros(3))
+        assert np.array_equal(_bm25_reference(docs, _EDGE_QUERIES, aggregate), np.zeros(3))
+    for orders in ((1,), (1, 2)):
+        for smooth in (True, False):
+            logw = dsir_log_weights(iter(docs), _EDGE_QUERIES, orders=orders,
+                                    smooth_target=smooth)
+            assert np.array_equal(logw, np.zeros(3))
+
+
+def test_bm25_and_dsir_refuse_a_candidate_count_other_than_the_id_count():
+    with pytest.raises(ValueError, match="^3 ids for 2 candidates$"):
+        bm25_select(_ids(3), [["x", "y"], ["y"]], [["y"]], 50)
+    with pytest.raises(ValueError, match="^1 ids for 3 candidates$"):
+        dsir_select(_ids(1), [["x", "y"], ["y"], ["x"]], [["y"]], 50, seed=0)
+    with pytest.raises(ValueError, match="^2 ids for 3 candidates$"):
+        bm25_select(_ids(2), iter([["x"], ["y"], ["x"]]), [["y"]], 50)
+
+
+def _word_docs(n_docs, seed, shortest=0):
+    """A maker of generators over n_docs documents of shortest to 15 words
+    from a 500-word vocabulary, each word a fresh string made as its
+    document is consumed."""
+    rng = np.random.default_rng(seed)
+    ends = np.cumsum(rng.integers(shortest, 16, n_docs)).tolist()
+    picks = rng.integers(0, 500, ends[-1])
+    return lambda: ([f"w{k}" for k in picks[a:b].tolist()] for a, b in zip([0, *ends], ends))
+
+
+def test_bm25_and_dsir_memory_stays_bounded():
+    cands, queries = _word_docs(4096, 0), _word_docs(16, 1, shortest=1)
+
+    def peak(score):
+        score(cands(), queries())  # first-call allocations are not the scorer's
+        tracemalloc.start()
+        try:
+            score(cands(), queries())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Holding the pool's word lists and one Counter or bucket list per
+    # document peaked at 3.4 MB (bm25) and 7.0 MB (dsir); the flat id
+    # arrays peak near 0.7 MB and 2.6 MB.
+    assert peak(bm25_scores) < 2 * 2**20
+    assert peak(dsir_log_weights) < 4 * 2**20
 
 
 def test_ngram_features_orders():
