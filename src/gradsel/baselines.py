@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import TokenSequence
 from .gradstats import token_vectors
-from .rng import ROLE_GUMBEL, ROLE_PROJECT, ROLE_SELECT, substream
+from .rng import ROLE_GUMBEL, ROLE_SELECT, substream
 from .selector import (
     SelectionResult,
     descending_order,
@@ -30,7 +30,6 @@ from .tinylm.training import frozen_gradients
 BM25_K1 = 1.2
 BM25_B = 0.75
 DSIR_BUCKETS = 4096
-BM25_AGGREGATES = ("mean", "max")
 
 
 def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
@@ -68,9 +67,8 @@ def _check_one_score_per_id(ids: list[str], scores: np.ndarray) -> None:
         raise ValueError(f"{len(ids)} ids for {len(scores)} candidates")
 
 
-def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]],
-                aggregate: str = "mean") -> np.ndarray:
-    """Mean (or max) BM25 of each candidate document against the query set.
+def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]]) -> np.ndarray:
+    """Mean BM25 of each candidate document against the query set.
 
     IDF uses the candidate corpus only; query terms count with multiplicity.
     A candidate's score for one query adds its terms in query order.
@@ -83,8 +81,6 @@ def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]],
         raise ValueError("empty corpus")
     if any(not q for q in query_ids):
         raise ValueError("empty query terms")
-    if aggregate not in BM25_AGGREGATES:
-        raise ValueError(f"unknown aggregate {aggregate!r}")
     avgdl = int(lens.sum()) / M
 
     # One posting list (docs, tf) per distinct query term some candidate has,
@@ -109,17 +105,13 @@ def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]],
             if term in contrib:
                 docs, c = contrib[term]
                 s[docs] += c
-        if aggregate == "max":
-            np.maximum(out, s, out=out)
-        else:
-            out += s
-    return out if aggregate == "max" else out / len(query_ids)
+        out += s
+    return out / len(query_ids)
 
 
 def bm25_select(ids: list[str], candidates: Iterable[list[str]],
-                queries: Iterable[list[str]], percent: float,
-                aggregate: str = "mean") -> SelectionResult:
-    scores = bm25_scores(candidates, queries, aggregate=aggregate)
+                queries: Iterable[list[str]], percent: float) -> SelectionResult:
+    scores = bm25_scores(candidates, queries)
     _check_one_score_per_id(ids, scores)
     return selection_from_order("bm25", percent, ids, descending_order(scores), scores)
 
@@ -213,10 +205,9 @@ def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]
 
 
 def dsir_select(ids: list[str], candidates: Iterable[list[str]],
-                target: Iterable[list[str]], percent: float, seed: int,
-                n_buckets: int = DSIR_BUCKETS) -> SelectionResult:
+                target: Iterable[list[str]], percent: float, seed: int) -> SelectionResult:
     """Importance resampling: Gumbel-top-k over the log-weights."""
-    logw = dsir_log_weights(candidates, target, n_buckets=n_buckets)
+    logw = dsir_log_weights(candidates, target)
     _check_one_score_per_id(ids, logw)
     rng = substream(seed, ROLE_GUMBEL)
     keys = logw + np.array([rng.gumbel() for _ in range(len(logw))])
@@ -286,31 +277,16 @@ def rds_select(ids: list[str], cands: np.ndarray, queries: np.ndarray,
     return selection_from_order("rds", percent, ids, descending_order(scores), scores)
 
 
-def sign_projection(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
-    """Random {-1,+1}/sqrt(dim_out) matrix from the seeded stream."""
-    rng = substream(seed, ROLE_PROJECT)
-    signs = np.array([1.0 if rng.random() < 0.5 else -1.0
-                      for _ in range(dim_in * dim_out)])
-    return signs.reshape(dim_in, dim_out) / math.sqrt(dim_out)
-
-
-def less_select(ids: list[str], cands: np.ndarray, queries: np.ndarray, percent: float,
-                projection_dim: int | None, seed: int) -> SelectionResult:
-    """Max cosine of each candidate row to the query rows, in sign-projected
-    space."""
+def less_select(ids: list[str], cands: np.ndarray, queries: np.ndarray,
+                percent: float) -> SelectionResult:
+    """Max cosine of each candidate row to the query rows."""
     if not len(queries) or cands.shape != (len(ids), queries.shape[-1]):
         raise ValueError(f"feature width mismatch: {len(ids)} ids, candidates "
                          f"{cands.shape}, queries {queries.shape}")
-    dim = cands.shape[1]
-    if projection_dim is not None and not 1 <= projection_dim <= dim:
-        raise ValueError(f"projection_dim must lie in [1, {dim}]")
-    if projection_dim is not None and projection_dim != dim:
-        proj = sign_projection(dim, projection_dim, seed)
-        cands, queries = cands @ proj, queries @ proj
     scores = np.empty(len(ids))
     for i in range(len(ids)):
         scores[i] = max(_cosine(cands[i], queries[j]) for j in range(queries.shape[0]))
-    return selection_from_order("less", percent, ids, descending_order(scores), scores, seed=seed)
+    return selection_from_order("less", percent, ids, descending_order(scores), scores)
 
 
 def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> SelectionResult:

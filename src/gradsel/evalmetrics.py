@@ -21,8 +21,8 @@ METEOR_GAMMA = 0.5
 METEOR_BETA = 3.0
 
 
-def greedy_decode(model: Model, prompts: list[list[int]], max_new: list[int],
-                  eos_id: int = Tokenizer.eos) -> list[list[int]]:
+def greedy_decode(model: Model, prompts: list[list[int]],
+                  max_new: list[int]) -> list[list[int]]:
     """Argmax continuation of each prompt; each stops at EOS or its budget.
 
     Prompts of equal length decode together in consecutive chunks of at most
@@ -40,15 +40,15 @@ def greedy_decode(model: Model, prompts: list[list[int]], max_new: list[int],
         ids = np.array([prompts[i] for i in members], dtype=np.int64).reshape(-1, length)
         live = [r for r, i in enumerate(members) if max_new[i] > 0]
         while live and ids.shape[1] < model.cfg.max_seq_len:
-            nxt = np.full(len(members), eos_id)
+            nxt = np.full(len(members), Tokenizer.eos)
             # no name holds the trace, so it is freed before the next step's
             # forward; argmax takes the lowest id on ties
             nxt[live] = forward(model, Batch(ids[live]), last_only=True).logits.argmax(axis=1)
             ids = np.concatenate([ids, nxt[:, None]], axis=1)
             for r in live:
-                if nxt[r] != eos_id:
+                if nxt[r] != Tokenizer.eos:
                     outs[members[r]].append(int(nxt[r]))
-            live = [r for r in live if nxt[r] != eos_id
+            live = [r for r in live if nxt[r] != Tokenizer.eos
                     and len(outs[members[r]]) < max_new[members[r]]]
     return outs
 

@@ -64,7 +64,7 @@ def aggregate_instance(bundle: GradientBundle, seq: TokenSequence,
         g_lm=g_lm,
         g_grads=combine(g_emb, g_lm),
         n_emb_tokens=emb_vecs.shape[0],
-        n_lm_tokens=len(bundle.loss_positions),
+        n_lm_tokens=lm_vecs.shape[0],
         model_fingerprint=fingerprint,
         step_index=bundle.step_index,
     )

@@ -101,11 +101,6 @@ class RunConfig:
     # splits and baseline inputs
     test_fraction: float = 0.1
     query_size: int = 16
-    bm25_aggregate: str = "mean"
-    projection_dim: int | None = None
-
-    # comparison protocol
-    compare_epochs: int = 3
 
     def validate(self) -> None:
         if not os.path.isfile(self.dataset):
@@ -120,12 +115,8 @@ class RunConfig:
             raise ValueError("query_size and warmup_steps must be >= 0")
         if self.strategy not in STRATEGIES + BASELINE_NAMES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.compare_epochs < 1:
-            raise ValueError("compare_epochs must be >= 1")
-        if self.bm25_aggregate not in baselines.BM25_AGGREGATES:
-            raise ValueError(f"unknown bm25_aggregate {self.bm25_aggregate!r}")
-        if self.projection_dim is not None and self.projection_dim < 1:
-            raise ValueError("projection_dim must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         self.train_hyper().validate()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
@@ -374,6 +365,10 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     prep = prep or prepare(cfg)
     model = build_reference_model(cfg, prep)
     fingerprint = model_fingerprint(model)
+    # saved before an online epoch trains it, so the checkpoint is the model
+    # the records' fingerprint names in both modes
+    model_path = os.path.join(cfg.out_dir, EXTRACT_MODEL_FILE)
+    save_checkpoint(model, model_path)
     reduce = functools.partial(aggregate_instance, fingerprint=fingerprint)
     # frozen: pure measurement against the warmup parameters; online: one
     # training epoch, each instance measured at the step that consumes it
@@ -387,8 +382,6 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
 
     records_path = os.path.join(cfg.out_dir, RECORDS_FILE)
     write_records(records, records_path)
-    model_path = os.path.join(cfg.out_dir, EXTRACT_MODEL_FILE)
-    save_checkpoint(model, model_path)
     meta = {
         "config": cfg.public_dict(),
         "dataset_hash": prep.dataset_hash,
@@ -577,8 +570,7 @@ def run_selection_by_name(
         cands, queries = ((split_words(i.prompt + " " + i.response)
                            for i in prep.instances_for(ids)) for ids in (pool_ids, query_ids))
         if name == "bm25":
-            result = baselines.bm25_select(pool_ids, cands, queries, fraction,
-                                           cfg.bm25_aggregate)
+            result = baselines.bm25_select(pool_ids, cands, queries, fraction)
         else:
             result = baselines.dsir_select(pool_ids, cands, queries, fraction, cfg.seed)
     elif name == "ppl":
@@ -591,8 +583,7 @@ def run_selection_by_name(
         if name == "rds":
             result = baselines.rds_select(pool_ids, cands, queries, fraction)
         else:
-            result = baselines.less_select(pool_ids, cands, queries, fraction,
-                                           cfg.projection_dim, cfg.seed)
+            result = baselines.less_select(pool_ids, cands, queries, fraction)
     else:
         raise ValueError(f"unknown strategy {name!r}")
     return attach_strata(result, prep.strata)
@@ -636,19 +627,18 @@ def fine_tune(
     cfg: RunConfig,
     prep: Prepared,
     train_ids: list[str],
-    epochs: int,
     on_epoch=None,
 ) -> tuple[Model, list[float]]:
-    """Fresh model from the configured init seed, trained on the given ids;
-    returns it with its per-epoch mean losses. on_epoch(model) runs after
-    each epoch.
+    """Fresh model from the configured init seed, trained on the given ids
+    for cfg.epochs epochs; returns it with its per-epoch mean losses.
+    on_epoch(model) runs after each epoch.
 
     Subsets are always presented in sorted-id order so that an identity
     selection reproduces full-data training exactly.
     """
     seqs = prep.seqs_for(sorted(train_ids))
     model = init_model(cfg.model_config(prep.tok.vocab_size))
-    hyper = cfg.train_hyper(epochs=epochs)
+    hyper = cfg.train_hyper()
     trainer = Trainer(model, hyper, total_update_steps(len(seqs), hyper))
     trainer.run(seqs, on_epoch=on_epoch)
     return model, trainer.epoch_losses
@@ -700,7 +690,7 @@ def run_train(
             raise ValueError("selection contains no training-pool instances")
         selection_hash = sha256_file(selection_path)
     t0 = time.perf_counter()
-    model, epoch_losses = fine_tune(cfg, prep, train_ids, cfg.epochs)
+    model, epoch_losses = fine_tune(cfg, prep, train_ids)
     ckpt_file = "model.json"
     save_checkpoint(model, os.path.join(cfg.out_dir, ckpt_file))
     meta = {
@@ -817,13 +807,11 @@ def gradient_percentile_summary(
     }
 
 
-def _train_and_eval_row(
-    name: str, cfg: RunConfig, prep: Prepared, train_ids, epochs: int
-) -> dict:
+def _train_and_eval_row(name: str, cfg: RunConfig, prep: Prepared, train_ids) -> dict:
     """Fine-tune on train_ids, scoring the test split after every epoch; the
     row's metrics are the means over epochs."""
     per_epoch: list[dict] = []
-    fine_tune(cfg, prep, train_ids, epochs,
+    fine_tune(cfg, prep, train_ids,
               on_epoch=lambda model: per_epoch.append(
                   evaluate_model(model, prep, prep.split.test)))
     row = {"row": name, "n_train": len(train_ids), "per_epoch": per_epoch, "error": None}
@@ -842,7 +830,8 @@ def run_compare(
     """Strategy sweep: base row, full-data row, one row per (strategy, N).
 
     Fine-tuning always starts from a fresh model at the configured init seed;
-    metrics are averaged over the first compare_epochs epochs.
+    every trained row runs cfg.epochs epochs, and its metrics are the means
+    over them.
     """
     t_start = time.perf_counter()
     prep = prepare(cfg)
@@ -871,7 +860,6 @@ def run_compare(
         raise RuntimeError(
             f"records do not cover the training pool ({len(missing)} missing)"
         )
-    epochs = cfg.compare_epochs
     rows: list[dict] = []
 
     t0 = time.perf_counter()
@@ -881,9 +869,7 @@ def run_compare(
     timings["base"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rows.append(
-        _train_and_eval_row("all", cfg, prep, sorted(pool), epochs)
-    )
+    rows.append(_train_and_eval_row("all", cfg, prep, sorted(pool)))
     timings["all"] = time.perf_counter() - t0
 
     for name in strategies:
@@ -896,9 +882,7 @@ def run_compare(
                 sel_file, sel_hash = write_selection(
                     cfg.out_dir, f"{name}_{frac:g}", result, pool_records, records_path,
                     records_hash, prep.dataset_hash)
-                row = _train_and_eval_row(
-                    row_name, cfg, prep, list(result.selected_ids), epochs
-                )
+                row = _train_and_eval_row(row_name, cfg, prep, list(result.selected_ids))
                 row["strategy"] = name
                 row["fraction_percent"] = frac
                 row["stratum_counts"] = result.stratum_counts

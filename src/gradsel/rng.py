@@ -3,7 +3,7 @@
 A single splitmix64 generator backs all randomness: it is trivially portable,
 has published test vectors, and is fast enough in pure Python at desk scale.
 Each consumer (weight init, shuffling, random selection, Gumbel noise,
-projections, synthetic data) derives its own substream by XORing the run seed
+synthetic data, splits) derives its own substream by XORing the run seed
 with a fixed role constant, so adding a draw in one component never perturbs
 another component's stream.
 """
@@ -21,7 +21,6 @@ ROLE_INIT = 0x696E_6974  # "init"  - model weight initialisation
 ROLE_SHUFFLE = 0x7368_7566  # "shuf"  - epoch shuffling
 ROLE_SELECT = 0x7365_6C63  # "selc"  - random subset selection
 ROLE_GUMBEL = 0x6775_6D62  # "gumb"  - Gumbel noise for resampling
-ROLE_PROJECT = 0x7072_6F6A  # "proj"  - random sign projections
 ROLE_SYNTH = 0x7379_6E74  # "synt"  - synthetic corpus generation
 ROLE_SPLIT = 0x7370_6C74  # "splt"  - train/test/query splitting
 

@@ -68,6 +68,15 @@ class Model:
         self.flat = np.zeros(_layout(cfg)[-1][2])
         self.params = param_views(cfg, self.flat)
 
+    # copy, deepcopy and pickle keep cfg and flat only, and rebuild the views
+    # into the new flat: copied separately, they would share no memory with it
+    def __getstate__(self) -> dict:
+        return {"cfg": self.cfg, "flat": self.flat}
+
+    def __setstate__(self, state: dict) -> None:
+        self.cfg, self.flat = state["cfg"], state["flat"]
+        self.params = param_views(self.cfg, self.flat)
+
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Declared tensor order; init, checkpoints, and the flat layout follow it."""
@@ -475,9 +484,8 @@ def model_fingerprint(model: Model) -> str:
     followed by the little-endian float64 bytes of the parameters.
 
     A gradient record carries the fingerprint of the model its extraction
-    started from. In frozen mode that is the checkpoint written next to the
-    records; in online mode it is the warmup model, before the epoch that
-    trains it runs.
+    started from: the warmup model, which is the checkpoint written next to
+    the records in both modes (online mode writes it before its epoch).
     """
     digest = hashlib.sha256(json.dumps(asdict(model.cfg), sort_keys=True).encode())
     digest.update(model.flat.astype("<f8", copy=False))  # no copy on little-endian hosts

@@ -16,7 +16,7 @@ import numpy as np
 from ..corpus import TokenSequence
 from ..rng import ROLE_SHUFFLE, substream
 from .model import (BackwardResult, Batch, Model, batches, forward, loss_and_grads,
-                    loss_positions_of, param_views)
+                    param_views)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -46,10 +46,8 @@ class GradientBundle:
 
     instance_id: str
     g_emb: np.ndarray          # (T, d)
-    g_lm: np.ndarray           # (n_loss, V), rows follow loss_positions
-    loss_positions: list[int]
+    g_lm: np.ndarray           # (n_loss, V), one row per response target
     weight: float
-    loss: float
     step_index: int            # -1 when captured without updates
 
 
@@ -57,8 +55,7 @@ def _bundles(seqs: list[TokenSequence], batch: Batch, res: BackwardResult,
              step_index: int) -> list[GradientBundle]:
     starts = batch.row_starts
     return [GradientBundle(seq.instance_id, res.g_emb[b, : len(seq)],
-                           res.g_lm[starts[b] : starts[b + 1]], loss_positions_of(seq),
-                           float(batch.w[b]), float(res.losses[b]), step_index)
+                           res.g_lm[starts[b] : starts[b + 1]], float(batch.w[b]), step_index)
             for b, seq in enumerate(seqs)]
 
 

@@ -20,7 +20,6 @@ from gradsel.baselines import (
     rds_select,
     representation_features,
     select_random,
-    sign_projection,
 )
 from gradsel.corpus import TokenSequence
 from gradsel.rng import ROLE_SELECT, substream
@@ -112,7 +111,7 @@ def test_bm25_query_multiplicity_counts():
     np.testing.assert_allclose(double, 2 * single)
 
 
-def _bm25_reference(candidates, queries, aggregate):
+def _bm25_reference(candidates, queries):
     """The BM25 formula with idf computed afresh for every matching term."""
     M = len(candidates)
     avgdl = sum(len(d) for d in candidates) / M
@@ -131,7 +130,7 @@ def _bm25_reference(candidates, queries, aggregate):
                     idf = math.log(1.0 + (M - d + 0.5) / (d + 0.5))
                     s += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
             per_query.append(s)
-        out[i] = max(per_query) if aggregate == "max" else sum(per_query) / len(per_query)
+        out[i] = sum(per_query) / len(per_query)
     return out
 
 
@@ -141,9 +140,7 @@ def test_bm25_matches_a_per_term_reference_bit_for_bit():
     docs = [[words[k] for k in rng.integers(0, 25, rng.integers(0, 12))] for _ in range(60)]
     queries = [[words[k] for k in rng.integers(0, 30, rng.integers(1, 9))] for _ in range(7)]
     assert [] in docs
-    for aggregate in ("mean", "max"):
-        assert np.array_equal(bm25_scores(docs, queries, aggregate),
-                              _bm25_reference(docs, queries, aggregate))
+    assert np.array_equal(bm25_scores(docs, queries), _bm25_reference(docs, queries))
 
 
 def test_dsir_exact_weight_no_hash_collision():
@@ -230,10 +227,9 @@ _EDGE_QUERIES = [["a", "a", "zz"], ["zz"], ["c", "b", "c"]]
 @pytest.mark.parametrize("pool", sorted(_EDGE_POOLS))
 def test_bm25_edge_cases_match_the_reference_bit_for_bit(pool):
     docs = _EDGE_POOLS[pool]
-    for aggregate in ("mean", "max"):
-        want = _bm25_reference(docs, _EDGE_QUERIES, aggregate)
-        assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES, aggregate), want)
-        assert np.array_equal(bm25_scores(iter(docs), iter(_EDGE_QUERIES), aggregate), want)
+    want = _bm25_reference(docs, _EDGE_QUERIES)
+    assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES), want)
+    assert np.array_equal(bm25_scores(iter(docs), iter(_EDGE_QUERIES)), want)
 
 
 @pytest.mark.parametrize("pool", sorted(_EDGE_POOLS))
@@ -252,9 +248,8 @@ def test_dsir_edge_cases_match_the_reference_bit_for_bit(pool):
 
 def test_an_all_empty_pool_scores_zero_without_a_warning():
     docs = [[], [], []]
-    for aggregate in ("mean", "max"):
-        assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES, aggregate), np.zeros(3))
-        assert np.array_equal(_bm25_reference(docs, _EDGE_QUERIES, aggregate), np.zeros(3))
+    assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES), np.zeros(3))
+    assert np.array_equal(_bm25_reference(docs, _EDGE_QUERIES), np.zeros(3))
     for orders in ((1,), (1, 2)):
         for smooth in (True, False):
             logw = dsir_log_weights(iter(docs), _EDGE_QUERIES, orders=orders,
@@ -346,9 +341,9 @@ def test_rds_length_mismatch_rejected():
 
 def test_less_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="width mismatch"):
-        less_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100, None, 0)
+        less_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100)
     with pytest.raises(ValueError, match="width mismatch"):  # no query rows
-        less_select(_ids(1), _rows([1.0, 2.0]), np.empty((0, 2)), 100, None, 0)
+        less_select(_ids(1), _rows([1.0, 2.0]), np.empty((0, 2)), 100)
 
 
 def test_ppl_outlier_rejected():
@@ -375,46 +370,16 @@ def test_less_identical_vector_scores_one():
     dim = 300
     q = rng.normal(size=dim)
     cands = _rows(rng.normal(size=dim), q)
-    res = less_select(_ids(2), cands, _rows(q), 50, projection_dim=256, seed=3)
+    res = less_select(_ids(2), cands, _rows(q), 50)
     assert res.f_values["c001"] == pytest.approx(1.0, abs=1e-12)
     assert res.selected_ids == ("c001",)
-
-
-def test_less_projection_preserves_cosine_roughly():
-    rng = np.random.default_rng(3)
-    dim = 300
-    worst = 0.0
-    for trial in range(100):
-        u = rng.normal(size=dim)
-        v = rng.normal(size=dim)
-        exact = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
-        res = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=256, seed=trial)
-        worst = max(worst, abs(res.f_values["c000"] - exact))
-    assert worst < 0.15
 
 
 def test_less_no_projection_is_exact_cosine():
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([2.0, 4.0, 4.0])
-    res = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=None, seed=0)
+    res = less_select(_ids(1), _rows(u), _rows(v), 100)
     assert res.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
-    res3 = less_select(_ids(1), _rows(u), _rows(v), 100, projection_dim=3, seed=0)
-    assert res3.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_less_deterministic_per_seed():
-    rng = np.random.default_rng(4)
-    cands = rng.normal(size=(10, 40))
-    qs = rng.normal(size=(1, 40))
-    a = less_select(_ids(10), cands, qs, 30, projection_dim=16, seed=5)
-    b = less_select(_ids(10), cands, qs, 30, projection_dim=16, seed=5)
-    assert a.selected_ids == b.selected_ids
-
-
-def test_sign_projection_entries():
-    proj = sign_projection(6, 4, seed=0)
-    assert proj.shape == (6, 4)
-    np.testing.assert_allclose(np.abs(proj), 1.0 / math.sqrt(4))
 
 
 _SEQS = [
@@ -445,13 +410,6 @@ def test_non_finite_features_are_refused_by_instance():
         gradient_features(m, _SEQS)
 
 
-def test_less_refuses_a_projection_outside_one_to_the_feature_width():
-    cands, queries = _rows([1.0, 2.0, 3.0]), _rows([1.0, 0.0, 0.0])
-    for bad in (0, -3, 4):
-        with pytest.raises(ValueError, match=r"projection_dim must lie in \[1, 3\]"):
-            less_select(_ids(1), cands, queries, 100, bad, 0)
-
-
 def test_all_baselines_subset_size_matches_rule():
     ids = _ids(7)
     docs = [[f"w{i}", "x"] for i in range(7)]
@@ -467,7 +425,7 @@ def test_all_baselines_subset_size_matches_rule():
         bm25_select(ids, docs, qs, 50),
         dsir_select(ids, docs, qs, 50, 0),
         rds_select(ids, feats, qf, 50),
-        less_select(ids, gfeats, gq, 50, None, 0),
+        less_select(ids, gfeats, gq, 50),
         ppl_select(ids, ppls, 50),
     ):
         assert len(res.selected_ids) == 4  # 3.5 rounds half-up

@@ -24,7 +24,6 @@ def workspace(tmp_path_factory):
         "d_model": 16,
         "warmup_steps": 30,
         "epochs": 1,
-        "compare_epochs": 1,
     }))
     return root, str(cfg_path)
 
@@ -119,11 +118,12 @@ def test_runtime_failure_exits_one(workspace, capsys):
     bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "fraction": "50"}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
     assert capsys.readouterr().err == f"error: {bad_cfg}: field fraction is not a number\n"
-    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "projection_dim": 0}))
+    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "epochs": 0}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
-    assert capsys.readouterr().err == "error: projection_dim must be >= 1\n"
+    assert capsys.readouterr().err == "error: epochs must be >= 1\n"
     for name, value in [("tie_lm_head", False), ("lm_grad_space", "logits"),
-                        ("norm_mode", "mean_of_norms")]:  # removed fields
+                        ("norm_mode", "mean_of_norms"), ("compare_epochs", 1),
+                        ("bm25_aggregate", "mean"), ("projection_dim", None)]:  # removed fields
         bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), name: value}))
         assert main(["extract", "--config", str(bad_cfg)]) == 1
         assert capsys.readouterr().err == f"error: {bad_cfg}: unknown field {name!r}\n"

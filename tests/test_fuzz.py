@@ -82,7 +82,7 @@ _MANIFEST = {"files": {"records.jsonl": "ab" * 32}}
 
 def _config(dataset: str) -> dict:
     return {"dataset": dataset, "out_dir": "out", "seed": 3, "fraction": 50.0,
-            "test_fraction": 0.1, "batch_size": 4, "projection_dim": None}
+            "test_fraction": 0.1, "batch_size": 4}
 
 
 def _raises_only_value_errors(read, path, data: bytes):
@@ -198,9 +198,7 @@ def test_load_config_names_a_mistyped_field(tmp_path, field, value, wanted):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("projection_dim", 0, "projection_dim must be >= 1"),
-    ("projection_dim", -3, "projection_dim must be >= 1"),
-    ("bm25_aggregate", "sum", "unknown bm25_aggregate 'sum'"),
+    ("epochs", 0, "epochs must be >= 1"),
 ])
 def test_load_config_refuses_an_out_of_range_value(tmp_path, field, value, message):
     dataset = tmp_path / "dataset.jsonl"

@@ -1,9 +1,9 @@
 """Byte-identity of a small end-to-end run: every hashed artifact is pinned.
 
 The run covers frozen and online extraction, all 8 density strategies, all
-6 baselines (less twice: full width and projection_dim 8), train (full pool
-and from a selection), eval, pilot and `compare grads,random @50`, at the
-`test_pipeline._cfg` scale (90 instances, 30 warmup steps). Each command's
+6 baselines, train (full pool and from a selection), eval, pilot and
+`compare grads,random @50` at 2 epochs, at the `test_pipeline._cfg` scale
+(90 instances, 30 warmup steps). Each command's
 `manifest.json` hashes are checked against GOLDEN. The run uses relative
 paths from a temporary working directory, because metas echo the dataset
 path.
@@ -41,7 +41,7 @@ from gradsel.pipeline import (
 from gradsel.selector import STRATEGIES
 
 GOLDEN = {
-    'compare/extract_meta.json': '3d468a48c36782f2600e2fc59ec851644b97819958e1e03ef07ce5174cc07431',
+    'compare/extract_meta.json': '139d83e7959236b14becd9d415e61282fac0c22cb5a1502039b25b1e872d9016',
     'compare/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'compare/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
     'compare/report.json': 'a2e7241f554f99b4501c56775423532750b603e0d6125c76f78287fd0934974d',
@@ -50,7 +50,7 @@ GOLDEN = {
     'compare/selection_random_50.jsonl': 'c6d994d0820e1468435baf4920cb6936d54e7190e4957de2b7c41d2f1bf2721b',
     'compare/selection_random_50_meta.json': '6b3689f6f1f942ac5ce33a4acc07df21c9565eca53343f4683f18819eb816dc6',
     'corpus/dataset.jsonl': '8c389d4384396df64b9b81569ae60323edab6a4d34e0519dff217f65ace41e5f',
-    'frozen/extract_meta.json': '3d468a48c36782f2600e2fc59ec851644b97819958e1e03ef07ce5174cc07431',
+    'frozen/extract_meta.json': '91b91cf1b0e49dc843e5bf7904df104e9775f4e21b45357e10414484abcfef9b',
     'frozen/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'frozen/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
     'frozen/selection_bm25.jsonl': '77578debbd06c61fbee0beee65062f41d5738c67b252a775b8b14aa694f48021',
@@ -62,7 +62,7 @@ GOLDEN = {
     'frozen/selection_grads.jsonl': 'dd8ea87dfa5cec9098bc4dba56d796956a48aaacebfb7bbf7b07285797fd0f1f',
     'frozen/selection_grads_meta.json': '9c70264ddbabf014e1ee38be96047b97d01d0c8a69f13955781f59182124bc52',
     'frozen/selection_less.jsonl': 'fe6bc7d7c399342032ddf7bdb2347e41683a0edf9a5448363e4389b5c156ef40',
-    'frozen/selection_less_meta.json': '10e1437aab798c5bb56e10e25d695062f461fb73cc844c6e045886d2b10c296a',
+    'frozen/selection_less_meta.json': '817209e5b975e2ecd89a60408290ba6bc353bc567d6e544a883b3a504d29f679',
     'frozen/selection_lm_only.jsonl': 'edbf0c524c45b98e4a795849debbb9e609d4d0897b4ac1a9fbeffac7c49925ee',
     'frozen/selection_lm_only_meta.json': 'ccb7f628fb19eb6d12a4e8327b0897723c7388f818f85d8baa44270b12b13c41',
     'frozen/selection_mid_grad.jsonl': 'b20a1740eb8a34f412bce6a15e8f509ca189c726d0c785043ba795678d8a9ab5',
@@ -81,18 +81,16 @@ GOLDEN = {
     'frozen/selection_weight_meta.json': 'c90b7f4845ccc79f7e7c485a703ae718a38a8fcbcdca413d3225acf4f08f80bc',
     'frozen/selection_weightr.jsonl': 'df0dc8464be1a7bfb060bfb054a2fb9f94cba504bae43f83f5483672b1ff3ec4',
     'frozen/selection_weightr_meta.json': '8a70a15a0118addf9f888b277259d4fb84d32e7196f3c7dffa45ed7d4ae73d5f',
-    'less8/selection_less.jsonl': 'b6b59ef8808dd14d227017f18664c27c5c46a7c7003be5f9f04e9b1a32624c26',
-    'less8/selection_less_meta.json': '10e1437aab798c5bb56e10e25d695062f461fb73cc844c6e045886d2b10c296a',
     'online/eval.json': 'e746e5f64b668b7ce235f5687e868ae02e42c186284a9ec85cefbcc4734cd0ee',
-    'online/extract_meta.json': 'ed4ea795635309c612323c9563fb4608373641757a01dda1c940fc805615abd9',
-    'online/extract_model.json': '4c5ddcce1c66a2949a60efdd3e1e12c374b7f004f243285e0f7acfde9fac58ce',
+    'online/extract_meta.json': 'ac2a5156e837c76c03d4260941ce5febb34ea5fb96dac88f111b232d9c23a412',
+    'online/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'online/model.json': '98c391e1c3ff54505d3184aa8ba6b26650a7eee332dc80bbb985d81c3079cc04',
     'online/records.jsonl': '55f08339b29111585cc5ff4a7e168089db0f01df04158a75d2d8e0cb51c309b8',
-    'online/train_meta.json': 'ffb41f46fc33ed898ff966e4dbe0ff13b40d8c063b91d3d3fa514f616ee195ec',
+    'online/train_meta.json': '396fd2878de9548b6395aa2548b87719eab89a0505f4cfb41beba065bcecec7b',
     'pilot/deciles.csv': '96e3c9b1a50735037db5e8be7ee747381fb824711bec4375016fd286c6c0646b',
     'pilot/pilot_meta.json': 'ffc54cf201980c1a3b094e167da2e7a7e24ef2afc0dabf752018f42a478b1db8',
     'train/model.json': 'a225a2caee1293950e63296e51be16a479b846d0ad742086a46bfc5f84f800c8',
-    'train/train_meta.json': '46e9346e6f017ff0dc368d527ce7de1ab12b3ad8586dc7ae61ccafdb9d6e8817',
+    'train/train_meta.json': 'be2c76a5cf77e7b2a092342389487603b490829bf4fe1d79d641960a96cd05ad',
 }
 
 
@@ -109,14 +107,13 @@ def _run_all() -> dict[str, str]:
     """Every command of the pinned run, from the current directory."""
     run_synth("corpus", 60, 15, 15, seed=7)
     frozen = RunConfig(dataset="corpus/dataset.jsonl", out_dir="frozen", seed=7,
-                       d_model=16, warmup_steps=30, epochs=1, compare_epochs=2)
+                       d_model=16, warmup_steps=30, epochs=1)
     records = "frozen/records.jsonl"
     run_extract(frozen)
     for name in STRATEGIES:
         run_select(frozen, records, name, 50.0)
     for name in BASELINE_NAMES:
         run_baseline(frozen, name, records, 50.0)
-    run_baseline(replace(frozen, out_dir="less8", projection_dim=8), "less", records, 50.0)
     run_train(replace(frozen, out_dir="train"), "frozen/selection_grads.jsonl")
     run_pilot(replace(frozen, out_dir="pilot"), records)
 
@@ -125,10 +122,9 @@ def _run_all() -> dict[str, str]:
     run_train(online)
     run_eval(online, "online/model.json")
 
-    run_compare(replace(frozen, out_dir="compare"), ["grads", "random"], [50.0])
+    run_compare(replace(frozen, out_dir="compare", epochs=2), ["grads", "random"], [50.0])
 
-    return _manifest_hashes(["corpus", "frozen", "less8", "train", "pilot", "online",
-                             "compare"])
+    return _manifest_hashes(["corpus", "frozen", "train", "pilot", "online", "compare"])
 
 
 def test_artifacts_match_pinned_hashes(tmp_path, monkeypatch):

@@ -20,14 +20,12 @@ from gradsel.tinylm.training import GradientBundle
 FP = "ab" * 8
 
 
-def _bundle(instance_id, g_emb, g_lm, loss_positions, weight, step=-1):
+def _bundle(instance_id, g_emb, g_lm, weight, step=-1):
     return GradientBundle(
         instance_id=instance_id,
         g_emb=np.asarray(g_emb, dtype=float),
         g_lm=np.asarray(g_lm, dtype=float),
-        loss_positions=loss_positions,
         weight=weight,
-        loss=0.0,
         step_index=step,
     )
 
@@ -38,7 +36,7 @@ def _seq(roles, instance_id="x"):
 
 def test_single_response_token_norm():
     seq = _seq(["special", "response", "special"])
-    b = _bundle("x", np.zeros((3, 2)), [[-0.5, 0.5]], [0], weight=1.0)
+    b = _bundle("x", np.zeros((3, 2)), [[-0.5, 0.5]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_lm == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert rec.n_lm_tokens == 1
@@ -49,7 +47,7 @@ def test_mean_of_norms_is_arithmetic_mean():
     g_emb = np.zeros((4, 3))
     g_emb[1] = [1.0, 0.0, 0.0]       # norm 1
     g_emb[2] = [0.0, 3.0, 0.0]       # norm 3
-    b = _bundle("x", g_emb, [[0.1, -0.1]], [1], weight=1.0)
+    b = _bundle("x", g_emb, [[0.1, -0.1]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_emb == pytest.approx(2.0)
     assert rec.n_emb_tokens == 2
@@ -58,12 +56,12 @@ def test_mean_of_norms_is_arithmetic_mean():
 def test_special_tokens_excluded():
     roles = ["special", "prompt", "response", "special"]
     g_emb = np.array([[9.0, 9.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-    b = _bundle("x", g_emb, [[0.2, -0.2]], [1], weight=1.0)
+    b = _bundle("x", g_emb, [[0.2, -0.2]], weight=1.0)
     rec = aggregate_instance(b, _seq(roles), FP)
     # pad the sequence with more specials carrying huge gradients
     roles2 = roles + ["special", "special"]
     g_emb2 = np.vstack([g_emb, [[7.0, 7.0], [8.0, 8.0]]])
-    b2 = _bundle("x", g_emb2, [[0.2, -0.2]], [1], weight=1.0)
+    b2 = _bundle("x", g_emb2, [[0.2, -0.2]], weight=1.0)
     rec2 = aggregate_instance(b2, _seq(roles2), FP)
     assert rec.g_emb == rec2.g_emb
 
@@ -71,10 +69,10 @@ def test_special_tokens_excluded():
 def test_weight_divided_out_gives_length_independence():
     seq2 = _seq(["special", "response", "response", "special"])
     row = np.array([0.3, -0.3, 0.0])
-    b2 = _bundle("a", np.zeros((4, 2)), np.stack([row * 0.5] * 2), [0, 1], weight=0.5)
+    b2 = _bundle("a", np.zeros((4, 2)), np.stack([row * 0.5] * 2), weight=0.5)
     rec2 = aggregate_instance(b2, seq2, FP)
     seq4 = _seq(["special"] + ["response"] * 4 + ["special"])
-    b4 = _bundle("a", np.zeros((6, 2)), np.stack([row * 0.25] * 4), [0, 1, 2, 3], weight=0.25)
+    b4 = _bundle("a", np.zeros((6, 2)), np.stack([row * 0.25] * 4), weight=0.25)
     rec4 = aggregate_instance(b4, seq4, FP)
     assert rec2.g_lm == pytest.approx(rec4.g_lm, rel=1e-12)
     assert rec2.g_lm == pytest.approx(np.linalg.norm(row), rel=1e-12)
@@ -85,18 +83,18 @@ def test_permutation_invariance_within_role():
     rng = np.random.default_rng(0)
     g_emb = rng.normal(size=(6, 4))
     g_lm = rng.normal(size=(2, 5))
-    b = _bundle("x", g_emb, g_lm, [2, 3], weight=0.5)
+    b = _bundle("x", g_emb, g_lm, weight=0.5)
     rec = aggregate_instance(b, _seq(roles), FP)
     g_emb_swapped = g_emb.copy()
     g_emb_swapped[[1, 2]] = g_emb_swapped[[2, 1]]
-    b2 = _bundle("x", g_emb_swapped, g_lm[::-1].copy(), [2, 3], weight=0.5)
+    b2 = _bundle("x", g_emb_swapped, g_lm[::-1].copy(), weight=0.5)
     rec2 = aggregate_instance(b2, _seq(roles), FP)
     assert rec.g_emb == pytest.approx(rec2.g_emb, rel=1e-15)
     assert rec.g_lm == pytest.approx(rec2.g_lm, rel=1e-15)
 
 
 def test_no_content_tokens_rejected():
-    b = _bundle("x", np.zeros((2, 2)), [[0.1, -0.1]], [0], weight=1.0)
+    b = _bundle("x", np.zeros((2, 2)), [[0.1, -0.1]], weight=1.0)
     with pytest.raises(ValueError, match="content"):
         aggregate_instance(b, _seq(["special", "special"]), FP)
 
@@ -111,7 +109,7 @@ def test_combine_rules():
 
 def test_record_invariant_holds_exactly():
     seq = _seq(["special", "response", "special"])
-    b = _bundle("x", np.ones((3, 2)), [[0.25, -0.25]], [0], weight=1.0)
+    b = _bundle("x", np.ones((3, 2)), [[0.25, -0.25]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_grads == rec.g_emb + rec.g_lm
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,6 @@ def _cfg(corpus_dir, out_dir, **kw):
     kw.setdefault("d_model", 16)
     kw.setdefault("warmup_steps", 30)
     kw.setdefault("epochs", 1)
-    kw.setdefault("compare_epochs", 2)
     return RunConfig(
         dataset=os.path.join(corpus_dir, "dataset.jsonl"), out_dir=out_dir, **kw
     )
@@ -74,6 +74,12 @@ def test_config_file_roundtrip_and_unknown_field(corpus_dir, tmp_path):
         load_config(str(path))
 
 
+def test_readme_config_section_names_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`([a-z_0-9]+)`", section)) == set(RunConfig.__dataclass_fields__)
+
+
 def test_split_disjoint_and_deterministic(corpus_dir, tmp_path):
     cfg = _cfg(corpus_dir, str(tmp_path))
     prep = prepare(cfg)
@@ -95,11 +101,15 @@ def test_extract_covers_dataset(extract_run):
     assert len({r.instance_id for r in records}) == 90
 
 
-def test_frozen_records_name_the_checkpoint_next_to_them(extract_run):
-    _, out = extract_run
-    fingerprint = model_fingerprint(load_checkpoint(out["model"]))
-    assert {r.model_fingerprint for r in read_records(out["records"])} == {fingerprint}
-    assert json.loads(Path(out["meta"]).read_text())["model_fingerprint"] == fingerprint
+def test_frozen_records_name_the_checkpoint_next_to_them(extract_run, tmp_path):
+    """And online records too: their checkpoint is the warmup model, written
+    before the online epoch trains it."""
+    cfg, frozen = extract_run
+    online = run_extract(replace(cfg, mode="online", out_dir=str(tmp_path)))
+    for out in (frozen, online):
+        fingerprint = model_fingerprint(load_checkpoint(out["model"]))
+        assert {r.model_fingerprint for r in read_records(out["records"])} == {fingerprint}
+        assert json.loads(Path(out["meta"]).read_text())["model_fingerprint"] == fingerprint
 
 
 def _pair(bundle, seq):

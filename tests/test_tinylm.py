@@ -6,7 +6,9 @@ alone, sharing no code with the backward pass. Every forward and backward
 runs on a padded batch; a single sequence is a batch of one.
 """
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +121,24 @@ def test_params_are_views_of_one_flat_vector():
         assert m.params[name].reshape(-1)[0] == pos
         pos += m.params[name].size
     assert pos == m.flat.size
+
+
+def test_a_copied_model_trains(tmp_path):
+    """copy, deepcopy and pickle rebuild params as views of the copy's flat,
+    so an Adam step on the copy moves what forward and checkpoints read."""
+    m = init_model(TINY)
+    assert all(np.shares_memory(p, c.flat) for c in (copy.copy(m), copy.deepcopy(m))
+               for p in c.params.values())
+    seq = _random_seq(np.random.default_rng(10), TINY)
+    batch = Batch.of([seq])
+    for c in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        logits = forward(c, batch).logits
+        save_checkpoint(c, str(tmp_path / "before.json"))
+        Trainer(c, TrainHyper(), 1).apply_batch([seq])
+        save_checkpoint(c, str(tmp_path / "after.json"))
+        assert not np.array_equal(forward(c, batch).logits, logits)
+        assert (tmp_path / "before.json").read_bytes() != (tmp_path / "after.json").read_bytes()
+    assert np.array_equal(m.flat, init_model(TINY).flat)
 
 
 def test_parameter_total_closed_form():
@@ -341,9 +361,10 @@ def test_full_score_batch_is_bit_identical_to_batches_of_one():
     assert len({len(s) for s in seqs}) > 10
     m = init_model(WIDE)
     bundles = frozen_gradients(m, seqs, _keep)
-    for bundle, seq in zip(bundles, seqs):
+    _, _, batched = _run(m, seqs, want_param_grads=False)
+    for b, (bundle, seq) in enumerate(zip(bundles, seqs)):
         _, _, one = _run(m, [seq], want_param_grads=False)
-        assert bundle.loss == one.losses[0]
+        assert batched.losses[b] == one.losses[0]
         assert np.array_equal(bundle.g_emb, one.g_emb[0])
         assert np.array_equal(bundle.g_lm, one.g_lm)
 
