@@ -9,6 +9,7 @@ manifest does not hash.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -365,23 +366,23 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     prep = prep or prepare(cfg)
     model = build_reference_model(cfg, prep)
     fingerprint = model_fingerprint(model)
-    # saved before an online epoch trains it, so the checkpoint is the model
-    # the records' fingerprint names in both modes
-    model_path = os.path.join(cfg.out_dir, EXTRACT_MODEL_FILE)
-    save_checkpoint(model, model_path)
     reduce = functools.partial(aggregate_instance, fingerprint=fingerprint)
     # frozen: pure measurement against the warmup parameters; online: one
-    # training epoch, each instance measured at the step that consumes it
+    # training epoch of a copy, each instance measured at the step that
+    # consumes it. Either way the checkpoint is the warmup model the records'
+    # fingerprint names, written only once the records are.
     if cfg.mode == "frozen":
         records = frozen_gradients(model, prep.seqs, reduce)
     else:
         hyper = cfg.train_hyper(epochs=1)
-        trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
+        trainer = Trainer(copy.deepcopy(model), hyper, total_update_steps(len(prep.seqs), hyper))
         records = trainer.run(prep.seqs, reduce=reduce)
     records.sort(key=lambda r: r.instance_id)
 
     records_path = os.path.join(cfg.out_dir, RECORDS_FILE)
     write_records(records, records_path)
+    model_path = os.path.join(cfg.out_dir, EXTRACT_MODEL_FILE)
+    save_checkpoint(model, model_path)
     meta = {
         "config": cfg.public_dict(),
         "dataset_hash": prep.dataset_hash,

@@ -485,7 +485,7 @@ def model_fingerprint(model: Model) -> str:
 
     A gradient record carries the fingerprint of the model its extraction
     started from: the warmup model, which is the checkpoint written next to
-    the records in both modes (online mode writes it before its epoch).
+    the records in both modes (online mode trains a copy of it).
     """
     digest = hashlib.sha256(json.dumps(asdict(model.cfg), sort_keys=True).encode())
     digest.update(model.flat.astype("<f8", copy=False))  # no copy on little-endian hosts

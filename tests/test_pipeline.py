@@ -102,8 +102,8 @@ def test_extract_covers_dataset(extract_run):
 
 
 def test_frozen_records_name_the_checkpoint_next_to_them(extract_run, tmp_path):
-    """And online records too: their checkpoint is the warmup model, written
-    before the online epoch trains it."""
+    """And online records too: their checkpoint is the warmup model, not the
+    model after the online epoch."""
     cfg, frozen = extract_run
     online = run_extract(replace(cfg, mode="online", out_dir=str(tmp_path)))
     for out in (frozen, online):
