@@ -3,10 +3,9 @@
 The run covers frozen and online extraction, all 8 density strategies, all
 6 baselines, train (full pool and from a selection), eval, pilot and
 `compare grads,random @50` at 2 epochs, at the `test_pipeline._cfg` scale
-(90 instances, 30 warmup steps). Each command's
-`manifest.json` hashes are checked against GOLDEN. The run uses relative
-paths from a temporary working directory, because metas echo the dataset
-path.
+(90 instances, 30 warmup steps). Each command's `manifest.json` hashes are
+checked against GOLDEN. The run uses relative paths from a temporary working
+directory, because metas echo the dataset path.
 
 A change that moves one bit of training, extraction, selection or
 evaluation fails here and names the file. A deliberate bit change re-pins
