@@ -21,6 +21,17 @@ from dataclasses import MISSING, dataclass, fields
 
 from .rng import ROLE_SYNTH, substream
 
+# The one SHA-256 constructor for files, bytes and parameter vectors. CPython's
+# built-in module keeps OpenSSL's libcrypto (about 3.6 MB of RSS) out of the
+# process; it hashes several times slower, which these few MB per run afford.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 STRATA = ("domain", "noise", "trivial", "unlabeled")
 
 ROLE_SPECIAL = "special"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import hashlib
 import json
 import os
 import time
@@ -31,6 +30,7 @@ from .corpus import (
     load_dataset,
     open_atomic,
     save_dataset,
+    sha256,
     split_words,
     synth_corpus,
     _from_json,
@@ -163,7 +163,7 @@ def load_config(path: str, **overrides) -> RunConfig:
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -175,7 +175,7 @@ def _read_hashed(path: str) -> tuple[bytes, str]:
     what the hash names."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data, hashlib.sha256(data).hexdigest()
+    return data, sha256(data).hexdigest()
 
 
 class _LastValue:

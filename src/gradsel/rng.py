@@ -29,6 +29,7 @@ class SplitMix64:
     """splitmix64 stream: state += golden gamma, output = mixed state."""
 
     GOLDEN = 0x9E3779B97F4A7C15
+    NORMALS_CHUNK = 4096
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -62,17 +63,22 @@ class SplitMix64:
         The integer stream and the uniforms are vectorised in uint64. log and
         cos stay in `math`, one call per draw: numpy's SIMD log is not
         correctly rounded and differs from math.log in the last bit. sqrt and
-        the products are IEEE-exact either way.
+        the products are IEEE-exact either way. Draws go NORMALS_CHUNK at a
+        time, so the Python floats `math` needs stay few however large n is.
         """
-        steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
-        z = np.uint64(self.state) + steps * np.uint64(self.GOLDEN)
-        self.state = (self.state + 2 * n * self.GOLDEN) & MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        log_u1 = np.array(list(map(math.log, np.maximum(u[0::2], 2.0**-53).tolist())))
-        cos_u2 = np.array(list(map(math.cos, (2.0 * math.pi * u[1::2]).tolist())))
-        return np.sqrt(-2.0 * log_u1) * cos_u2
+        out = np.empty(n)
+        for lo in range(0, n, self.NORMALS_CHUNK):
+            m = min(self.NORMALS_CHUNK, n - lo)
+            steps = np.arange(1, 2 * m + 1, dtype=np.uint64)
+            z = np.uint64(self.state) + steps * np.uint64(self.GOLDEN)
+            self.state = (self.state + 2 * m * self.GOLDEN) & MASK64
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            log_u1 = np.fromiter(map(math.log, np.maximum(u[0::2], 2.0**-53).tolist()), float, m)
+            cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), float, m)
+            np.multiply(np.sqrt(-2.0 * log_u1), cos_u2, out=out[lo:lo + m])
+        return out
 
     def gumbel(self) -> float:
         """Standard Gumbel draw, -ln(-ln(u)), with u clamped away from 0."""

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..corpus import Tokenizer, TokenSequence, _from_json, _json_lines, open_atomic
+from ..corpus import Tokenizer, TokenSequence, _from_json, _json_lines, open_atomic, sha256
 from ..rng import ROLE_INIT, substream
 from .erf import erf
 
@@ -187,9 +186,10 @@ def batches(seqs: list[TokenSequence], size: int = SCORE_BATCH):
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     n = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / n
-    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / n
+    xhat = x - mu
+    var = (xhat ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    xhat *= inv
     return xhat * g + b, xhat, inv
 
 
@@ -487,7 +487,7 @@ def model_fingerprint(model: Model) -> str:
     started from: the warmup model, which is the checkpoint written next to
     the records in both modes (online mode trains a copy of it).
     """
-    digest = hashlib.sha256(json.dumps(asdict(model.cfg), sort_keys=True).encode())
+    digest = sha256(json.dumps(asdict(model.cfg), sort_keys=True).encode())
     digest.update(model.flat.astype("<f8", copy=False))  # no copy on little-endian hosts
     return digest.hexdigest()[:16]
 

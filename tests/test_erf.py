@@ -1,5 +1,6 @@
 """The GELU's erf: bit-identical to scipy.special.erf, with scipy only as the oracle."""
 
+import json
 import math
 import os
 import subprocess
@@ -40,10 +41,33 @@ def test_erf_matches_scipy_bit_for_bit():
         assert same and same_sign, f"{name}: erf differs at {x[bad][:5].tolist()}"
 
 
-def test_importing_gradsel_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(gradsel.__file__))
-    code = ("import sys, gradsel.pipeline, gradsel.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+_RUN = """
+import json, os, sys
+import gradsel.pipeline
+from gradsel.cli import main
+root = sys.argv[1]
+assert main(["synth", "--out", os.path.join(root, "corpus"), "--seed", "7",
+             "--domain", "20", "--noise", "5", "--trivial", "5"]) == 0
+config = os.path.join(root, "config.json")
+with open(config, "w") as fh:
+    json.dump({"dataset": os.path.join(root, "corpus", "dataset.jsonl"),
+               "out_dir": os.path.join(root, "run"), "seed": 7, "d_model": 16,
+               "warmup_steps": 5, "epochs": 1}, fh)
+assert main(["extract", "--config", config, "--mode", "frozen"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib"))))
+"""
+
+
+def test_importing_gradsel_loads_no_scipy(tmp_path):
+    """Importing the CLI, then running synth and a frozen extract, loads neither
+    scipy nor OpenSSL's `_hashlib`, so no lazy import brings either back. The
+    `_hashlib` half is skipped where site hooks load it into a bare interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gradsel.__file__))}
+
+    def loaded(code, *args):
+        out = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                             capture_output=True, text=True, env=env)
+        return set(json.loads(out.stdout.splitlines()[-1]))
+
+    bare = loaded("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert loaded(_RUN, str(tmp_path)) <= {"_hashlib"} & bare

@@ -7,9 +7,11 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradsel import pipeline
+from gradsel.corpus import sha256
 from gradsel.gradstats import aggregate_instance, read_records, write_records
 from gradsel.pipeline import (
     RunConfig,
@@ -54,6 +56,22 @@ def extract_run(corpus_dir, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("extract"))
     cfg = _cfg(corpus_dir, out)
     return cfg, run_extract(cfg)
+
+
+def test_digest_equals_hashlib(tmp_path):
+    import hashlib
+
+    data = np.random.default_rng(3).bytes((1 << 20) + 1)
+    for n in (0, 55, 56, 63, 64, 65):  # padding edges of one and two blocks
+        assert sha256(data[:n]).hexdigest() == hashlib.sha256(data[:n]).hexdigest()
+    path = tmp_path / "blob"
+    path.write_bytes(data)  # two reads of sha256_file's 1 MiB chunks
+    assert sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
+    flat = np.random.default_rng(5).standard_normal(1000)  # model_fingerprint's buffer
+    ours, theirs = sha256(b"cfg"), hashlib.sha256(b"cfg")
+    ours.update(flat)
+    theirs.update(flat)
+    assert ours.hexdigest() == theirs.hexdigest()
 
 
 def test_config_file_roundtrip_and_unknown_field(corpus_dir, tmp_path):

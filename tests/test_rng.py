@@ -94,9 +94,10 @@ def test_normal_moments():
 
 
 def test_vector_normals_match_scalar_stream():
+    chunk = SplitMix64.NORMALS_CHUNK
     for seed in (0, 11, (1 << 64) - 1):
         scalar, vector = SplitMix64(seed), SplitMix64(seed)
-        for n in (0, 1, 7, 4096):
+        for n in (0, 1, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
             want = [scalar.normal() for _ in range(n)]
             assert vector.normals(n).tolist() == want
             assert vector.state == scalar.state
