@@ -40,8 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="density/value selection over records")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--fraction", type=float, default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default="grads",
+                   help="density strategy (default: %(default)s)")
+    p.add_argument("--fraction", type=float, default=50.0,
+                   help="percentage of the records to keep (default: %(default)g)")
     p.add_argument("--force", action="store_true",
                    help="skip provenance checks")
 
@@ -49,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--records", required=True)
     p.add_argument("--strategy", choices=BASELINE_NAMES, required=True)
-    p.add_argument("--fraction", type=float, default=None)
+    p.add_argument("--fraction", type=float, default=50.0,
+                   help="percentage of the records to keep (default: %(default)g)")
     p.add_argument("--model", default=None,
                    help="reference checkpoint for rds/less/ppl")
     p.add_argument("--force", action="store_true")
@@ -73,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="strategy sweep with base/all rows")
     common(p)
     p.add_argument("--strategy", default="grads,random",
-                   help="comma-separated strategy/baseline names")
+                   help="comma-separated strategy/baseline names (default: %(default)s)")
     p.add_argument("--fraction", default="50",
-                   help="comma-separated percentages")
+                   help="comma-separated percentages (default: %(default)s)")
     p.add_argument("--records", default=None,
                    help="reuse an existing records file")
     p.add_argument("--force", action="store_true")

@@ -253,10 +253,10 @@ class DecileReport:
         return "\n".join(lines) + "\n"
 
 
-def decile_slices(n: int, k: int = 10) -> list[int]:
-    """Near-equal slice sizes; the first n%k slices take the extra item."""
-    q, r = divmod(n, k)
-    return [q + 1 if i < r else q for i in range(k)]
+def decile_slices(n: int) -> list[int]:
+    """Ten near-equal slice sizes; the first n%10 slices take the extra item."""
+    q, r = divmod(n, 10)
+    return [q + 1 if i < r else q for i in range(10)]
 
 
 def pilot_deciles(records: list[GradientRecord], seqs: list[TokenSequence],

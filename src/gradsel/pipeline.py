@@ -95,10 +95,6 @@ class RunConfig:
     mode: str = "frozen"
     warmup_steps: int = 200
 
-    # selection
-    strategy: str = "grads"
-    fraction: float = 50.0
-
     # splits and baseline inputs
     test_fraction: float = 0.1
     query_size: int = 16
@@ -108,14 +104,10 @@ class RunConfig:
             raise ValueError(f"dataset not found: {self.dataset}")
         if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
-        if not 0.0 < self.fraction <= 100.0:
-            raise ValueError("fraction must lie in (0, 100]")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in [0, 1)")
         if self.query_size < 0 or self.warmup_steps < 0:
             raise ValueError("query_size and warmup_steps must be >= 0")
-        if self.strategy not in STRATEGIES + BASELINE_NAMES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         self.train_hyper().validate()
@@ -132,12 +124,11 @@ class RunConfig:
             init_seed=self.seed,
         )
 
-    def train_hyper(self, epochs: int | None = None) -> TrainHyper:
+    def train_hyper(self) -> TrainHyper:
         return TrainHyper(
             learning_rate=self.learning_rate,
             warmup_ratio=self.warmup_ratio,
             batch_size=self.batch_size,
-            epochs=self.epochs if epochs is None else epochs,
             shuffle_seed=self.seed,
         )
 
@@ -243,12 +234,8 @@ class SplitIds:
     query: tuple[str, ...]
 
 
-def split_dataset(
-    instances: list[Instance],
-    seed: int,
-    test_fraction: float = 0.1,
-    query_size: int = 16,
-) -> SplitIds:
+def split_dataset(instances: list[Instance], seed: int, test_fraction: float,
+                  query_size: int) -> SplitIds:
     """Deterministic id-level split; held-out slots are filled domain-first.
 
     The query split feeds similarity baselines; the test split is the eval
@@ -374,8 +361,8 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     if cfg.mode == "frozen":
         records = frozen_gradients(model, prep.seqs, reduce)
     else:
-        hyper = cfg.train_hyper(epochs=1)
-        trainer = Trainer(copy.deepcopy(model), hyper, total_update_steps(len(prep.seqs), hyper))
+        trainer = Trainer(copy.deepcopy(model), cfg.train_hyper(),
+                          total_update_steps(len(prep.seqs), cfg.batch_size, 1))
         records = trainer.run(prep.seqs, reduce=reduce)
     records.sort(key=lambda r: r.instance_id)
 
@@ -516,7 +503,7 @@ def write_selection(
 
 
 def _select_from_records(cfg: RunConfig, name: str, records_path: str,
-                         fraction: float | None, force: bool,
+                         fraction: float, force: bool,
                          model_path: str | None = None) -> SelectionResult:
     """The select and baseline commands: one named selection over a record
     file, written with its meta and manifest entries into cfg.out_dir."""
@@ -526,8 +513,7 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
     model_path = model_path or checkpoint
     ref_model = (load_checkpoint(model_path)
                  if name in MODEL_BASELINES and model_path is not None else None)
-    result = run_selection_by_name(name, cfg.fraction if fraction is None else fraction,
-                                   records, prep, cfg, ref_model)
+    result = run_selection_by_name(name, fraction, records, prep, cfg, ref_model)
     write_selection(cfg.out_dir, name, result, records, records_path, records_hash,
                     prep.dataset_hash)
     return result
@@ -536,12 +522,11 @@ def _select_from_records(cfg: RunConfig, name: str, records_path: str,
 def run_select(
     cfg: RunConfig,
     records_path: str,
-    strategy: str | None = None,
-    fraction: float | None = None,
+    strategy: str,
+    fraction: float,
     force: bool = False,
 ) -> SelectionResult:
-    """Density/value selection over a gradient-record file."""
-    strategy = strategy or cfg.strategy
+    """Density/value selection of fraction percent of a gradient-record file."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _select_from_records(cfg, strategy, records_path, fraction, force)
@@ -594,7 +579,7 @@ def run_baseline(
     cfg: RunConfig,
     name: str,
     records_path: str,
-    fraction: float | None = None,
+    fraction: float,
     model_path: str | None = None,
     force: bool = False,
 ) -> SelectionResult:
@@ -639,8 +624,8 @@ def fine_tune(
     """
     seqs = prep.seqs_for(sorted(train_ids))
     model = init_model(cfg.model_config(prep.tok.vocab_size))
-    hyper = cfg.train_hyper()
-    trainer = Trainer(model, hyper, total_update_steps(len(seqs), hyper))
+    trainer = Trainer(model, cfg.train_hyper(),
+                      total_update_steps(len(seqs), cfg.batch_size, cfg.epochs))
     trainer.run(seqs, on_epoch=on_epoch)
     return model, trainer.epoch_losses
 
@@ -699,7 +684,6 @@ def run_train(
         "dataset_hash": prep.dataset_hash,
         "selection_hash": selection_hash,
         "n_train": len(train_ids),
-        "epochs": cfg.epochs,
         "epoch_losses": epoch_losses,
     }
     meta_file = "train_meta.json"
@@ -916,13 +900,7 @@ def run_compare(
 # synthetic corpus generation
 
 
-def run_synth(
-    out_dir: str,
-    n_domain: int = 700,
-    n_noise: int = 150,
-    n_trivial: int = 150,
-    seed: int = 42,
-) -> str:
+def run_synth(out_dir: str, n_domain: int, n_noise: int, n_trivial: int, seed: int) -> str:
     """Write a labeled synthetic corpus and its manifest; returns the path."""
     instances = synth_corpus(SynthSpec(n_domain, n_noise, n_trivial, seed))
     path = os.path.join(out_dir, "dataset.jsonl")

@@ -174,10 +174,10 @@ class Batch:
 SCORE_BATCH = 16
 
 
-def batches(seqs: list[TokenSequence], size: int = SCORE_BATCH):
-    """Consecutive (sequences, Batch) chunks of at most size sequences."""
-    for lo in range(0, len(seqs), size):
-        chunk = seqs[lo : lo + size]
+def batches(seqs: list[TokenSequence]):
+    """Consecutive (sequences, Batch) chunks of at most SCORE_BATCH sequences."""
+    for lo in range(0, len(seqs), SCORE_BATCH):
+        chunk = seqs[lo : lo + SCORE_BATCH]
         yield chunk, Batch.of(chunk)
 
 

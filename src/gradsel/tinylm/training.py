@@ -25,10 +25,11 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainHyper:
+    """What the loop reads; its length is the Trainer's total_steps."""
+
     learning_rate: float = 3e-3
     warmup_ratio: float = 0.1
     batch_size: int = 8
-    epochs: int = 1
     shuffle_seed: int = 0
 
     def validate(self) -> None:
@@ -36,8 +37,8 @@ class TrainHyper:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError("warmup_ratio must lie in [0, 1]")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size >= 1 and epochs >= 0 required")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -119,9 +120,9 @@ def _epochs(n_instances: int, hyper: TrainHyper):
         yield [order[i : i + hyper.batch_size] for i in range(0, n_instances, hyper.batch_size)]
 
 
-def total_update_steps(n_instances: int, hyper: TrainHyper) -> int:
-    per_epoch = (n_instances + hyper.batch_size - 1) // hyper.batch_size
-    return per_epoch * hyper.epochs
+def total_update_steps(n_instances: int, batch_size: int, epochs: int) -> int:
+    """The updates of epochs full passes over n_instances in batch_size batches."""
+    return (n_instances + batch_size - 1) // batch_size * epochs
 
 
 class Trainer:

@@ -97,7 +97,7 @@ def trend_runs(tmp_path_factory):
         )
         seconds = time.perf_counter() - t0
         records = f"{root}/cmp/records.jsonl"
-        selection = run_select(replace(cfg, out_dir=f"{root}/sel"), records)
+        selection = run_select(replace(cfg, out_dir=f"{root}/sel"), records, "grads", 50.0)
         pilot = run_pilot(
             replace(cfg, out_dir=f"{root}/pilot"), records_path=records
         )
@@ -413,7 +413,7 @@ def test_criterion_10_baseline_determinism(small_run, tmp_path):
         for sub in ("a", "b"):
             run_baseline(
                 replace(cfg, out_dir=str(tmp_path / f"{name}_{sub}")),
-                name, out["records"],
+                name, out["records"], 50.0,
             )
             pair.append(
                 (tmp_path / f"{name}_{sub}" / f"selection_{name}.jsonl").read_bytes()

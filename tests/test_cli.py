@@ -63,6 +63,27 @@ def test_baseline_subcommand(workspace, capsys):
     assert "random@50: 45 selected" in capsys.readouterr().out
 
 
+def test_select_and_baseline_flag_defaults(workspace, capsys):
+    root, cfg = workspace
+    records = str(root / "run" / "records.jsonl")
+
+    def files(out, command, *flags):
+        out = root / "defaults" / out
+        assert main([command, "--config", cfg, "--records", records,
+                     "--out", str(out), *flags]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    grads = files("select", "select")
+    assert "grads@50: 45 selected" in capsys.readouterr().out
+    assert grads == files("select_flags", "select", "--strategy", "grads", "--fraction", "50")
+    random = files("baseline", "baseline", "--strategy", "random")
+    assert "random@50: 45 selected" in capsys.readouterr().out
+    assert random == files("baseline_flags", "baseline", "--strategy", "random",
+                           "--fraction", "50")
+    assert sorted(random) == ["manifest.json", "selection_random.jsonl",
+                              "selection_random_meta.json"]
+
+
 def test_pilot_subcommand(workspace, capsys):
     root, cfg = workspace
     records = str(root / "run" / "records.jsonl")
@@ -115,15 +136,17 @@ def test_runtime_failure_exits_one(workspace, capsys):
                  "--out", str(root / "bad_train")]) == 1
     assert capsys.readouterr().err == "error: line 1: not a JSON object\n"
     bad_cfg = root / "bad_config.json"
-    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "fraction": "50"}))
+    bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()),
+                                   "learning_rate": "3e-3"}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
-    assert capsys.readouterr().err == f"error: {bad_cfg}: field fraction is not a number\n"
+    assert capsys.readouterr().err == f"error: {bad_cfg}: field learning_rate is not a number\n"
     bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "epochs": 0}))
     assert main(["extract", "--config", str(bad_cfg)]) == 1
     assert capsys.readouterr().err == "error: epochs must be >= 1\n"
     for name, value in [("tie_lm_head", False), ("lm_grad_space", "logits"),
                         ("norm_mode", "mean_of_norms"), ("compare_epochs", 1),
-                        ("bm25_aggregate", "mean"), ("projection_dim", None)]:  # removed fields
+                        ("bm25_aggregate", "mean"), ("projection_dim", None),
+                        ("strategy", "bm25"), ("fraction", 10)]:  # removed fields
         bad_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()), name: value}))
         assert main(["extract", "--config", str(bad_cfg)]) == 1
         assert capsys.readouterr().err == f"error: {bad_cfg}: unknown field {name!r}\n"

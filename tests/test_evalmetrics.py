@@ -319,8 +319,8 @@ def test_greedy_decode_reproduces_memorized_corpus():
     seqs = [encode_instance(tok, inst, 24) for inst in ds]
     cfg = ModelConfig(32, 2, 4, 64, tok.vocab_size, 24, init_seed=2)
     model = init_model(cfg)
-    hyper = TrainHyper(learning_rate=3e-3, epochs=150, batch_size=5, shuffle_seed=0)
-    Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run(seqs)
+    hyper = TrainHyper(learning_rate=3e-3, batch_size=5, shuffle_seed=0)
+    Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 150)).run(seqs)
     prompts, wants = [], []
     for seq in seqs:
         sep = seq.tokens.index(tok.sep)

@@ -81,8 +81,8 @@ _MANIFEST = {"files": {"records.jsonl": "ab" * 32}}
 
 
 def _config(dataset: str) -> dict:
-    return {"dataset": dataset, "out_dir": "out", "seed": 3, "fraction": 50.0,
-            "test_fraction": 0.1, "batch_size": 4}
+    return {"dataset": dataset, "out_dir": "out", "seed": 3, "test_fraction": 0.1,
+            "batch_size": 4}
 
 
 def _raises_only_value_errors(read, path, data: bytes):
@@ -184,7 +184,7 @@ def test_read_selection_ids_names_the_line(tmp_path, line, message):
 
 
 @pytest.mark.parametrize("field, value, wanted", [
-    ("fraction", "50", "a number"), ("test_fraction", None, "a number"),
+    ("learning_rate", "3e-3", "a number"), ("test_fraction", None, "a number"),
     ("seed", "x", "an integer"), ("batch_size", 2.5, "an integer"),
     ("batch_size", True, "an integer"), ("d_model", "32", "an integer"),
 ])

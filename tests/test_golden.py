@@ -40,7 +40,7 @@ from gradsel.pipeline import (
 from gradsel.selector import STRATEGIES
 
 GOLDEN = {
-    'compare/extract_meta.json': '139d83e7959236b14becd9d415e61282fac0c22cb5a1502039b25b1e872d9016',
+    'compare/extract_meta.json': 'cbc96df55f76c1192d931aba1f83220834e3cc7465f7831b84c9a1a9ef72ffa3',
     'compare/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'compare/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
     'compare/report.json': 'a2e7241f554f99b4501c56775423532750b603e0d6125c76f78287fd0934974d',
@@ -49,7 +49,7 @@ GOLDEN = {
     'compare/selection_random_50.jsonl': 'c6d994d0820e1468435baf4920cb6936d54e7190e4957de2b7c41d2f1bf2721b',
     'compare/selection_random_50_meta.json': '6b3689f6f1f942ac5ce33a4acc07df21c9565eca53343f4683f18819eb816dc6',
     'corpus/dataset.jsonl': '8c389d4384396df64b9b81569ae60323edab6a4d34e0519dff217f65ace41e5f',
-    'frozen/extract_meta.json': '91b91cf1b0e49dc843e5bf7904df104e9775f4e21b45357e10414484abcfef9b',
+    'frozen/extract_meta.json': '88f935ed2ce6db3a6df28891b6847c9e68ee577dd4caf2fe160d19dcd17c76a5',
     'frozen/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'frozen/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
     'frozen/selection_bm25.jsonl': '77578debbd06c61fbee0beee65062f41d5738c67b252a775b8b14aa694f48021',
@@ -81,15 +81,15 @@ GOLDEN = {
     'frozen/selection_weightr.jsonl': 'df0dc8464be1a7bfb060bfb054a2fb9f94cba504bae43f83f5483672b1ff3ec4',
     'frozen/selection_weightr_meta.json': '8a70a15a0118addf9f888b277259d4fb84d32e7196f3c7dffa45ed7d4ae73d5f',
     'online/eval.json': 'e746e5f64b668b7ce235f5687e868ae02e42c186284a9ec85cefbcc4734cd0ee',
-    'online/extract_meta.json': 'ac2a5156e837c76c03d4260941ce5febb34ea5fb96dac88f111b232d9c23a412',
+    'online/extract_meta.json': 'f553f9048b08181e278f1f761da6ec1d8d88c7919bf4329fe2b6cb494d906cfc',
     'online/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
     'online/model.json': '98c391e1c3ff54505d3184aa8ba6b26650a7eee332dc80bbb985d81c3079cc04',
     'online/records.jsonl': '55f08339b29111585cc5ff4a7e168089db0f01df04158a75d2d8e0cb51c309b8',
-    'online/train_meta.json': '396fd2878de9548b6395aa2548b87719eab89a0505f4cfb41beba065bcecec7b',
+    'online/train_meta.json': 'b3892af335f7ab2d121d9182642f05f86d0be096b00dd62a9cda8539bc52728e',
     'pilot/deciles.csv': '96e3c9b1a50735037db5e8be7ee747381fb824711bec4375016fd286c6c0646b',
     'pilot/pilot_meta.json': 'ffc54cf201980c1a3b094e167da2e7a7e24ef2afc0dabf752018f42a478b1db8',
     'train/model.json': 'a225a2caee1293950e63296e51be16a479b846d0ad742086a46bfc5f84f800c8',
-    'train/train_meta.json': 'be2c76a5cf77e7b2a092342389487603b490829bf4fe1d79d641960a96cd05ad',
+    'train/train_meta.json': '66dc147ec1dce0db0feef07d7e254643f698b4f8f68f54797087c174ad9e18c8',
 }
 
 

@@ -145,8 +145,8 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         if mode == "frozen":
             pairs = frozen_gradients(model, prep.seqs, _pair)
         else:
-            hyper = cfg.train_hyper(epochs=1)
-            trainer = Trainer(model, hyper, total_update_steps(len(prep.seqs), hyper))
+            trainer = Trainer(model, cfg.train_hyper(),
+                              total_update_steps(len(prep.seqs), cfg.batch_size, 1))
             pairs = trainer.run(prep.seqs, reduce=_pair)
         expected = [aggregate_instance(b, s, fingerprint) for b, s in pairs]
         ids = [r.instance_id for r in records]
@@ -280,9 +280,9 @@ def test_select_refuses_foreign_records(corpus_dir, extract_run, tmp_path_factor
     run_synth(other_corpus, 20, 5, 5, seed=8)
     foreign = _cfg(other_corpus, str(tmp_path_factory.mktemp("sel")))
     with pytest.raises(RuntimeError, match="provenance"):
-        run_select(foreign, out["records"])
+        run_select(foreign, out["records"], "grads", 50.0)
     # force accepts the mismatch; selection then runs purely on the records
-    forced = run_select(foreign, out["records"], force=True)
+    forced = run_select(foreign, out["records"], "grads", 50.0, force=True)
     assert len(forced.selected_ids) == 45
 
 

@@ -72,8 +72,8 @@ def _run(model, seqs, want_param_grads=True):
     return batch, trace, loss_and_grads(model, batch, trace, want_param_grads)
 
 
-def _train(model, seqs, hyper):
-    Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run(seqs)
+def _train(model, seqs, hyper, epochs=1):
+    Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, epochs)).run(seqs)
     return model
 
 
@@ -385,7 +385,7 @@ def test_perplexity_at_least_one():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     m = init_model(TINY)
     _train(m, [_random_seq(np.random.default_rng(8), TINY) for _ in range(6)],
-           TrainHyper(epochs=1, batch_size=3, shuffle_seed=1))
+           TrainHyper(batch_size=3, shuffle_seed=1))
     path = str(tmp_path / "ck.json")
     save_checkpoint(m, path)
     m2 = load_checkpoint(path)
@@ -416,7 +416,7 @@ def test_fingerprint_covers_config_and_seed():
     assert model_fingerprint(m) != a
     m.flat[:] = flat
     assert model_fingerprint(m) == a
-    hyper = TrainHyper(epochs=1, batch_size=2, shuffle_seed=1)
+    hyper = TrainHyper(batch_size=2, shuffle_seed=1)
     _train(m, [_random_seq(np.random.default_rng(8), TINY, instance_id=f"s{i}")
                for i in range(2)], hyper)
     assert model_fingerprint(m) != a
@@ -425,7 +425,7 @@ def test_fingerprint_covers_config_and_seed():
 def test_train_zero_epochs_is_identity():
     m = init_model(TINY)
     before = m.flat.copy()
-    _train(m, [_random_seq(np.random.default_rng(9), TINY)], TrainHyper(epochs=0))
+    _train(m, [_random_seq(np.random.default_rng(9), TINY)], TrainHyper(), epochs=0)
     assert np.array_equal(before, m.flat)
 
 
@@ -433,7 +433,7 @@ def test_train_deterministic():
     def run():
         m = init_model(TINY)
         seqs = [_random_seq(np.random.default_rng(40 + i), TINY) for i in range(10)]
-        return _train(m, seqs, TrainHyper(epochs=2, batch_size=4, shuffle_seed=5))
+        return _train(m, seqs, TrainHyper(batch_size=4, shuffle_seed=5), epochs=2)
 
     assert np.array_equal(run().flat, run().flat)
 
@@ -444,8 +444,8 @@ def test_train_loss_decreases_on_learnable_corpus():
     seqs = [encode_instance(tok, i, 32) for i in ds]
     cfg = ModelConfig(32, 2, 4, 64, tok.vocab_size, 32, init_seed=1)
     m = init_model(cfg)
-    hyper = TrainHyper(epochs=3, batch_size=8, shuffle_seed=2)
-    trainer = Trainer(m, hyper, total_update_steps(len(seqs), hyper))
+    hyper = TrainHyper(batch_size=8, shuffle_seed=2)
+    trainer = Trainer(m, hyper, total_update_steps(len(seqs), hyper.batch_size, 3))
     trainer.run(seqs)
     assert trainer.epoch_losses[2] < trainer.epoch_losses[0]
 
@@ -497,7 +497,8 @@ def _keep(bundle, seq):
 
 def _online_epoch(model, seqs, hyper):
     """Every raw bundle of one training epoch, each taken before its update."""
-    return Trainer(model, hyper, total_update_steps(len(seqs), hyper)).run(seqs, reduce=_keep)
+    return Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 1)).run(
+        seqs, reduce=_keep)
 
 
 def test_extract_frozen_order_independent():
@@ -538,7 +539,7 @@ def test_extract_online_one_bundle_per_instance():
     assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
     steps = {b.instance_id: b.step_index for b in bundles}
     assert min(steps.values()) == 0
-    assert max(steps.values()) == total_update_steps(len(seqs), TrainHyper(batch_size=2, epochs=1)) - 1
+    assert max(steps.values()) == total_update_steps(len(seqs), 2, 1) - 1
 
 
 def test_nan_loss_aborts_with_step_index():
