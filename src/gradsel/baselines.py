@@ -30,6 +30,7 @@ from .tinylm.training import frozen_gradients
 BM25_K1 = 1.2
 BM25_B = 0.75
 DSIR_BUCKETS = 4096
+DSIR_ORDERS = (1, 2)
 
 
 def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
@@ -124,8 +125,8 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-def hash_bucket(feature: str, n_buckets: int) -> int:
-    return _fnv1a(feature.encode("utf-8")) % n_buckets
+def hash_bucket(feature: str) -> int:
+    return _fnv1a(feature.encode("utf-8")) % DSIR_BUCKETS
 
 
 def _ngram_starts(lens: np.ndarray, n: int) -> np.ndarray:
@@ -137,18 +138,16 @@ def _ngram_starts(lens: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(inside)
 
 
-def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]],
-                     n_buckets: int = DSIR_BUCKETS,
-                     orders: tuple[int, ...] = (1, 2),
-                     smooth_target: bool = True) -> np.ndarray:
+def dsir_log_weights(candidates: Iterable[list[str]],
+                     target: Iterable[list[str]]) -> np.ndarray:
     """Per-candidate hashed n-gram importance log-weights ln p/q.
 
     An n-gram's feature is its words joined by U+001F, hashed with FNV-1a
-    into one of n_buckets. p is the (optionally add-1 smoothed) target
-    bucket distribution, q the raw candidate distribution; raw q is safe
-    because every feature of a candidate occurs in the candidate corpus by
+    into one of DSIR_BUCKETS. p is the add-1 smoothed target bucket
+    distribution, q the raw candidate distribution; raw q is safe because
+    every feature of a candidate occurs in the candidate corpus by
     construction. A candidate's log-weight sums its features' ln p/q in
-    order: unigrams by position, then bigrams, and so on through orders.
+    order: unigrams by position, then bigrams.
     """
     vocab: dict[str, int] = {}
     (cand_ids, cand_lens), (targ_ids, targ_lens) = (_encode(candidates, vocab),
@@ -158,9 +157,9 @@ def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]
     words = np.array(list(vocab), dtype=object)
     ids, lens = np.concatenate([cand_ids, targ_ids]), np.concatenate([cand_lens, targ_lens])
     cand_buckets = []  # per order, the bucket of each candidate n-gram
-    cc = np.zeros(n_buckets, dtype=np.int64)
-    tc = np.zeros(n_buckets, dtype=np.int64)
-    for n in orders:
+    cc = np.zeros(DSIR_BUCKETS, dtype=np.int64)
+    tc = np.zeros(DSIR_BUCKETS, dtype=np.int64)
+    for n in DSIR_ORDERS:
         starts = _ngram_starts(lens, n)
         # one hash per distinct n-gram: key the n-grams one word at a time,
         # renumbering the keys densely so that they never overflow
@@ -173,20 +172,17 @@ def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]
         at = np.empty(len(distinct), dtype=np.int64)
         at[key] = starts  # where an occurrence of each distinct n-gram starts
         grams = zip(*(words[ids[at + k]].tolist() for k in range(n)))
-        bucket = np.fromiter((hash_bucket("\x1f".join(g), n_buckets) for g in grams),
+        bucket = np.fromiter((hash_bucket("\x1f".join(g)) for g in grams),
                              dtype=np.int64, count=len(at))[key]
         n_cand = np.searchsorted(starts, len(cand_ids))
         cand_buckets.append(bucket[:n_cand])
-        cc += np.bincount(bucket[:n_cand], minlength=n_buckets)
-        tc += np.bincount(bucket[n_cand:], minlength=n_buckets)
+        cc += np.bincount(bucket[:n_cand], minlength=DSIR_BUCKETS)
+        tc += np.bincount(bucket[n_cand:], minlength=DSIR_BUCKETS)
     cc, tc = cc.astype(np.float64), tc.astype(np.float64)
     used = np.flatnonzero(cc)
-    if smooth_target:
-        p = (tc[used] + 1.0) / (tc.sum() + n_buckets)
-    else:
-        p = tc[used] / tc.sum()
+    p = (tc[used] + 1.0) / (tc.sum() + DSIR_BUCKETS)
     q = cc[used] / cc.sum()
-    log_ratio = np.zeros(n_buckets)
+    log_ratio = np.zeros(DSIR_BUCKETS)
     for b, pb, qb in zip(used.tolist(), p.tolist(), q.tolist()):
         log_ratio[b] = math.log(pb) - math.log(qb)
 
@@ -195,7 +191,7 @@ def dsir_log_weights(candidates: Iterable[list[str]], target: Iterable[list[str]
     out = np.zeros(len(cand_lens))
     longest_first = np.argsort(-cand_lens, kind="stable")
     neg_sorted = -cand_lens[longest_first]
-    for n, bucket in zip(orders, cand_buckets):
+    for n, bucket in zip(DSIR_ORDERS, cand_buckets):
         count = np.maximum(cand_lens - n + 1, 0)
         first = np.cumsum(count) - count  # each candidate's first n-gram in bucket
         for j in range(int(count.max())):

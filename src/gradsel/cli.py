@@ -25,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required,
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True,
                        help="JSON file mirroring RunConfig fields")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -130,7 +130,8 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
               f"meteor={m['meteor']:.4f} (n={out['n_test']})")
     elif args.command == "pilot":
         meta = pipeline.run_pilot(cfg, args.records, args.model, args.force)
-        print(f"loss/gradient spearman = {meta['loss_gradient_spearman']:.4f} "
+        rho = meta["loss_gradient_spearman"]
+        print(f"loss/gradient spearman = {'n/a' if rho is None else f'{rho:.4f}'} "
               f"-> {cfg.out_dir}")
     elif args.command == "compare":
         strategies = _comma_list(args.strategy)

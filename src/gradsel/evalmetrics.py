@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .tinylm.model import SCORE_BATCH, Batch, Model, batches, forward
 METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
 METEOR_BETA = 3.0
+BLEU_MAX_ORDER = 4
 
 
 def greedy_decode(model: Model, prompts: list[list[int]],
@@ -70,7 +71,7 @@ def _brevity_penalty(c: int, r: int) -> float:
     return 1.0 if c > r else math.exp(1.0 - r / c)
 
 
-def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> float:
+def bleu(candidates: list[list], references: list[list]) -> float:
     """Corpus BLEU, unsmoothed: 0.0 when some n-gram order has no match."""
     if not candidates:
         raise ValueError("no candidates to score")
@@ -78,10 +79,10 @@ def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> 
         raise ValueError("candidate/reference count mismatch")
     if any(not r for r in references):
         raise ValueError("empty reference")
-    match_sum = [0] * max_order
-    total_sum = [0] * max_order
+    match_sum = [0] * BLEU_MAX_ORDER
+    total_sum = [0] * BLEU_MAX_ORDER
     for cand, ref in zip(candidates, references):
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_MAX_ORDER + 1):
             m, tot = _clipped_matches(cand, ref, n)
             match_sum[n - 1] += m
             total_sum[n - 1] += tot
@@ -90,7 +91,7 @@ def bleu(candidates: list[list], references: list[list], max_order: int = 4) -> 
     if any(m == 0 for m in match_sum):
         return 0.0
     logs = sum(math.log(m / t) for m, t in zip(match_sum, total_sum))
-    return _brevity_penalty(c, r) * math.exp(logs / max_order)
+    return _brevity_penalty(c, r) * math.exp(logs / BLEU_MAX_ORDER)
 
 
 def _lcs_len(a: list, b: list) -> int:
@@ -242,7 +243,7 @@ class DecileReport:
     token_acc: tuple[float, ...]
     mean_gradient: tuple[float, ...]
     counts: tuple[int, ...]
-    loss_gradient_spearman: float = field(default=float("nan"))
+    loss_gradient_spearman: float | None  # None when a decile column is constant
 
     def to_csv(self) -> str:
         lines = ["decile,mean_loss,token_acc,count"]
@@ -289,12 +290,13 @@ def pilot_deciles(records: list[GradientRecord], seqs: list[TokenSequence],
         mean_loss.append(float(np.mean(losses[chunk])))
         token_acc.append(sum(correct[chunk]) / sum(targets[chunk]))
         mean_grad.append(float(np.mean([r.g_grads for r in ranked[chunk]])))
+    rho = spearman(mean_grad, mean_loss)
     return DecileReport(
         mean_loss=tuple(mean_loss),
         token_acc=tuple(token_acc),
         mean_gradient=tuple(mean_grad),
         counts=tuple(sizes),
-        loss_gradient_spearman=spearman(mean_grad, mean_loss),
+        loss_gradient_spearman=None if math.isnan(rho) else rho,
     )
 
 

@@ -39,7 +39,7 @@ from .corpus import (
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
 from .gradstats import GradientRecord, _fmt, aggregate_instance, read_records, write_records
 from .rng import ROLE_SPLIT, substream
-from .selector import STRATEGIES, SelectionResult, attach_strata, select_strategy
+from .selector import STRATEGIES, TIE_BREAK, SelectionResult, attach_strata, select_strategy
 from .tinylm import (
     Model,
     ModelConfig,
@@ -192,7 +192,7 @@ class _LastValue:
 
 def write_json(path: str, obj) -> None:
     with open_atomic(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -490,7 +490,7 @@ def write_selection(
         "fraction_percent": result.fraction_percent,
         "n_selected": len(result.selected_ids),
         "bandwidth": result.bandwidth,
-        "tie_break": result.tie_break,
+        "tie_break": TIE_BREAK,
         "seed": result.seed,
         "stratum_counts": result.stratum_counts,
         "records_file": os.path.basename(records_path),
@@ -671,6 +671,10 @@ def run_train(
     else:
         check_selection_provenance(selection_path, prep, force)
         ids = read_selection_ids(selection_path)
+        unknown = [i for i in ids if i not in prep.by_id]
+        if unknown:
+            raise ValueError(f"selection names {len(unknown)} ids not in the dataset: "
+                             + ", ".join(unknown[:3]))
         train_ids = sorted(i for i in ids if i in pool)
         if not train_ids:
             raise ValueError("selection contains no training-pool instances")
@@ -696,9 +700,16 @@ def run_train(
     return meta
 
 
+def _require_test_split(cfg: RunConfig, prep: Prepared) -> None:
+    if not prep.split.test:
+        raise ValueError(f"the test split is empty (test_fraction={cfg.test_fraction:g}); "
+                         "raise test_fraction to evaluate")
+
+
 def run_eval(cfg: RunConfig, model_path: str) -> dict:
     """Score a checkpoint on the held-out test split."""
     prep = prepare(cfg)
+    _require_test_split(cfg, prep)
     model = load_checkpoint(model_path)
     if model.cfg.vocab_size != prep.tok.vocab_size:
         raise RuntimeError(
@@ -755,21 +766,12 @@ def run_pilot(
 
 @dataclass
 class ExperimentReport:
-    """Strategy-vs-metric table plus provenance and volatile timings."""
+    """Strategy-vs-metric table plus provenance, as report.json holds it."""
 
     rows: list[dict]
     dataset_hash: str
     records_hash: str
     split_sizes: dict[str, int]
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "dataset_hash": self.dataset_hash,
-            "records_hash": self.records_hash,
-            "split_sizes": self.split_sizes,
-        }
 
 
 def gradient_percentile_summary(
@@ -830,6 +832,7 @@ def run_compare(
     for i, row_name in enumerate(row_names):
         if row_name in row_names[:i]:
             raise ValueError(f"compare row {row_name} is repeated")
+    _require_test_split(cfg, prep)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -888,9 +891,8 @@ def run_compare(
         dataset_hash=prep.dataset_hash,
         records_hash=records_hash,
         split_sizes={name: len(ids) for name, ids in asdict(prep.split).items()},
-        timings=timings,
     )
-    write_json(os.path.join(cfg.out_dir, "report.json"), report.to_dict())
+    write_json(os.path.join(cfg.out_dir, "report.json"), asdict(report))
     write_json(os.path.join(cfg.out_dir, TIMINGS_FILE), timings)
     write_manifest(cfg.out_dir, ["report.json"])
     return report

@@ -39,7 +39,6 @@ class SelectionResult:
     ordered_ids: tuple[str, ...]       # rank order (best first)
     f_values: dict[str, float]
     bandwidth: float | None
-    tie_break: str = TIE_BREAK
     seed: int | None = None
     stratum_counts: dict[str, int] | None = None
 

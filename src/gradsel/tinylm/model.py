@@ -279,7 +279,6 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    e: np.ndarray            # (B, T, d) embedding-layer output actually used
     layers: list[LayerTrace]  # empty with last_only: no backward pass follows
     hf: np.ndarray           # (B*T, d) final layer-norm output
     hf_xhat: np.ndarray
@@ -290,8 +289,7 @@ class ForwardTrace:
     losses: np.ndarray | None  # (B,) per instance; None with last_only
 
 
-def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
-            last_only: bool = False) -> ForwardTrace:
+def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace:
     """Run the model over a batch, caching activations for backprop.
 
     Logits and probabilities exist only on the rows that need them: the loss
@@ -300,8 +298,6 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
     per-layer caches, since nothing backpropagates through it. Each
     sequence's LM head is a GEMM over its own rows, as in a batch of one:
     OpenBLAS rounds a row of the product by its position among the rows.
-    e_override substitutes the (B, T, d) embedding-layer output; the
-    finite-difference gradient checks perturb it.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -319,9 +315,7 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
     d, H = cfg.d_model, cfg.n_heads
     scale = 1.0 / math.sqrt(d // H)
 
-    e = (P["emb"][tokens] + P["pos"][:T] if e_override is None
-         else np.array(e_override, dtype=np.float64))
-    h = e.reshape(B * T, d)
+    h = (P["emb"][tokens] + P["pos"][:T]).reshape(B * T, d)
     layers: list[LayerTrace] = []
     mask = np.triu(np.ones((T, T), dtype=bool), k=1)
     for i in range(cfg.n_layers):
@@ -361,7 +355,7 @@ def forward(model: Model, batch: Batch, e_override: np.ndarray | None = None,
         logp = np.array([math.log(x) if x != 0.0 else -math.inf for x in p])
         losses = np.array([-w * logp[lo:hi].sum()
                            for w, lo, hi in zip(batch.w.tolist(), starts, starts[1:])])
-    return ForwardTrace(e, layers, hf, hf_xhat, hf_inv, rows, logits, probs, losses)
+    return ForwardTrace(layers, hf, hf_xhat, hf_inv, rows, logits, probs, losses)
 
 
 @dataclass

@@ -27,10 +27,10 @@ ADAM_EPS = 1e-8
 class TrainHyper:
     """What the loop reads; its length is the Trainer's total_steps."""
 
-    learning_rate: float = 3e-3
-    warmup_ratio: float = 0.1
-    batch_size: int = 8
-    shuffle_seed: int = 0
+    learning_rate: float
+    warmup_ratio: float
+    batch_size: int
+    shuffle_seed: int
 
     def validate(self) -> None:
         if self.learning_rate <= 0:

@@ -17,7 +17,7 @@ import pytest
 
 from gradsel import pipeline
 from gradsel.corpus import TokenSequence
-from gradsel.baselines import dsir_log_weights, select_random
+from gradsel.baselines import DSIR_BUCKETS, dsir_log_weights, hash_bucket, select_random
 from gradsel.evalmetrics import _clipped_matches, meteor_lite, rouge_l
 from gradsel.gradstats import GradientRecord
 from gradsel.pipeline import (
@@ -132,17 +132,22 @@ def test_criterion_01_gradient_finite_difference_exactness():
     param_grads = param_views(SMALL, res.param_grads)
     coords = checked = 0
 
-    def loss(e_override=None):
-        return float(forward(model, batch, e_override=e_override).losses[0])
+    def loss():
+        return float(forward(model, batch).losses[0])
 
-    # per-token embedding gradients, full grid
-    e0 = trace.e
-    for t in range(e0.shape[1]):
-        for j in range(e0.shape[2]):
-            ep, em = e0.copy(), e0.copy()
-            ep[0, t, j] += eps
-            em[0, t, j] -= eps
-            fd = (loss(ep) - loss(em)) / (2 * eps)
+    # per-token embedding gradients, full grid: pos[t] enters only the
+    # embedding-layer output at position t, so its central difference is
+    # the gradient there
+    pos = model.params["pos"]
+    for t in range(res.g_emb.shape[1]):
+        for j in range(res.g_emb.shape[2]):
+            orig = pos[t, j]
+            pos[t, j] = orig + eps
+            lp = loss()
+            pos[t, j] = orig - eps
+            lm = loss()
+            pos[t, j] = orig
+            fd = (lp - lm) / (2 * eps)
             coords += 1
             checked += math.isclose(res.g_emb[0, t, j], fd, rel_tol=1e-4, abs_tol=1e-8)
 
@@ -393,9 +398,14 @@ def small_run(tmp_path_factory):
 
 
 def test_criterion_10_baseline_determinism(small_run, tmp_path):
-    logw = dsir_log_weights([["a", "a", "b"], ["b"]], [["a"] * 4 + ["b"]],
-                            n_buckets=4096, orders=(1,), smooth_target=False)
-    assert math.exp(logw[0]) == pytest.approx((0.8 / 0.5) ** 2 * (0.2 / 0.5), rel=1e-12)
+    # a, b, a|a, a|b in four buckets; each p/q is the add-one smoothed
+    # target share ((t + 1) / (9 + buckets)) over the candidate share (c / 6)
+    assert len({hash_bucket(f) for f in ("a", "b", "a\x1fa", "a\x1fb")}) == 4
+    logw = dsir_log_weights([["a", "a", "b"], ["b"]], [["a"] * 4 + ["b"]])
+    r = {f: Fraction(t + 1, 9 + DSIR_BUCKETS) / Fraction(c, 6)
+         for f, t, c in (("a", 4, 2), ("b", 1, 2), ("aa", 3, 1), ("ab", 1, 1))}
+    assert math.exp(logw[0]) == pytest.approx(
+        float(r["a"] ** 2 * r["b"] * r["aa"] * r["ab"]), rel=1e-12)
 
     ids = [f"i{k:02d}" for k in range(20)]
     counts = {i: 0 for i in ids}

@@ -1,7 +1,9 @@
 """Baseline selector tests with hand-computed oracles."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from gradsel.baselines import (
     BM25_B,
     BM25_K1,
+    DSIR_BUCKETS,
+    DSIR_ORDERS,
     bm25_scores,
     bm25_select,
     dsir_log_weights,
@@ -143,24 +147,33 @@ def test_bm25_matches_a_per_term_reference_bit_for_bit():
     assert np.array_equal(bm25_scores(docs, queries), _bm25_reference(docs, queries))
 
 
+def _smoothed_ratio(t, t_total, c, c_total):
+    """A feature's p/q: add-one smoothed target share over candidate share."""
+    return Fraction(t + 1, t_total + DSIR_BUCKETS) / Fraction(c, c_total)
+
+
 def test_dsir_exact_weight_no_hash_collision():
-    # unigram model: target p=(0.8,0.2), candidates q=(0.5,0.5)
-    assert hash_bucket("a", 4096) != hash_bucket("b", 4096)
+    # four features, each in its own bucket
+    assert len({hash_bucket(f) for f in ("a", "b", "a\x1fa", "a\x1fb")}) == 4
+    # target counts a 4, b 1, a|a 3, a|b 1; candidate counts a 2, b 2, a|a 1, a|b 1
     target = [["a"] * 4 + ["b"]]
     candidates = [["a", "a", "b"], ["b"]]
-    logw = dsir_log_weights(candidates, target, n_buckets=4096,
-                            orders=(1,), smooth_target=False)
-    assert math.exp(logw[0]) == pytest.approx((0.8 / 0.5) ** 2 * (0.2 / 0.5), rel=1e-12)
-    assert math.exp(logw[0]) == pytest.approx(1.024, rel=1e-12)
-
-
-def test_dsir_equal_distributions_zero_weights():
+    r = {f: _smoothed_ratio(t, 9, c, 6)
+         for f, t, c in (("a", 4, 2), ("b", 1, 2), ("aa", 3, 1), ("ab", 1, 1))}
+    logw = dsir_log_weights(candidates, target)
+    assert math.exp(logw[0]) == pytest.approx(
+        float(r["a"] ** 2 * r["b"] * r["aa"] * r["ab"]), rel=1e-12)
+    assert math.exp(logw[1]) == pytest.approx(float(r["b"]), rel=1e-12)
+    # the target as its own candidates: a 2, b 2, a|b 1, b|a 1 on both sides,
+    # so smoothing alone moves each weight, and both documents weigh the same
+    assert hash_bucket("b\x1fa") not in {hash_bucket(f) for f in ("a", "b", "a\x1fb")}
     docs = [["a", "b"], ["b", "a"]]
-    logw = dsir_log_weights(docs, docs, orders=(1, 2), smooth_target=False)
-    np.testing.assert_allclose(logw, 0.0, atol=1e-12)
+    logw = dsir_log_weights(docs, docs)
+    want = float(_smoothed_ratio(2, 6, 2, 6) ** 2 * _smoothed_ratio(1, 6, 1, 6))
+    assert [math.exp(x) for x in logw] == pytest.approx([want, want], rel=1e-12)
 
 
-def ngram_features(tokens, orders=(1, 2)):
+def ngram_features(tokens, orders=DSIR_ORDERS):
     """Every n-gram of tokens for each n in orders, words joined by U+001F."""
     feats = []
     for n in orders:
@@ -169,39 +182,47 @@ def ngram_features(tokens, orders=(1, 2)):
     return feats
 
 
-def _dsir_log_weights_per_occurrence(candidates, target, n_buckets, orders, smooth_target):
+def _dsir_log_weights_per_occurrence(candidates, target):
     # reference: one hash per n-gram occurrence, counted and summed in order
     def counts(docs):
-        c = np.zeros(n_buckets)
+        c = np.zeros(DSIR_BUCKETS)
         for doc in docs:
-            for f in ngram_features(doc, orders):
-                c[hash_bucket(f, n_buckets)] += 1
+            for f in ngram_features(doc):
+                c[hash_bucket(f)] += 1
         return c
 
     tc, cc = counts(target), counts(candidates)
-    p = (tc + 1.0) / (tc.sum() + n_buckets) if smooth_target else tc / tc.sum()
+    p = (tc + 1.0) / (tc.sum() + DSIR_BUCKETS)
     q = cc / cc.sum()
     out = np.zeros(len(candidates))
     for i, doc in enumerate(candidates):
         s = 0.0
-        for f in ngram_features(doc, orders):
-            b = hash_bucket(f, n_buckets)
+        for f in ngram_features(doc):
+            b = hash_bucket(f)
             s += math.log(p[b]) - math.log(q[b])
         out[i] = s
     return out
 
 
-@pytest.mark.parametrize("n_buckets", [5, 4096])
-def test_dsir_log_weights_match_per_occurrence_reference(n_buckets):
-    # repeated words and n-grams, and (at 5 buckets) colliding features
+def _colliding_words():
+    """The first two words w<k> whose features share a bucket."""
+    seen = {}
+    for k in itertools.count():
+        b = hash_bucket(f"w{k}")
+        if b in seen:
+            return [seen[b], f"w{k}"]
+        seen[b] = f"w{k}"
+
+
+def test_dsir_log_weights_match_per_occurrence_reference():
+    # repeated words and n-grams, and two words that collide
     rng = substream(3, ROLE_SELECT)
-    words = "the cat sat on a mat and then the dog sat too".split()
+    words = "the cat sat on a mat and then the dog sat too".split() + _colliding_words()
     candidates = [[words[rng.randint(len(words))] for _ in range(2 + rng.randint(9))]
                   for _ in range(40)]
-    # unsmoothed p needs every candidate feature in the target
-    for target, smooth in (([words[:6], ["the", "the", "cat"]], True), (candidates, False)):
-        got = dsir_log_weights(candidates, target, n_buckets=n_buckets, smooth_target=smooth)
-        want = _dsir_log_weights_per_occurrence(candidates, target, n_buckets, (1, 2), smooth)
+    for target in ([words[:6], ["the", "the", "cat"], words[-1:]], candidates):
+        got = dsir_log_weights(candidates, target)
+        want = _dsir_log_weights_per_occurrence(candidates, target)
         assert np.array_equal(got, want)
 
 
@@ -235,26 +256,17 @@ def test_bm25_edge_cases_match_the_reference_bit_for_bit(pool):
 @pytest.mark.parametrize("pool", sorted(_EDGE_POOLS))
 def test_dsir_edge_cases_match_the_reference_bit_for_bit(pool):
     docs = _EDGE_POOLS[pool]
-    for orders in ((1,), (1, 2)):
-        # unsmoothed p needs every candidate feature in the target
-        for target, smooth in ((_EDGE_QUERIES, True), (docs + _EDGE_QUERIES, False)):
-            want = _dsir_log_weights_per_occurrence(docs, target, 4096, orders, smooth)
-            got = dsir_log_weights(docs, target, orders=orders, smooth_target=smooth)
-            assert np.array_equal(got, want)
-            got = dsir_log_weights(iter(docs), iter(target), orders=orders,
-                                   smooth_target=smooth)
-            assert np.array_equal(got, want)
+    for target in (_EDGE_QUERIES, docs + _EDGE_QUERIES):
+        want = _dsir_log_weights_per_occurrence(docs, target)
+        assert np.array_equal(dsir_log_weights(docs, target), want)
+        assert np.array_equal(dsir_log_weights(iter(docs), iter(target)), want)
 
 
 def test_an_all_empty_pool_scores_zero_without_a_warning():
     docs = [[], [], []]
     assert np.array_equal(bm25_scores(docs, _EDGE_QUERIES), np.zeros(3))
     assert np.array_equal(_bm25_reference(docs, _EDGE_QUERIES), np.zeros(3))
-    for orders in ((1,), (1, 2)):
-        for smooth in (True, False):
-            logw = dsir_log_weights(iter(docs), _EDGE_QUERIES, orders=orders,
-                                    smooth_target=smooth)
-            assert np.array_equal(logw, np.zeros(3))
+    assert np.array_equal(dsir_log_weights(iter(docs), _EDGE_QUERIES), np.zeros(3))
 
 
 def test_bm25_and_dsir_refuse_a_candidate_count_other_than_the_id_count():

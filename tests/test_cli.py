@@ -1,12 +1,14 @@
 """Command-line interface tests: exit codes, wiring, and output files."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gradsel import pipeline
 from gradsel.cli import main
+from gradsel.gradstats import read_records, write_records
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +207,23 @@ def test_compare_over_records_with_no_checkpoint_has_an_error_row(workspace, bar
     assert main(["compare", "--config", cfg, "--strategy", "rds", "--fraction", "50",
                  "--records", bare_records, "--out", str(root / "bare_cmp")]) == 1
     assert "rds@50: ERROR rds needs a reference model\n" in capsys.readouterr().out
+
+
+def test_pilot_over_constant_gradients_writes_null_spearman(workspace, bare_records,
+                                                            capsys):
+    root, cfg = workspace
+    records = [replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
+               for r in read_records(bare_records)]
+    flat = root / "flat"
+    flat.mkdir()
+    write_records(records, str(flat / "records.jsonl"))
+    out = root / "flat_pilot"
+    assert main(["pilot", "--config", cfg, "--records", str(flat / "records.jsonl"),
+                 "--force", "--out", str(out)]) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    meta = json.loads((out / "pilot_meta.json").read_text(), parse_constant=no_constants)
+    assert meta["loss_gradient_spearman"] is None
+    assert "loss/gradient spearman = n/a" in capsys.readouterr().out

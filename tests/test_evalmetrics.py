@@ -46,7 +46,9 @@ def test_bleu_brevity_penalty_hand_value():
 
 def test_bleu_zero_when_any_order_empty():
     # unigrams overlap but no common bigram
-    assert bleu([["a", "c", "b"]], [["a", "x", "b"]], max_order=2) == 0.0
+    assert bleu([["a", "c", "b"]], [["a", "x", "b"]]) == 0.0
+    # every order up to trigrams matches, but no 4-gram does
+    assert bleu([["a", "b", "c", "x", "d"]], [["a", "b", "c", "y", "d"]]) == 0.0
 
 
 def _brute_clipped(cand, ref, n):
@@ -319,7 +321,7 @@ def test_greedy_decode_reproduces_memorized_corpus():
     seqs = [encode_instance(tok, inst, 24) for inst in ds]
     cfg = ModelConfig(32, 2, 4, 64, tok.vocab_size, 24, init_seed=2)
     model = init_model(cfg)
-    hyper = TrainHyper(learning_rate=3e-3, batch_size=5, shuffle_seed=0)
+    hyper = TrainHyper(learning_rate=3e-3, warmup_ratio=0.1, batch_size=5, shuffle_seed=0)
     Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 150)).run(seqs)
     prompts, wants = [], []
     for seq in seqs:

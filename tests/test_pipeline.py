@@ -544,3 +544,25 @@ def test_train_refuses_a_selection_with_no_pool_instance(extract_run, tmp_path):
     sel.write_text("".join(json.dumps({"id": i}) + "\n" for i in prepare(cfg).split.test))
     with pytest.raises(ValueError, match="^selection contains no training-pool instances$"):
         run_train(replace(cfg, out_dir=str(tmp_path / "train")), str(sel))
+
+
+def test_compare_and_eval_refuse_an_empty_test_split(extract_run, tmp_path):
+    cfg, _ = extract_run
+    empty = replace(cfg, out_dir=str(tmp_path), test_fraction=0.0)
+    message = r"^the test split is empty \(test_fraction=0\); raise test_fraction to evaluate$"
+    with pytest.raises(ValueError, match=message):
+        run_compare(empty, ["grads"], [50.0])
+    assert not (tmp_path / "records.jsonl").exists()
+    with pytest.raises(ValueError, match=message):  # before the checkpoint is read
+        run_eval(empty, str(tmp_path / "no-such-model.json"))
+
+
+def test_train_refuses_a_selection_naming_ids_not_in_the_dataset(extract_run, tmp_path):
+    cfg, _ = extract_run
+    ids = list(prepare(cfg).split.train[:10]) + ["no-such-id", "domain-9999"]
+    sel = tmp_path / "selection_hand.jsonl"
+    sel.write_text("".join(json.dumps({"id": i}) + "\n" for i in ids))
+    with pytest.raises(ValueError, match="^selection names 2 ids not in the dataset: "
+                                         "no-such-id, domain-9999$"):
+        run_train(replace(cfg, out_dir=str(tmp_path / "train")), str(sel))
+    assert not (tmp_path / "train").exists()

@@ -72,17 +72,32 @@ def _run(model, seqs, want_param_grads=True):
     return batch, trace, loss_and_grads(model, batch, trace, want_param_grads)
 
 
+def _hyper(batch_size=8, shuffle_seed=0):
+    return TrainHyper(learning_rate=3e-3, warmup_ratio=0.1, batch_size=batch_size,
+                      shuffle_seed=shuffle_seed)
+
+
 def _train(model, seqs, hyper, epochs=1):
     Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, epochs)).run(seqs)
     return model
 
 
-def _total_loss(model, batch, e_override=None):
-    return float(forward(model, batch, e_override=e_override).losses.sum())
-
-
 def _mean_loss(model, batch):
-    return _total_loss(model, batch) / len(batch.ids)
+    return float(forward(model, batch).losses.sum()) / len(batch.ids)
+
+
+def _pos_fd(model, batch, b, t, j, eps=1e-5):
+    """Central difference of instance b's loss in pos[t, j]. pos[t] enters
+    only the embedding-layer output e[:, t], and instance b's loss reads only
+    e[b], so this is dLoss_b/de[b, t, j]: the g_emb entry."""
+    pos = model.params["pos"]
+    orig = pos[t, j]
+    pos[t, j] = orig + eps
+    lp = forward(model, batch).losses[b]
+    pos[t, j] = orig - eps
+    lm = forward(model, batch).losses[b]
+    pos[t, j] = orig
+    return (lp - lm) / (2 * eps)
 
 
 def test_init_deterministic_and_validated():
@@ -134,7 +149,7 @@ def test_a_copied_model_trains(tmp_path):
     for c in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         logits = forward(c, batch).logits
         save_checkpoint(c, str(tmp_path / "before.json"))
-        Trainer(c, TrainHyper(), 1).apply_batch([seq])
+        Trainer(c, _hyper(), 1).apply_batch([seq])
         save_checkpoint(c, str(tmp_path / "after.json"))
         assert not np.array_equal(forward(c, batch).logits, logits)
         assert (tmp_path / "before.json").read_bytes() != (tmp_path / "after.json").read_bytes()
@@ -238,17 +253,11 @@ def test_empty_response_rejected():
 
 def test_embedding_gradients_match_finite_differences():
     m = init_model(TINY)
-    batch, trace, res = _run(m, [_random_seq(np.random.default_rng(4), TINY)], False)
-    e0 = trace.e.copy()
-    eps = 1e-5
-    fd = np.zeros_like(e0)
-    for t in range(e0.shape[1]):
-        for j in range(e0.shape[2]):
-            ep = e0.copy()
-            ep[0, t, j] += eps
-            em = e0.copy()
-            em[0, t, j] -= eps
-            fd[0, t, j] = (_total_loss(m, batch, ep) - _total_loss(m, batch, em)) / (2 * eps)
+    batch, _, res = _run(m, [_random_seq(np.random.default_rng(4), TINY)], False)
+    fd = np.zeros_like(res.g_emb)
+    for t in range(fd.shape[1]):
+        for j in range(fd.shape[2]):
+            fd[0, t, j] = _pos_fd(m, batch, 0, t, j)
     np.testing.assert_allclose(res.g_emb, fd, rtol=1e-4, atol=1e-8)
 
 
@@ -283,16 +292,12 @@ def test_padded_batch_gradients_match_finite_differences():
     seqs = [_random_seq(rng, TINY, 4, 5, "a"), _random_seq(rng, TINY, 1, 2, "b"),
             _random_seq(rng, TINY, 3, 3, "c")]
     m = init_model(TINY)
-    batch, trace, res = _run(m, seqs)
+    batch, _, res = _run(m, seqs)
     assert batch.tokens.shape == (3, 12)
     _assert_param_grads_match_fd(m, batch, res.param_grads)
-    e0, eps = trace.e.copy(), 1e-5
     for b, t, j in [(0, 11, 3), (1, 2, 0), (1, 5, 7), (2, 8, 15), (2, 0, 1)]:
-        ep, em = e0.copy(), e0.copy()
-        ep[b, t, j] += eps
-        em[b, t, j] -= eps
-        fd = (_total_loss(m, batch, ep) - _total_loss(m, batch, em)) / (2 * eps)
-        assert res.g_emb[b, t, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert res.g_emb[b, t, j] == pytest.approx(_pos_fd(m, batch, b, t, j),
+                                                   rel=1e-4, abs=1e-8)
     # padded positions get exactly zero gradient
     assert not res.g_emb[1, 6:].any() and not res.g_emb[2, 9:].any()
 
@@ -385,7 +390,7 @@ def test_perplexity_at_least_one():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     m = init_model(TINY)
     _train(m, [_random_seq(np.random.default_rng(8), TINY) for _ in range(6)],
-           TrainHyper(batch_size=3, shuffle_seed=1))
+           _hyper(3, 1))
     path = str(tmp_path / "ck.json")
     save_checkpoint(m, path)
     m2 = load_checkpoint(path)
@@ -416,7 +421,7 @@ def test_fingerprint_covers_config_and_seed():
     assert model_fingerprint(m) != a
     m.flat[:] = flat
     assert model_fingerprint(m) == a
-    hyper = TrainHyper(batch_size=2, shuffle_seed=1)
+    hyper = _hyper(2, 1)
     _train(m, [_random_seq(np.random.default_rng(8), TINY, instance_id=f"s{i}")
                for i in range(2)], hyper)
     assert model_fingerprint(m) != a
@@ -425,7 +430,7 @@ def test_fingerprint_covers_config_and_seed():
 def test_train_zero_epochs_is_identity():
     m = init_model(TINY)
     before = m.flat.copy()
-    _train(m, [_random_seq(np.random.default_rng(9), TINY)], TrainHyper(), epochs=0)
+    _train(m, [_random_seq(np.random.default_rng(9), TINY)], _hyper(), epochs=0)
     assert np.array_equal(before, m.flat)
 
 
@@ -433,7 +438,7 @@ def test_train_deterministic():
     def run():
         m = init_model(TINY)
         seqs = [_random_seq(np.random.default_rng(40 + i), TINY) for i in range(10)]
-        return _train(m, seqs, TrainHyper(batch_size=4, shuffle_seed=5), epochs=2)
+        return _train(m, seqs, _hyper(4, 5), epochs=2)
 
     assert np.array_equal(run().flat, run().flat)
 
@@ -444,7 +449,7 @@ def test_train_loss_decreases_on_learnable_corpus():
     seqs = [encode_instance(tok, i, 32) for i in ds]
     cfg = ModelConfig(32, 2, 4, 64, tok.vocab_size, 32, init_seed=1)
     m = init_model(cfg)
-    hyper = TrainHyper(batch_size=8, shuffle_seed=2)
+    hyper = _hyper(8, 2)
     trainer = Trainer(m, hyper, total_update_steps(len(seqs), hyper.batch_size, 3))
     trainer.run(seqs)
     assert trainer.epoch_losses[2] < trainer.epoch_losses[0]
@@ -453,7 +458,7 @@ def test_train_loss_decreases_on_learnable_corpus():
 def test_run_takes_exactly_its_step_budget(monkeypatch):
     seqs = [_random_seq(np.random.default_rng(100 + i), TINY, instance_id=f"r{i}")
             for i in range(7)]
-    hyper = TrainHyper(batch_size=3, shuffle_seed=4)  # 3 updates per epoch
+    hyper = _hyper(3, 4)  # 3 updates per epoch
     calls = []
     real = Trainer.apply_batch
 
@@ -521,7 +526,7 @@ def test_extract_online_single_batch_matches_frozen():
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     frozen_model = init_model(TINY)
     frozen = frozen_gradients(frozen_model, seqs, _keep)
-    hyper = TrainHyper(batch_size=len(seqs), shuffle_seed=3)
+    hyper = _hyper(len(seqs), 3)
     online = _online_epoch(init_model(TINY), seqs, hyper)
     assert sorted(b.instance_id for b in online) == sorted(b.instance_id for b in frozen)
     fro = {b.instance_id: b for b in frozen}
@@ -535,7 +540,7 @@ def test_extract_online_one_bundle_per_instance():
     for i, s in enumerate(seqs):
         seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
     m = init_model(TINY)
-    bundles = _online_epoch(m, seqs, TrainHyper(batch_size=2))
+    bundles = _online_epoch(m, seqs, _hyper(2))
     assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
     steps = {b.instance_id: b.step_index for b in bundles}
     assert min(steps.values()) == 0
@@ -546,7 +551,7 @@ def test_nan_loss_aborts_with_step_index():
     m = init_model(TINY)
     m.params["lnf.g"][0] = float("nan")
     seq = _random_seq(np.random.default_rng(90), TINY)
-    hyper = TrainHyper()
+    hyper = _hyper()
     trainer = Trainer(m, hyper, 1)
     with pytest.raises(RuntimeError, match="NaN loss at step 1"):
         trainer.apply_batch([seq])
@@ -566,7 +571,7 @@ def test_nonfinite_instance_loss_is_named():
     before = m.flat.copy()
     with pytest.raises(RuntimeError,
                        match=r"^NaN loss at step 1: instance bad has loss inf$"):
-        Trainer(m, TrainHyper(), 1).apply_batch(seqs)
+        Trainer(m, _hyper(), 1).apply_batch(seqs)
     assert np.array_equal(before, m.flat)  # no update was applied
     with pytest.raises(RuntimeError, match="instance bad has loss inf"):
         frozen_gradients(m, seqs, _keep)
