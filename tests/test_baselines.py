@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gradsel import baselines
 from gradsel.baselines import (
     BM25_B,
     BM25_K1,
@@ -173,6 +174,20 @@ def test_dsir_exact_weight_no_hash_collision():
     assert [math.exp(x) for x in logw] == pytest.approx([want, want], rel=1e-12)
 
 
+def test_dsir_equal_distributions_zero_weights():
+    # one-word documents whose words fill every bucket once: the candidate
+    # distribution is uniform, and so is the add-one smoothed target when the
+    # target repeats the candidates, so every p/q is exactly 1
+    first = {}
+    for k in itertools.count():
+        first.setdefault(hash_bucket(f"w{k}"), f"w{k}")
+        if len(first) == DSIR_BUCKETS:
+            break
+    docs = [[first[b]] for b in range(DSIR_BUCKETS)]
+    for target in (docs, docs + docs[::-1]):
+        assert np.array_equal(dsir_log_weights(docs, target), np.zeros(DSIR_BUCKETS))
+
+
 def ngram_features(tokens, orders=DSIR_ORDERS):
     """Every n-gram of tokens for each n in orders, words joined by U+001F."""
     feats = []
@@ -182,17 +197,17 @@ def ngram_features(tokens, orders=DSIR_ORDERS):
     return feats
 
 
-def _dsir_log_weights_per_occurrence(candidates, target):
+def _dsir_log_weights_per_occurrence(candidates, target, n_buckets=DSIR_BUCKETS):
     # reference: one hash per n-gram occurrence, counted and summed in order
     def counts(docs):
-        c = np.zeros(DSIR_BUCKETS)
+        c = np.zeros(n_buckets)
         for doc in docs:
             for f in ngram_features(doc):
                 c[hash_bucket(f)] += 1
         return c
 
     tc, cc = counts(target), counts(candidates)
-    p = (tc + 1.0) / (tc.sum() + DSIR_BUCKETS)
+    p = (tc + 1.0) / (tc.sum() + n_buckets)
     q = cc / cc.sum()
     out = np.zeros(len(candidates))
     for i, doc in enumerate(candidates):
@@ -214,15 +229,18 @@ def _colliding_words():
         seen[b] = f"w{k}"
 
 
-def test_dsir_log_weights_match_per_occurrence_reference():
-    # repeated words and n-grams, and two words that collide
+@pytest.mark.parametrize("n_buckets", [5, DSIR_BUCKETS])
+def test_dsir_log_weights_match_per_occurrence_reference(n_buckets, monkeypatch):
+    # repeated words and n-grams, and two words that collide at DSIR_BUCKETS;
+    # at 5 buckets nearly every feature shares its bucket with another
+    monkeypatch.setattr(baselines, "DSIR_BUCKETS", n_buckets)
     rng = substream(3, ROLE_SELECT)
     words = "the cat sat on a mat and then the dog sat too".split() + _colliding_words()
     candidates = [[words[rng.randint(len(words))] for _ in range(2 + rng.randint(9))]
                   for _ in range(40)]
     for target in ([words[:6], ["the", "the", "cat"], words[-1:]], candidates):
         got = dsir_log_weights(candidates, target)
-        want = _dsir_log_weights_per_occurrence(candidates, target)
+        want = _dsir_log_weights_per_occurrence(candidates, target, n_buckets)
         assert np.array_equal(got, want)
 
 
