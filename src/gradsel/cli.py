@@ -28,34 +28,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True,
                        help="JSON file mirroring RunConfig fields")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--out", default=None,
                        help="override the config output directory")
 
     p = sub.add_parser("extract", help="write gradient records for a dataset")
     common(p)
-    p.add_argument("--mode", choices=pipeline.EXTRACTION_MODES, default=None)
 
-    p = sub.add_parser("select", help="density/value selection over records")
+    p = sub.add_parser("select", help="density strategy or baseline selection over records")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="grads",
-                   help="density strategy (default: %(default)s)")
+    p.add_argument("--strategy", choices=STRATEGIES + BASELINE_NAMES, default="grads",
+                   help="density strategy or baseline (default: %(default)s)")
     p.add_argument("--fraction", type=float, default=50.0,
                    help="percentage of the records to keep (default: %(default)g)")
     p.add_argument("--force", action="store_true",
                    help="skip provenance checks")
-
-    p = sub.add_parser("baseline", help="baseline selection over records")
-    common(p)
-    p.add_argument("--records", required=True)
-    p.add_argument("--strategy", choices=BASELINE_NAMES, required=True)
-    p.add_argument("--fraction", type=float, default=50.0,
-                   help="percentage of the records to keep (default: %(default)g)")
-    p.add_argument("--model", default=None,
-                   help="reference checkpoint for rds/less/ppl")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("train", help="fine-tune a fresh model on a selection")
     common(p)
@@ -69,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pilot", help="gradient-decile report (CSV)")
     common(p)
-    p.add_argument("--records", default=None)
-    p.add_argument("--model", default=None)
+    p.add_argument("--records", required=True)
     p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("compare", help="strategy sweep with base/all rows")
@@ -101,22 +87,19 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(path)
         return 0
 
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if args.command == "extract":
-        overrides["mode"] = args.mode
-    cfg = load_config(args.config, **overrides)
+    cfg = load_config(args.config, out_dir=args.out)
 
     if args.command == "extract":
         out = pipeline.run_extract(cfg)
         print(f"{out['records']} ({out['n_records']} records)")
-    elif args.command in ("select", "baseline"):
-        if args.command == "select":
+    elif args.command == "select":
+        if args.strategy in STRATEGIES:
             result = pipeline.run_select(
                 cfg, args.records, args.strategy, args.fraction, args.force
             )
         else:
             result = pipeline.run_baseline(
-                cfg, args.strategy, args.records, args.fraction, args.model, args.force
+                cfg, args.strategy, args.records, args.fraction, args.force
             )
         print(f"{result.strategy}@{result.fraction_percent:g}: "
               f"{len(result.selected_ids)} selected -> {cfg.out_dir}")
@@ -129,7 +112,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"bleu={m['bleu']:.4f} rouge_l={m['rouge_l']:.4f} "
               f"meteor={m['meteor']:.4f} (n={out['n_test']})")
     elif args.command == "pilot":
-        meta = pipeline.run_pilot(cfg, args.records, args.model, args.force)
+        meta = pipeline.run_pilot(cfg, args.records, args.force)
         rho = meta["loss_gradient_spearman"]
         print(f"loss/gradient spearman = {'n/a' if rho is None else f'{rho:.4f}'} "
               f"-> {cfg.out_dir}")

@@ -53,7 +53,7 @@ from .tinylm import (
     total_update_steps,
 )
 
-# Baseline families the compare/baseline commands accept alongside the
+# Baseline families the select and compare commands accept alongside the
 # density strategies. rds/less/ppl need a reference model for features.
 BASELINE_NAMES = ("random", "bm25", "dsir", "rds", "less", "ppl")
 MODEL_BASELINES = ("rds", "less", "ppl")
@@ -139,11 +139,12 @@ class RunConfig:
         return d
 
 
-def load_config(path: str, **overrides) -> RunConfig:
-    """The file's RunConfig with the non-None overrides, by exact JSON types."""
+def load_config(path: str, out_dir: str | None = None) -> RunConfig:
+    """The file's RunConfig, by exact JSON types; out_dir, when given,
+    replaces the file's output directory."""
     (_, raw), = _json_lines(path, whole=True)
-    if type(raw) is dict:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    if type(raw) is dict and out_dir is not None:
+        raw["out_dir"] = out_dir
     cfg = _from_json(RunConfig, raw, path)
     cfg.validate()
     return cfg
@@ -503,16 +504,15 @@ def write_selection(
 
 
 def _select_from_records(cfg: RunConfig, name: str, records_path: str,
-                         fraction: float, force: bool,
-                         model_path: str | None = None) -> SelectionResult:
-    """The select and baseline commands: one named selection over a record
-    file, written with its meta and manifest entries into cfg.out_dir."""
+                         fraction: float, force: bool) -> SelectionResult:
+    """run_select and run_baseline: one named selection over a record file,
+    written with its meta and manifest entries into cfg.out_dir. rds/less/ppl
+    read the checkpoint next to the records."""
     prep = prepare(cfg)
     records_path, records, records_hash, checkpoint = _resolve_records(
         cfg, prep, records_path, force)
-    model_path = model_path or checkpoint
-    ref_model = (load_checkpoint(model_path)
-                 if name in MODEL_BASELINES and model_path is not None else None)
+    ref_model = (load_checkpoint(checkpoint)
+                 if name in MODEL_BASELINES and checkpoint is not None else None)
     result = run_selection_by_name(name, fraction, records, prep, cfg, ref_model)
     write_selection(cfg.out_dir, name, result, records, records_path, records_hash,
                     prep.dataset_hash)
@@ -580,13 +580,12 @@ def run_baseline(
     name: str,
     records_path: str,
     fraction: float,
-    model_path: str | None = None,
     force: bool = False,
 ) -> SelectionResult:
     """Baseline selection over the same candidate set as run_select."""
     if name not in BASELINE_NAMES:
         raise ValueError(f"unknown baseline {name!r}")
-    return _select_from_records(cfg, name, records_path, fraction, force, model_path)
+    return _select_from_records(cfg, name, records_path, fraction, force)
 
 
 @dataclass(frozen=True)
@@ -732,21 +731,15 @@ def run_eval(cfg: RunConfig, model_path: str) -> dict:
 # pilot deciles
 
 
-def run_pilot(
-    cfg: RunConfig,
-    records_path: str | None = None,
-    model_path: str | None = None,
-    force: bool = False,
-) -> dict:
-    """Decile report over gradient records, CSV for plotting."""
+def run_pilot(cfg: RunConfig, records_path: str, force: bool = False) -> dict:
+    """Decile report over gradient records, CSV for plotting; losses are
+    measured under the checkpoint the records were extracted with."""
     prep = prepare(cfg)
     _, records, records_hash, checkpoint = _resolve_records(cfg, prep, records_path, force)
-    model_path = model_path or checkpoint
-    if model_path is None:
-        base_model = init_model(cfg.model_config(prep.tok.vocab_size))
-    else:
-        base_model = load_checkpoint(model_path)
-    report = pilot_deciles(records, prep.seqs, base_model)
+    if checkpoint is None:
+        raise ValueError(f"no {EXTRACT_MODEL_FILE} next to {records_path}: the pilot "
+                         "needs the model its records were extracted with")
+    report = pilot_deciles(records, prep.seqs, load_checkpoint(checkpoint))
     with open_atomic(os.path.join(cfg.out_dir, "deciles.csv")) as fh:
         fh.write(report.to_csv())
     meta = {

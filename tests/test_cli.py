@@ -1,13 +1,15 @@
 """Command-line interface tests: exit codes, wiring, and output files."""
 
 import json
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gradsel import pipeline
-from gradsel.cli import main
+from gradsel.cli import build_parser, main
 from gradsel.gradstats import read_records, write_records
 
 
@@ -28,6 +30,14 @@ def workspace(tmp_path_factory):
         "epochs": 1,
     }))
     return root, str(cfg_path)
+
+
+@pytest.fixture(scope="module")
+def records(workspace):
+    """Records with their meta and checkpoint, extracted for the tests that read them."""
+    root, cfg = workspace
+    assert main(["extract", "--config", cfg, "--out", str(root / "extracted")]) == 0
+    return str(root / "extracted" / "records.jsonl")
 
 
 def test_synth_writes_dataset_and_manifest(workspace, capsys):
@@ -57,17 +67,15 @@ def test_extract_select_train_eval_chain(workspace, capsys):
     assert "bleu=" in capsys.readouterr().out
 
 
-def test_baseline_subcommand(workspace, capsys):
+def test_baseline_subcommand(workspace, records, capsys):
     root, cfg = workspace
-    records = str(root / "run" / "records.jsonl")
-    assert main(["baseline", "--config", cfg, "--records", records,
+    assert main(["select", "--config", cfg, "--records", records,
                  "--strategy", "random", "--fraction", "50"]) == 0
     assert "random@50: 45 selected" in capsys.readouterr().out
 
 
-def test_select_and_baseline_flag_defaults(workspace, capsys):
+def test_select_and_baseline_flag_defaults(workspace, records, capsys):
     root, cfg = workspace
-    records = str(root / "run" / "records.jsonl")
 
     def files(out, command, *flags):
         out = root / "defaults" / out
@@ -78,17 +86,16 @@ def test_select_and_baseline_flag_defaults(workspace, capsys):
     grads = files("select", "select")
     assert "grads@50: 45 selected" in capsys.readouterr().out
     assert grads == files("select_flags", "select", "--strategy", "grads", "--fraction", "50")
-    random = files("baseline", "baseline", "--strategy", "random")
+    random = files("baseline", "select", "--strategy", "random")
     assert "random@50: 45 selected" in capsys.readouterr().out
-    assert random == files("baseline_flags", "baseline", "--strategy", "random",
+    assert random == files("baseline_flags", "select", "--strategy", "random",
                            "--fraction", "50")
     assert sorted(random) == ["manifest.json", "selection_random.jsonl",
                               "selection_random_meta.json"]
 
 
-def test_pilot_subcommand(workspace, capsys):
+def test_pilot_subcommand(workspace, records, capsys):
     root, cfg = workspace
-    records = str(root / "run" / "records.jsonl")
     assert main(["pilot", "--config", cfg, "--records", records,
                  "--out", str(root / "pilot")]) == 0
     assert "spearman" in capsys.readouterr().out
@@ -120,7 +127,7 @@ def test_missing_config_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_runtime_failure_exits_one(workspace, capsys):
+def test_runtime_failure_exits_one(workspace, records, capsys):
     root, cfg = workspace
     assert main(["eval", "--config", cfg,
                  "--model", str(root / "missing.json")]) == 1
@@ -154,7 +161,7 @@ def test_runtime_failure_exits_one(workspace, capsys):
         assert capsys.readouterr().err == f"error: {bad_cfg}: unknown field {name!r}\n"
     (root / "bad_out").mkdir()
     (root / "bad_out" / "manifest.json").write_text("[1]")
-    assert main(["select", "--config", cfg, "--records", str(root / "run" / "records.jsonl"),
+    assert main(["select", "--config", cfg, "--records", records,
                  "--out", str(root / "bad_out")]) == 1
     manifest = root / "bad_out" / "manifest.json"
     assert capsys.readouterr().err == f"error: {manifest}: not a JSON object\n"
@@ -195,7 +202,7 @@ def bare_records(workspace):
 def test_a_model_baseline_with_no_checkpoint_exits_one(workspace, bare_records, capsys,
                                                        name):
     root, cfg = workspace
-    assert main(["baseline", "--config", cfg, "--records", bare_records,
+    assert main(["select", "--config", cfg, "--records", bare_records,
                  "--strategy", name, "--out", str(root / "bare_sel")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {name} needs a reference model")
@@ -209,14 +216,26 @@ def test_compare_over_records_with_no_checkpoint_has_an_error_row(workspace, bar
     assert "rds@50: ERROR rds needs a reference model\n" in capsys.readouterr().out
 
 
-def test_pilot_over_constant_gradients_writes_null_spearman(workspace, bare_records,
-                                                            capsys):
+def test_pilot_over_records_with_no_checkpoint_exits_one(workspace, bare_records, capsys):
     root, cfg = workspace
-    records = [replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
-               for r in read_records(bare_records)]
+    out = root / "bare_pilot"
+    assert main(["pilot", "--config", cfg, "--records", bare_records,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: no extract_model.json next to {bare_records}")
+    assert not out.exists()
+
+
+def test_pilot_over_constant_gradients_writes_null_spearman(workspace, records, capsys):
+    root, cfg = workspace
+    flat_records = [replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
+                    for r in read_records(records)]
     flat = root / "flat"
     flat.mkdir()
-    write_records(records, str(flat / "records.jsonl"))
+    write_records(flat_records, str(flat / "records.jsonl"))
+    checkpoint = Path(records).parent / "extract_model.json"
+    (flat / "extract_model.json").write_bytes(checkpoint.read_bytes())
     out = root / "flat_pilot"
     assert main(["pilot", "--config", cfg, "--records", str(flat / "records.jsonl"),
                  "--force", "--out", str(out)]) == 0
@@ -227,3 +246,22 @@ def test_pilot_over_constant_gradients_writes_null_spearman(workspace, bare_reco
     meta = json.loads((out / "pilot_meta.json").read_text(), parse_constant=no_constants)
     assert meta["loss_gradient_spearman"] is None
     assert "loss/gradient spearman = n/a" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    """Every `gradsel` line in README's code blocks is a valid command line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("gradsel "):
+                commands.append(line.replace("$s", "42"))
+    assert len(commands) >= 8
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

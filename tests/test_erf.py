@@ -53,7 +53,7 @@ with open(config, "w") as fh:
     json.dump({"dataset": os.path.join(root, "corpus", "dataset.jsonl"),
                "out_dir": os.path.join(root, "run"), "seed": 7, "d_model": 16,
                "warmup_steps": 5, "epochs": 1}, fh)
-assert main(["extract", "--config", config, "--mode", "frozen"]) == 0
+assert main(["extract", "--config", config]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib"))))
 """
 

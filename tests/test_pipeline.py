@@ -85,8 +85,9 @@ def test_config_file_roundtrip_and_unknown_field(corpus_dir, tmp_path):
             }
         )
     )
-    cfg = load_config(str(path), seed=11)
-    assert cfg.seed == 11  # CLI override wins over the file value
+    cfg = load_config(str(path), out_dir=str(tmp_path / "elsewhere"))
+    assert cfg.out_dir == str(tmp_path / "elsewhere")  # --out wins over the file value
+    assert cfg.seed == 5
     path.write_text(json.dumps({"dataset": "x", "out_dir": "y", "bogus": 1}))
     with pytest.raises(ValueError, match="bogus"):
         load_config(str(path))
