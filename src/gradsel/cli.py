@@ -10,8 +10,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .pipeline import BASELINE_NAMES, load_config
-from .selector import STRATEGIES
+from .pipeline import SELECTION_NAMES, load_config
 
 
 def _comma_list(text: str) -> list[str]:
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="density strategy or baseline selection over records")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES + BASELINE_NAMES, default="grads",
+    p.add_argument("--strategy", choices=SELECTION_NAMES, default="grads",
                    help="density strategy or baseline (default: %(default)s)")
     p.add_argument("--fraction", type=float, default=50.0,
                    help="percentage of the records to keep (default: %(default)g)")
@@ -93,14 +92,9 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         out = pipeline.run_extract(cfg)
         print(f"{out['records']} ({out['n_records']} records)")
     elif args.command == "select":
-        if args.strategy in STRATEGIES:
-            result = pipeline.run_select(
-                cfg, args.records, args.strategy, args.fraction, args.force
-            )
-        else:
-            result = pipeline.run_baseline(
-                cfg, args.strategy, args.records, args.fraction, args.force
-            )
+        result = pipeline.run_select(
+            cfg, args.records, args.strategy, args.fraction, args.force
+        )
         print(f"{result.strategy}@{result.fraction_percent:g}: "
               f"{len(result.selected_ids)} selected -> {cfg.out_dir}")
     elif args.command == "train":
@@ -118,9 +112,8 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
               f"-> {cfg.out_dir}")
     elif args.command == "compare":
         strategies = _comma_list(args.strategy)
-        known = STRATEGIES + BASELINE_NAMES
         for name in strategies:
-            if name not in known:
+            if name not in SELECTION_NAMES:
                 parser.error(f"unknown strategy {name!r}")
         try:
             fractions = [float(x) for x in _comma_list(args.fraction)]

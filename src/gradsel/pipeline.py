@@ -53,10 +53,12 @@ from .tinylm import (
     total_update_steps,
 )
 
-# Baseline families the select and compare commands accept alongside the
-# density strategies. rds/less/ppl need a reference model for features.
-BASELINE_NAMES = ("random", "bm25", "dsir", "rds", "less", "ppl")
-MODEL_BASELINES = ("rds", "less", "ppl")
+# Every name select and compare take: the density strategies, then the
+# baselines. bm25/dsir/rds/less score against the query split; rds/less/ppl
+# read features from the checkpoint next to the records.
+SELECTION_NAMES = STRATEGIES + ("random", "bm25", "dsir", "rds", "less", "ppl")
+QUERY_NAMES = ("bm25", "dsir", "rds", "less")
+MODEL_NAMES = ("rds", "less", "ppl")
 
 EXTRACTION_MODES = ("frozen", "online")
 
@@ -394,25 +396,37 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
 
 
 def _resolve_records(cfg: RunConfig, prep: Prepared, records_path: str | None,
-                     force: bool) -> tuple[str, list[GradientRecord], str, str | None]:
+                     force: bool) -> tuple[str, list[GradientRecord], str]:
     """Extract into cfg.out_dir when records_path is None, else check the
     records' provenance; returns the records path, its records and their
-    hash, and the path of the reference checkpoint next to them (or None)."""
+    hash."""
     if records_path is None:
         records_path = run_extract(cfg, prep)["records"]
     else:
         check_provenance(records_path, prep, cfg, force)
     records, records_hash = _read_records_hashed(records_path)
-    checkpoint = extract_sibling(records_path, EXTRACT_MODEL_FILE)
-    return records_path, records, records_hash, checkpoint
+    return records_path, records, records_hash
 
 
-def extract_sibling(records_path: str, name: str) -> str | None:
+def extract_sibling(records_path: str, name: str) -> str:
     """The path of the extraction artifact `name` (EXTRACT_META_FILE or
     EXTRACT_MODEL_FILE) in the directory of records_path, where run_extract
-    writes it, or None when no such file is there."""
-    path = os.path.join(os.path.dirname(records_path) or ".", name)
-    return path if os.path.isfile(path) else None
+    writes it."""
+    return os.path.join(os.path.dirname(records_path) or ".", name)
+
+
+def load_model(prep: Prepared, path: str) -> Model:
+    """The checkpoint at path, for prep's dataset. Refused when the file is
+    missing, or when its vocabulary size is not the dataset tokenizer's:
+    token ids name other words under another vocabulary."""
+    if not os.path.isfile(path):
+        raise ValueError(f"checkpoint not found: {path}")
+    model = load_checkpoint(path)
+    if model.cfg.vocab_size != prep.tok.vocab_size:
+        raise RuntimeError(
+            "checkpoint vocabulary does not match the dataset tokenizer"
+        )
+    return model
 
 
 # Config fields that change what a record measures: the token ids and the
@@ -427,7 +441,7 @@ def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
     if force:
         return
     meta_path = extract_sibling(records_path, EXTRACT_META_FILE)
-    if meta_path is None:
+    if not os.path.isfile(meta_path):
         raise RuntimeError(
             f"no provenance metadata next to {records_path} (rerun extract, or force)"
         )
@@ -465,27 +479,26 @@ def check_selection_provenance(selection_path: str, prep: Prepared, force: bool)
 # selection
 
 
-def write_selection(
-    out_dir: str,
-    stem: str,
-    result: SelectionResult,
-    records: list[GradientRecord],
-    records_path: str,
-    records_hash: str,
-    dataset_hash: str,
-) -> tuple[str, str]:
-    """Write selection_<stem>.jsonl (rank order, one line per selected
-    instance) and selection_<stem>_meta.json into out_dir, and record both
-    in its manifest; returns the selection file name and its sha256."""
-    records_by_id = {r.instance_id: r for r in records}
+def _select_step(cfg: RunConfig, prep: Prepared, name: str, fraction: float,
+                 candidates: list[GradientRecord], records_path: str, records_hash: str,
+                 stem: str) -> tuple[SelectionResult, str, str]:
+    """The selection step of select and of every compare row: rank
+    candidates by one of SELECTION_NAMES, then write selection_<stem>.jsonl
+    (rank order, one line per selected instance) and selection_<stem>_meta.json
+    into cfg.out_dir and record both in its manifest. rds/less/ppl read the
+    checkpoint next to the records. Returns the result, the selection file
+    name and its sha256."""
+    ref_model = (load_model(prep, extract_sibling(records_path, EXTRACT_MODEL_FILE))
+                 if name in MODEL_NAMES else None)
+    result = run_selection_by_name(name, fraction, candidates, prep, cfg, ref_model)
+    g_grads = {r.instance_id: r.g_grads for r in candidates}
     sel_file = f"selection_{stem}.jsonl"
-    with open_atomic(os.path.join(out_dir, sel_file)) as fh:
+    with open_atomic(os.path.join(cfg.out_dir, sel_file)) as fh:
         for rank, inst_id in enumerate(result.ordered_ids, start=1):
             f_val = result.f_values.get(inst_id)
-            rec = records_by_id.get(inst_id)
             fh.write(f'{{"id": {json.dumps(inst_id)}, "rank": {rank}, '
                      f'"f_value": {"null" if f_val is None else _fmt(f_val)}, '
-                     f'"g_grads": {"null" if rec is None else _fmt(rec.g_grads)}}}\n')
+                     f'"g_grads": {_fmt(g_grads[inst_id])}}}\n')
     meta = {
         "strategy": result.strategy,
         "fraction_percent": result.fraction_percent,
@@ -496,83 +509,28 @@ def write_selection(
         "stratum_counts": result.stratum_counts,
         "records_file": os.path.basename(records_path),
         "records_hash": records_hash,
-        "dataset_hash": dataset_hash,
+        "dataset_hash": prep.dataset_hash,
     }
     meta_file = f"selection_{stem}_meta.json"
-    write_json(os.path.join(out_dir, meta_file), meta)
-    return sel_file, write_manifest(out_dir, [sel_file, meta_file])[sel_file]
-
-
-def _select_from_records(cfg: RunConfig, name: str, records_path: str,
-                         fraction: float, force: bool) -> SelectionResult:
-    """run_select and run_baseline: one named selection over a record file,
-    written with its meta and manifest entries into cfg.out_dir. rds/less/ppl
-    read the checkpoint next to the records."""
-    prep = prepare(cfg)
-    records_path, records, records_hash, checkpoint = _resolve_records(
-        cfg, prep, records_path, force)
-    ref_model = (load_checkpoint(checkpoint)
-                 if name in MODEL_BASELINES and checkpoint is not None else None)
-    result = run_selection_by_name(name, fraction, records, prep, cfg, ref_model)
-    write_selection(cfg.out_dir, name, result, records, records_path, records_hash,
-                    prep.dataset_hash)
-    return result
+    write_json(os.path.join(cfg.out_dir, meta_file), meta)
+    return result, sel_file, write_manifest(cfg.out_dir, [sel_file, meta_file])[sel_file]
 
 
 def run_select(
     cfg: RunConfig,
     records_path: str,
-    strategy: str,
+    name: str,
     fraction: float,
     force: bool = False,
 ) -> SelectionResult:
-    """Density/value selection of fraction percent of a gradient-record file."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _select_from_records(cfg, strategy, records_path, fraction, force)
-
-
-def run_selection_by_name(
-    name: str,
-    fraction: float,
-    pool_records: list[GradientRecord],
-    prep: Prepared,
-    cfg: RunConfig,
-    ref_model: Model | None,
-) -> SelectionResult:
-    """Dispatch a density strategy or a baseline over the training pool; the
-    result carries the stratum mix of what it selected."""
-    pool_ids = [r.instance_id for r in pool_records]
-    query_ids = prep.split.query
-    if name in ("bm25", "dsir", "rds", "less") and not query_ids:
-        raise ValueError(f"{name} needs a nonempty query split")
-    if name in MODEL_BASELINES and ref_model is None:
-        raise ValueError(f"{name} needs a reference model")
-    if name in STRATEGIES:
-        result = select_strategy(pool_records, name, fraction)
-    elif name == "random":
-        result = baselines.select_random(pool_ids, fraction, cfg.seed)
-    elif name in ("bm25", "dsir"):
-        cands, queries = ((split_words(i.prompt + " " + i.response)
-                           for i in prep.instances_for(ids)) for ids in (pool_ids, query_ids))
-        if name == "bm25":
-            result = baselines.bm25_select(pool_ids, cands, queries, fraction)
-        else:
-            result = baselines.dsir_select(pool_ids, cands, queries, fraction, cfg.seed)
-    elif name == "ppl":
-        ppls = baselines.sequence_perplexities(ref_model, prep.seqs_for(pool_ids))
-        result = baselines.ppl_select(pool_ids, ppls, fraction)
-    elif name in ("rds", "less"):
-        feats = (baselines.representation_features if name == "rds"
-                 else baselines.gradient_features)
-        cands, queries = (feats(ref_model, prep.seqs_for(ids)) for ids in (pool_ids, query_ids))
-        if name == "rds":
-            result = baselines.rds_select(pool_ids, cands, queries, fraction)
-        else:
-            result = baselines.less_select(pool_ids, cands, queries, fraction)
-    else:
+    """Selection of fraction percent of a gradient-record file, every record
+    a candidate, by one of SELECTION_NAMES."""
+    if name not in SELECTION_NAMES:
         raise ValueError(f"unknown strategy {name!r}")
-    return attach_strata(result, prep.strata)
+    prep = prepare(cfg)
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
+    return _select_step(cfg, prep, name, fraction, records, records_path, records_hash,
+                        name)[0]
 
 
 def run_baseline(
@@ -582,10 +540,56 @@ def run_baseline(
     fraction: float,
     force: bool = False,
 ) -> SelectionResult:
-    """Baseline selection over the same candidate set as run_select."""
-    if name not in BASELINE_NAMES:
-        raise ValueError(f"unknown baseline {name!r}")
-    return _select_from_records(cfg, name, records_path, fraction, force)
+    """run_select with the name first. It stays because the benchmark's
+    stages_4k workload (perfbench/workloads.py) calls
+    run_baseline(cfg, name, records, 50.0) positionally; ROADMAP item 2's
+    follow-on deletes it."""
+    return run_select(cfg, records_path, name, fraction, force)
+
+
+def run_selection_by_name(
+    name: str,
+    fraction: float,
+    candidates: list[GradientRecord],
+    prep: Prepared,
+    cfg: RunConfig,
+    ref_model: Model | None,
+) -> SelectionResult:
+    """Dispatch a density strategy or a baseline over the candidate records;
+    the result carries the stratum mix of what it selected. ref_model is the
+    checkpoint rds/less/ppl read."""
+    cand_ids = [r.instance_id for r in candidates]
+    query_ids = prep.split.query
+    if name in QUERY_NAMES and not query_ids:
+        raise ValueError(f"{name} needs a nonempty query split")
+    if name in QUERY_NAMES + MODEL_NAMES:  # these read the candidates' text or tokens
+        unknown = [i for i in cand_ids if i not in prep.by_id]
+        if unknown:
+            raise ValueError(f"records name {len(unknown)} ids not in the dataset: "
+                             + ", ".join(unknown[:3]))
+    if name in STRATEGIES:
+        result = select_strategy(candidates, name, fraction)
+    elif name == "random":
+        result = baselines.select_random(cand_ids, fraction, cfg.seed)
+    elif name in ("bm25", "dsir"):
+        cands, queries = ((split_words(i.prompt + " " + i.response)
+                           for i in prep.instances_for(ids)) for ids in (cand_ids, query_ids))
+        if name == "bm25":
+            result = baselines.bm25_select(cand_ids, cands, queries, fraction)
+        else:
+            result = baselines.dsir_select(cand_ids, cands, queries, fraction, cfg.seed)
+    elif name == "ppl":
+        ppls = baselines.sequence_perplexities(ref_model, prep.seqs_for(cand_ids))
+        result = baselines.ppl_select(cand_ids, ppls, fraction)
+    else:
+        feats = (baselines.representation_features if name == "rds"
+                 else baselines.gradient_features)
+        cands, queries = (feats(ref_model, prep.seqs_for(ids)) for ids in (cand_ids, query_ids))
+        if name == "rds":
+            result = baselines.rds_select(cand_ids, cands, queries, fraction)
+        else:
+            result = baselines.less_select(cand_ids, cands, queries, fraction)
+    return attach_strata(result, prep.strata)
 
 
 @dataclass(frozen=True)
@@ -709,12 +713,7 @@ def run_eval(cfg: RunConfig, model_path: str) -> dict:
     """Score a checkpoint on the held-out test split."""
     prep = prepare(cfg)
     _require_test_split(cfg, prep)
-    model = load_checkpoint(model_path)
-    if model.cfg.vocab_size != prep.tok.vocab_size:
-        raise RuntimeError(
-            "checkpoint vocabulary does not match the dataset tokenizer"
-        )
-    metrics = evaluate_model(model, prep, prep.split.test)
+    metrics = evaluate_model(load_model(prep, model_path), prep, prep.split.test)
     out = {
         "metrics": metrics,
         "n_test": len(prep.split.test),
@@ -735,11 +734,9 @@ def run_pilot(cfg: RunConfig, records_path: str, force: bool = False) -> dict:
     """Decile report over gradient records, CSV for plotting; losses are
     measured under the checkpoint the records were extracted with."""
     prep = prepare(cfg)
-    _, records, records_hash, checkpoint = _resolve_records(cfg, prep, records_path, force)
-    if checkpoint is None:
-        raise ValueError(f"no {EXTRACT_MODEL_FILE} next to {records_path}: the pilot "
-                         "needs the model its records were extracted with")
-    report = pilot_deciles(records, prep.seqs, load_checkpoint(checkpoint))
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
+    model = load_model(prep, extract_sibling(records_path, EXTRACT_MODEL_FILE))
+    report = pilot_deciles(records, prep.seqs, model)
     with open_atomic(os.path.join(cfg.out_dir, "deciles.csv")) as fh:
         fh.write(report.to_csv())
     meta = {
@@ -816,7 +813,7 @@ def run_compare(
     t_start = time.perf_counter()
     prep = prepare(cfg)
     for name in strategies:
-        if name not in STRATEGIES + BASELINE_NAMES:
+        if name not in SELECTION_NAMES:
             raise ValueError(f"unknown strategy {name!r}")
     for frac in fractions:
         if not 0.0 < frac <= 100.0:
@@ -829,9 +826,7 @@ def run_compare(
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    records_path, records, records_hash, checkpoint = _resolve_records(
-        cfg, prep, records_path, force)
-    ref_model = None if checkpoint is None else load_checkpoint(checkpoint)
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
     timings["extract"] = time.perf_counter() - t0
 
     pool = set(prep.split.train)
@@ -858,11 +853,9 @@ def run_compare(
             row_name = f"{name}@{frac:g}"
             t0 = time.perf_counter()
             try:
-                result = run_selection_by_name(name, frac, pool_records, prep, cfg,
-                                               ref_model)
-                sel_file, sel_hash = write_selection(
-                    cfg.out_dir, f"{name}_{frac:g}", result, pool_records, records_path,
-                    records_hash, prep.dataset_hash)
+                result, sel_file, sel_hash = _select_step(
+                    cfg, prep, name, frac, pool_records, records_path, records_hash,
+                    f"{name}_{frac:g}")
                 row = _train_and_eval_row(row_name, cfg, prep, list(result.selected_ids))
                 row["strategy"] = name
                 row["fraction_percent"] = frac

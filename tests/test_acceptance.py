@@ -22,7 +22,6 @@ from gradsel.evalmetrics import _clipped_matches, meteor_lite, rouge_l
 from gradsel.gradstats import GradientRecord
 from gradsel.pipeline import (
     RunConfig,
-    run_baseline,
     run_compare,
     run_extract,
     run_pilot,
@@ -30,6 +29,7 @@ from gradsel.pipeline import (
     run_synth,
 )
 from gradsel.selector import (
+    STRATEGIES,
     kde_density,
     select_strategy,
     silverman_bandwidth,
@@ -418,12 +418,12 @@ def test_criterion_10_baseline_determinism(small_run, tmp_path):
     assert spread <= 0.02
 
     cfg, out = small_run
-    for name in pipeline.BASELINE_NAMES:
+    for name in pipeline.SELECTION_NAMES[len(STRATEGIES):]:  # the baselines
         pair = []
         for sub in ("a", "b"):
-            run_baseline(
+            run_select(
                 replace(cfg, out_dir=str(tmp_path / f"{name}_{sub}")),
-                name, out["records"], 50.0,
+                out["records"], name, 50.0,
             )
             pair.append(
                 (tmp_path / f"{name}_{sub}" / f"selection_{name}.jsonl").read_bytes()

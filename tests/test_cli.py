@@ -205,7 +205,8 @@ def test_a_model_baseline_with_no_checkpoint_exits_one(workspace, bare_records, 
     assert main(["select", "--config", cfg, "--records", bare_records,
                  "--strategy", name, "--out", str(root / "bare_sel")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {name} needs a reference model")
+    checkpoint = Path(bare_records).parent / "extract_model.json"
+    assert err == [f"error: checkpoint not found: {checkpoint}"]
 
 
 def test_compare_over_records_with_no_checkpoint_has_an_error_row(workspace, bare_records,
@@ -213,7 +214,8 @@ def test_compare_over_records_with_no_checkpoint_has_an_error_row(workspace, bar
     root, cfg = workspace
     assert main(["compare", "--config", cfg, "--strategy", "rds", "--fraction", "50",
                  "--records", bare_records, "--out", str(root / "bare_cmp")]) == 1
-    assert "rds@50: ERROR rds needs a reference model\n" in capsys.readouterr().out
+    checkpoint = Path(bare_records).parent / "extract_model.json"
+    assert f"rds@50: ERROR checkpoint not found: {checkpoint}\n" in capsys.readouterr().out
 
 
 def test_pilot_over_records_with_no_checkpoint_exits_one(workspace, bare_records, capsys):
@@ -222,8 +224,8 @@ def test_pilot_over_records_with_no_checkpoint_exits_one(workspace, bare_records
     assert main(["pilot", "--config", cfg, "--records", bare_records,
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: no extract_model.json next to {bare_records}")
+    checkpoint = Path(bare_records).parent / "extract_model.json"
+    assert err == [f"error: checkpoint not found: {checkpoint}"]
     assert not out.exists()
 
 
@@ -248,8 +250,46 @@ def test_pilot_over_constant_gradients_writes_null_spearman(workspace, records, 
     assert "loss/gradient spearman = n/a" in capsys.readouterr().out
 
 
+def test_selections_that_read_the_dataset_refuse_records_naming_ids_outside_it(
+        workspace, records, capsys):
+    root, cfg = workspace
+    ghost = read_records(records)
+    ghost[0] = replace(ghost[0], instance_id="ghost-1")
+    where = root / "ghost"
+    where.mkdir()
+    write_records(ghost, str(where / "records.jsonl"))
+    checkpoint = Path(records).parent / "extract_model.json"
+    (where / "extract_model.json").write_bytes(checkpoint.read_bytes())
+    select = ["select", "--config", cfg, "--records", str(where / "records.jsonl"),
+              "--force", "--out", str(root / "ghost_sel")]
+    for name in ("bm25", "dsir", "rds", "less", "ppl"):
+        assert main([*select, "--strategy", name]) == 1
+        assert capsys.readouterr().err == ("error: records name 1 ids not in the dataset: "
+                                           "ghost-1\n")
+    # random reads only the records' ids, and counts the foreign one unlabeled
+    assert main([*select, "--strategy", "random", "--fraction", "100"]) == 0
+    meta = json.loads((root / "ghost_sel" / "selection_random_meta.json").read_text())
+    assert meta["stratum_counts"]["unlabeled"] == 1
+
+
+def test_pilot_and_model_baselines_refuse_a_checkpoint_of_another_vocabulary(
+        workspace, records, capsys):
+    root, cfg = workspace
+    small = root / "vocab40.json"
+    small.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "max_vocab": 40}))
+    out = root / "vocab40"
+    for command in (["pilot"], *(["select", "--strategy", n] for n in ("rds", "less", "ppl"))):
+        assert main([*command, "--config", str(small), "--records", records, "--force",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: checkpoint vocabulary does not match "
+                                           "the dataset tokenizer\n")
+    assert not out.exists()
+
+
 def test_readme_commands_parse():
-    """Every `gradsel` line in README's code blocks is a valid command line."""
+    """Every `gradsel` line in README's code blocks is a valid command line, and
+    every name in a `compare --strategy` list is a selection name (argparse
+    checks `select`'s choices, but compare's list is a free string)."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```\n(.*?)^```$", readme, flags=re.S | re.M)
     commands = []
@@ -262,6 +302,9 @@ def test_readme_commands_parse():
     parser = build_parser()
     for command in commands:
         try:
-            parser.parse_args(shlex.split(command)[1:])
+            args = parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+        if args.command == "compare":
+            unknown = [n for n in args.strategy.split(",") if n not in pipeline.SELECTION_NAMES]
+            assert not unknown, f"README compare names unknown strategies {unknown}: {command}"

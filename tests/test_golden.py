@@ -25,10 +25,9 @@ import os
 from dataclasses import replace
 
 from gradsel.pipeline import (
-    BASELINE_NAMES,
     MANIFEST_FILE,
+    SELECTION_NAMES,
     RunConfig,
-    run_baseline,
     run_compare,
     run_eval,
     run_extract,
@@ -37,7 +36,6 @@ from gradsel.pipeline import (
     run_synth,
     run_train,
 )
-from gradsel.selector import STRATEGIES
 
 GOLDEN = {
     'compare/extract_meta.json': 'cbc96df55f76c1192d931aba1f83220834e3cc7465f7831b84c9a1a9ef72ffa3',
@@ -109,10 +107,8 @@ def _run_all() -> dict[str, str]:
                        d_model=16, warmup_steps=30, epochs=1)
     records = "frozen/records.jsonl"
     run_extract(frozen)
-    for name in STRATEGIES:
+    for name in SELECTION_NAMES:
         run_select(frozen, records, name, 50.0)
-    for name in BASELINE_NAMES:
-        run_baseline(frozen, name, records, 50.0)
     run_train(replace(frozen, out_dir="train"), "frozen/selection_grads.jsonl")
     run_pilot(replace(frozen, out_dir="pilot"), records)
 

@@ -507,16 +507,26 @@ def test_a_model_baseline_with_no_checkpoint_needs_a_reference_model(extract_run
                                                                     name):
     cfg, out = extract_run
     records = _records_without_checkpoint(out, tmp_path)
-    with pytest.raises(ValueError, match=f"^{name} needs a reference model"):
-        run_baseline(replace(cfg, out_dir=str(tmp_path / "sel")), name, records, 50.0)
+    checkpoint = re.escape(str(tmp_path / "extract_model.json"))
+    with pytest.raises(ValueError, match=f"^checkpoint not found: {checkpoint}$"):
+        run_select(replace(cfg, out_dir=str(tmp_path / "sel")), records, name, 50.0)
     assert not (tmp_path / "sel").exists()
 
 
 def test_bm25_with_no_query_split_is_refused(extract_run, tmp_path):
     cfg, out = extract_run
     with pytest.raises(ValueError, match="^bm25 needs a nonempty query split$"):
-        run_baseline(replace(cfg, out_dir=str(tmp_path), query_size=0), "bm25",
-                     out["records"], 50.0)
+        run_select(replace(cfg, out_dir=str(tmp_path), query_size=0), out["records"],
+                   "bm25", 50.0)
+
+
+def test_run_baseline_writes_what_run_select_writes(extract_run, tmp_path):
+    cfg, out = extract_run
+    alias, select = tmp_path / "alias", tmp_path / "select"
+    run_baseline(replace(cfg, out_dir=str(alias)), "bm25", out["records"], 50.0)
+    run_select(replace(cfg, out_dir=str(select)), out["records"], "bm25", 50.0)
+    for name in ("selection_bm25.jsonl", "selection_bm25_meta.json"):
+        assert (alias / name).read_bytes() == (select / name).read_bytes()
 
 
 def test_compare_refuses_records_that_miss_a_pool_instance(extract_run, tmp_path):
