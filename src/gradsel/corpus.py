@@ -34,10 +34,6 @@ except ImportError:
 
 STRATA = ("domain", "noise", "trivial", "unlabeled")
 
-ROLE_SPECIAL = "special"
-ROLE_PROMPT = "prompt"
-ROLE_RESPONSE = "response"
-
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
 
@@ -58,14 +54,34 @@ class Instance:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Encoded instance: token ids plus a same-length per-token role tag."""
+    """Encoded instance (BOS, prompt, SEP, response, EOS): the one reader of that layout."""
 
     instance_id: str
     tokens: tuple[int, ...]
-    roles: tuple[str, ...]
+    sep_pos: int
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    @property
+    def decode_prompt(self) -> tuple[int, ...]:
+        """BOS through SEP: what decoding continues."""
+        return self.tokens[: self.sep_pos + 1]
+
+    @property
+    def response(self) -> tuple[int, ...]:
+        """The response tokens kept after truncation."""
+        return self.tokens[self.sep_pos + 1 : -1]
+
+    @property
+    def loss_positions(self) -> range:
+        """Positions whose next token is a response token: the SFT loss mask."""
+        return range(self.sep_pos, len(self.tokens) - 2)
+
+    @property
+    def measured_positions(self) -> list[int]:
+        """Every position but BOS, SEP and EOS: the prompt and response tokens."""
+        return [*range(1, self.sep_pos), *range(self.sep_pos + 1, len(self.tokens) - 1)]
 
 
 class Tokenizer:
@@ -236,26 +252,20 @@ def build_vocab(dataset: list[Instance], max_vocab: int) -> Tokenizer:
 
 
 def encode_instance(tok: Tokenizer, inst: Instance, max_seq_len: int) -> TokenSequence:
-    """Encode as BOS, prompt, SEP, response, EOS with per-token roles.
+    """Encode as BOS, prompt, SEP, response, EOS.
 
     Over-long sequences lose response tokens from the right; the prompt, SEP,
-    and EOS are never dropped. Truncating away the whole response is an error.
+    and EOS are never dropped. An instance left with no response token is an error.
     """
     prompt_ids = tok.encode_words(inst.prompt)
     response_ids = tok.encode_words(inst.response)
+    if not response_ids:
+        raise ValueError(f"empty response: {inst.id}")
     budget = max_seq_len - len(prompt_ids) - 3  # BOS + SEP + EOS
     if budget < 1:
         raise ValueError(f"instance too long: {inst.id}")
-    kept = response_ids[:budget]
-    tokens = [tok.bos] + prompt_ids + [tok.sep] + kept + [tok.eos]
-    roles = (
-        [ROLE_SPECIAL]
-        + [ROLE_PROMPT] * len(prompt_ids)
-        + [ROLE_SPECIAL]
-        + [ROLE_RESPONSE] * len(kept)
-        + [ROLE_SPECIAL]
-    )
-    return TokenSequence(inst.id, tuple(tokens), tuple(roles))
+    tokens = [tok.bos] + prompt_ids + [tok.sep] + response_ids[:budget] + [tok.eos]
+    return TokenSequence(inst.id, tuple(tokens), 1 + len(prompt_ids))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ROLE_SPECIAL, TokenSequence, _from_json, _json_lines, open_atomic
+from .corpus import TokenSequence, _from_json, _json_lines, open_atomic
 from .tinylm.training import GradientBundle
 
 
@@ -40,12 +40,12 @@ def combine(g_emb: float, g_lm: float) -> float:
 def token_vectors(bundle: GradientBundle,
                   seq: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
     """The gradient rows an instance is measured by: the embedding gradient
-    of every non-special token (prompt and response), and the logit gradient
-    of every response target with the 1/n loss weight divided out, so the
-    rows reflect per-token magnitude rather than response length."""
+    at each of seq.measured_positions (prompt and response), and the logit
+    gradient of every response target with the 1/n loss weight divided out,
+    so the rows reflect per-token magnitude rather than response length."""
     if bundle.g_emb.shape[0] != len(seq):
         raise ValueError(f"bundle/sequence length mismatch for {bundle.instance_id}")
-    content = [t for t, role in enumerate(seq.roles) if role != ROLE_SPECIAL]
+    content = seq.measured_positions
     if not content:
         raise ValueError(f"no content tokens in {bundle.instance_id}")
     return bundle.g_emb[content], bundle.g_lm / bundle.weight

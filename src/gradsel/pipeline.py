@@ -20,7 +20,6 @@ import numpy as np
 
 from . import baselines
 from .corpus import (
-    ROLE_RESPONSE,
     Instance,
     SynthSpec,
     TokenSequence,
@@ -415,17 +414,27 @@ def extract_sibling(records_path: str, name: str) -> str:
     return os.path.join(os.path.dirname(records_path) or ".", name)
 
 
+def _names_another_dataset(meta_path: str, prep: Prepared) -> bool:
+    """Whether there is a meta at meta_path and its dataset_hash is not
+    prep's. A meta with no dataset_hash (a hand-made id list) names none."""
+    return os.path.isfile(meta_path) and (
+        _read_sidecar(meta_path).dataset_hash not in (None, prep.dataset_hash))
+
+
 def load_model(prep: Prepared, path: str) -> Model:
     """The checkpoint at path, for prep's dataset. Refused when the file is
-    missing, or when its vocabulary size is not the dataset tokenizer's:
-    token ids name other words under another vocabulary."""
+    missing, when the meta its command wrote beside it names another
+    dataset, or when its vocabulary size is not the dataset tokenizer's:
+    token ids name other words under another corpus."""
     if not os.path.isfile(path):
         raise ValueError(f"checkpoint not found: {path}")
+    meta = {EXTRACT_MODEL_FILE: EXTRACT_META_FILE,
+            "model.json": "train_meta.json"}.get(os.path.basename(path))
+    if meta and _names_another_dataset(os.path.join(os.path.dirname(path), meta), prep):
+        raise RuntimeError("provenance mismatch: checkpoint belongs to a different dataset")
     model = load_checkpoint(path)
     if model.cfg.vocab_size != prep.tok.vocab_size:
-        raise RuntimeError(
-            "checkpoint vocabulary does not match the dataset tokenizer"
-        )
+        raise RuntimeError("checkpoint vocabulary does not match the dataset tokenizer")
     return model
 
 
@@ -461,18 +470,11 @@ def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
 
 
 def check_selection_provenance(selection_path: str, prep: Prepared, force: bool) -> None:
-    """Refuse a selection whose meta names a different dataset. A selection
-    with no meta next to it, or a meta with no dataset_hash (a hand-made id
-    list), passes."""
-    meta_path = os.path.splitext(selection_path)[0] + "_meta.json"
-    if force or not os.path.isfile(meta_path):
-        return
-    meta = _read_sidecar(meta_path)
-    if meta.dataset_hash not in (None, prep.dataset_hash):
-        raise RuntimeError(
-            "provenance mismatch: selection belongs to a different "
-            "dataset (pass force to override)"
-        )
+    """Refuse a selection whose meta names a different dataset."""
+    if not force and _names_another_dataset(
+            os.path.splitext(selection_path)[0] + "_meta.json", prep):
+        raise RuntimeError("provenance mismatch: selection belongs to a different dataset "
+                           "(pass force to override)")
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +643,9 @@ def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
     content fidelity uniformly across strategies.
     """
     tok = prep.tok
-    prompts: list[list[int]] = []
-    refs: list[list[str]] = []
-    for seq in prep.seqs_for(ids):
-        sep_pos = seq.tokens.index(tok.sep)
-        prompts.append(list(seq.tokens[: sep_pos + 1]))
-        refs.append([tok.id_to_token[t] for t, r in zip(seq.tokens, seq.roles)
-                     if r == ROLE_RESPONSE])
-    outs = greedy_decode(model, prompts, [len(ref) for ref in refs])
+    seqs = prep.seqs_for(ids)
+    refs = [[tok.id_to_token[t] for t in seq.response] for seq in seqs]
+    outs = greedy_decode(model, [list(seq.decode_prompt) for seq in seqs], list(map(len, refs)))
     cands = [[tok.id_to_token[t] for t in out] for out in outs]
     return {
         "bleu": bleu(cands, refs),

@@ -6,7 +6,6 @@ from .model import (
     init_model,
     load_checkpoint,
     loss_and_grads,
-    loss_positions_of,
     model_fingerprint,
     param_shapes,
     param_views,

@@ -128,11 +128,6 @@ def init_model(cfg: ModelConfig) -> Model:
     return model
 
 
-def loss_positions_of(seq: TokenSequence) -> list[int]:
-    """Positions t whose next token is a response token (the SFT loss mask)."""
-    return [t for t in range(len(seq) - 1) if seq.roles[t + 1] == "response"]
-
-
 class Batch:
     """Right-padded (B, T) token ids with per-position loss weights.
 
@@ -162,9 +157,7 @@ class Batch:
         weights = np.zeros((len(seqs), T))
         for b, seq in enumerate(seqs):
             tokens[b, : len(seq)] = seq.tokens
-            positions = loss_positions_of(seq)
-            if positions:
-                weights[b, positions] = 1.0 / len(positions)
+            weights[b, seq.loss_positions] = 1.0 / len(seq.loss_positions)
         return cls(tokens, np.array([len(s) for s in seqs]), weights,
                    [s.instance_id for s in seqs])
 

@@ -41,7 +41,6 @@ from gradsel.tinylm import (
     forward,
     init_model,
     loss_and_grads,
-    loss_positions_of,
     param_views,
 )
 
@@ -58,11 +57,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _random_seq(rng, t_prompt=4, t_resp=5):
     toks = [1] + list(rng.integers(5, 50, t_prompt)) + [3]
     toks += list(rng.integers(5, 50, t_resp)) + [2]
-    roles = (
-        ["special"] + ["prompt"] * t_prompt + ["special"]
-        + ["response"] * t_resp + ["special"]
-    )
-    return TokenSequence("t0", tuple(int(t) for t in toks), tuple(roles))
+    return TokenSequence("t0", tuple(int(t) for t in toks), 1 + t_prompt)
 
 
 def _rec(i: int, g: float) -> GradientRecord:
@@ -190,7 +185,7 @@ def test_criterion_02_analytic_lm_head_gradient():
         trace = forward(model, batch)
         res = loss_and_grads(model, batch, trace, want_param_grads=False)
         expected = np.zeros_like(res.g_lm)
-        for row, t in enumerate(loss_positions_of(seq)):
+        for row, t in enumerate(seq.loss_positions):
             expected[row] = trace.probs[row] * batch.w[0]
             expected[row, seq.tokens[t + 1]] -= batch.w[0]
         worst = max(worst, float(np.abs(res.g_lm - expected).max()))

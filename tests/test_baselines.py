@@ -413,10 +413,8 @@ def test_less_no_projection_is_exact_cosine():
 
 
 _SEQS = [
-    TokenSequence("a", (1, 5, 3, 6, 2),
-                  ("special", "prompt", "special", "response", "special")),
-    TokenSequence("b", (1, 7, 3, 8, 9, 2),
-                  ("special", "prompt", "special", "response", "response", "special")),
+    TokenSequence("a", (1, 5, 3, 6, 2), 2),
+    TokenSequence("b", (1, 7, 3, 8, 9, 2), 2),
 ]
 
 

@@ -15,6 +15,7 @@ from gradsel.corpus import (
     split_words,
     synth_corpus,
 )
+from gradsel.pipeline import RunConfig
 
 
 def _write_jsonl(path, rows):
@@ -182,7 +183,9 @@ def test_encode_layout_and_roles():
     seq = encode_instance(tok, Instance("1", "a", "b"), max_seq_len=8)
     a, b = tok.token_to_id["a"], tok.token_to_id["b"]
     assert seq.tokens == (tok.bos, a, tok.sep, b, tok.eos)
-    assert seq.roles == ("special", "prompt", "special", "response", "special")
+    assert seq.sep_pos == 2
+    assert seq.decode_prompt == (tok.bos, a, tok.sep) and seq.response == (b,)
+    assert list(seq.loss_positions) == [2] and seq.measured_positions == [1, 3]
 
 
 def test_encode_truncates_response_from_right():
@@ -192,7 +195,7 @@ def test_encode_truncates_response_from_right():
     assert seq.tokens[-2] == tok.token_to_id["r"]
     assert seq.tokens[-1] == tok.eos
     assert len(seq) == 5
-    assert seq.roles.count("response") == 1
+    assert seq.response == (tok.token_to_id["r"],)
 
 
 def test_encode_empty_prompt_ok():
@@ -205,6 +208,9 @@ def test_encode_rejects_prompt_that_leaves_no_response():
     tok = build_vocab([Instance("1", "a b c d", "e")], max_vocab=12)
     with pytest.raises(ValueError, match="instance too long"):
         encode_instance(tok, Instance("1", "a b c d", "e"), max_seq_len=7)
+    # a response of no words leaves none at any length, and is named
+    with pytest.raises(ValueError, match="^empty response: 2$"):
+        encode_instance(tok, Instance("2", "a", " \t "), max_seq_len=48)
 
 
 def test_role_partition_property():
@@ -212,13 +218,35 @@ def test_role_partition_property():
     tok = build_vocab(ds, max_vocab=256)
     for inst in ds:
         seq = encode_instance(tok, inst, max_seq_len=64)
-        counts = (
-            seq.roles.count("special")
-            + seq.roles.count("prompt")
-            + seq.roles.count("response")
-        )
-        assert counts == len(seq)
+        assert seq.tokens == seq.decode_prompt + seq.response + (tok.eos,)
         assert seq.tokens.count(tok.sep) == 1
+
+
+def test_layout_matches_the_per_token_role_rule():
+    """Each sequence's positions and tokens against a role per token, at the
+    default max_seq_len and at one that truncates responses."""
+    ds = synth_corpus(SynthSpec(30, 30, 30, seed=4))
+    tok = build_vocab(ds, max_vocab=256)
+    words = [(tok.encode_words(i.prompt), tok.encode_words(i.response)) for i in ds]
+    shortest = max(len(prompt) for prompt, _ in words) + 4  # keeps every prompt
+    for max_seq_len in (RunConfig.max_seq_len, shortest):
+        truncated = 0
+        for inst, (prompt, response) in zip(ds, words):
+            seq = encode_instance(tok, inst, max_seq_len)
+            kept = response[: max_seq_len - len(prompt) - 3]
+            truncated += len(kept) < len(response)
+            roles = (["special"] + ["prompt"] * len(prompt) + ["special"]
+                     + ["response"] * len(kept) + ["special"])
+            assert seq.tokens == (tok.bos, *prompt, tok.sep, *kept, tok.eos)
+            assert list(seq.loss_positions) == [t for t in range(len(seq) - 1)
+                                                if roles[t + 1] == "response"]
+            assert seq.measured_positions == [t for t, r in enumerate(roles)
+                                              if r != "special"]
+            # decoding continues the prompt through the special token after it
+            assert seq.decode_prompt == seq.tokens[: roles.index("special", 1) + 1]
+            assert seq.response == tuple(t for t, r in zip(seq.tokens, roles)
+                                         if r == "response")
+        assert (truncated > 0) == (max_seq_len == shortest)
 
 
 def test_decode_round_trip_for_in_vocab_text():
@@ -226,7 +254,7 @@ def test_decode_round_trip_for_in_vocab_text():
     tok = build_vocab(ds, max_vocab=512)
     for inst in ds[:10]:
         seq = encode_instance(tok, inst, max_seq_len=64)
-        resp_ids = [t for t, r in zip(seq.tokens, seq.roles) if r == "response"]
+        resp_ids = list(seq.response)
         words = [tok.id_to_token[t] for t in resp_ids]
         assert words == split_words(inst.response)
         assert tok.encode_words(" ".join(words)) == resp_ids

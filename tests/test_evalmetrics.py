@@ -325,9 +325,8 @@ def test_greedy_decode_reproduces_memorized_corpus():
     Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 150)).run(seqs)
     prompts, wants = [], []
     for seq in seqs:
-        sep = seq.tokens.index(tok.sep)
-        prompts.append(list(seq.tokens[: sep + 1]))
-        wants.append([t for t, r in zip(seq.tokens, seq.roles) if r == "response"])
+        prompts.append(list(seq.decode_prompt))
+        wants.append(list(seq.response))
     # response-only loss never trains the stop token, so the decode
     # budget is pinned to the reference length for the exactness check
     assert greedy_decode(model, prompts, [len(w) for w in wants]) == wants

@@ -30,23 +30,25 @@ def _bundle(instance_id, g_emb, g_lm, weight, step=-1):
     )
 
 
-def _seq(roles, instance_id="x"):
-    return TokenSequence(instance_id, tuple(range(len(roles))), tuple(roles))
+def _seq(n_prompt, n_response, instance_id="x"):
+    """The encoder's layout: BOS, n_prompt words, SEP, n_response words, EOS."""
+    tokens = (1,) + (5,) * n_prompt + (3,) + (6,) * n_response + (2,)
+    return TokenSequence(instance_id, tokens, 1 + n_prompt)
 
 
 def test_single_response_token_norm():
-    seq = _seq(["special", "response", "special"])
-    b = _bundle("x", np.zeros((3, 2)), [[-0.5, 0.5]], weight=1.0)
+    seq = _seq(0, 1)
+    b = _bundle("x", np.zeros((4, 2)), [[-0.5, 0.5]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_lm == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert rec.n_lm_tokens == 1
 
 
 def test_mean_of_norms_is_arithmetic_mean():
-    seq = _seq(["special", "prompt", "response", "special"])
-    g_emb = np.zeros((4, 3))
+    seq = _seq(1, 1)
+    g_emb = np.zeros((5, 3))
     g_emb[1] = [1.0, 0.0, 0.0]       # norm 1
-    g_emb[2] = [0.0, 3.0, 0.0]       # norm 3
+    g_emb[3] = [0.0, 3.0, 0.0]       # norm 3
     b = _bundle("x", g_emb, [[0.1, -0.1]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_emb == pytest.approx(2.0)
@@ -54,49 +56,48 @@ def test_mean_of_norms_is_arithmetic_mean():
 
 
 def test_special_tokens_excluded():
-    roles = ["special", "prompt", "response", "special"]
-    g_emb = np.array([[9.0, 9.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+    g_emb = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     b = _bundle("x", g_emb, [[0.2, -0.2]], weight=1.0)
-    rec = aggregate_instance(b, _seq(roles), FP)
-    # pad the sequence with more specials carrying huge gradients
-    roles2 = roles + ["special", "special"]
-    g_emb2 = np.vstack([g_emb, [[7.0, 7.0], [8.0, 8.0]]])
+    rec = aggregate_instance(b, _seq(1, 1), FP)
+    # give BOS, SEP and EOS huge gradients
+    g_emb2 = g_emb.copy()
+    g_emb2[[0, 2, 4]] = [[9.0, 9.0], [7.0, 7.0], [5.0, 5.0]]
     b2 = _bundle("x", g_emb2, [[0.2, -0.2]], weight=1.0)
-    rec2 = aggregate_instance(b2, _seq(roles2), FP)
-    assert rec.g_emb == rec2.g_emb
+    rec2 = aggregate_instance(b2, _seq(1, 1), FP)
+    assert rec.g_emb == rec2.g_emb == 1.0
 
 
 def test_weight_divided_out_gives_length_independence():
-    seq2 = _seq(["special", "response", "response", "special"])
+    seq2 = _seq(0, 2)
     row = np.array([0.3, -0.3, 0.0])
-    b2 = _bundle("a", np.zeros((4, 2)), np.stack([row * 0.5] * 2), weight=0.5)
+    b2 = _bundle("a", np.zeros((5, 2)), np.stack([row * 0.5] * 2), weight=0.5)
     rec2 = aggregate_instance(b2, seq2, FP)
-    seq4 = _seq(["special"] + ["response"] * 4 + ["special"])
-    b4 = _bundle("a", np.zeros((6, 2)), np.stack([row * 0.25] * 4), weight=0.25)
+    seq4 = _seq(0, 4)
+    b4 = _bundle("a", np.zeros((7, 2)), np.stack([row * 0.25] * 4), weight=0.25)
     rec4 = aggregate_instance(b4, seq4, FP)
     assert rec2.g_lm == pytest.approx(rec4.g_lm, rel=1e-12)
     assert rec2.g_lm == pytest.approx(np.linalg.norm(row), rel=1e-12)
 
 
 def test_permutation_invariance_within_role():
-    roles = ["special", "prompt", "prompt", "response", "response", "special"]
     rng = np.random.default_rng(0)
-    g_emb = rng.normal(size=(6, 4))
+    g_emb = rng.normal(size=(7, 4))
     g_lm = rng.normal(size=(2, 5))
     b = _bundle("x", g_emb, g_lm, weight=0.5)
-    rec = aggregate_instance(b, _seq(roles), FP)
+    rec = aggregate_instance(b, _seq(2, 2), FP)
     g_emb_swapped = g_emb.copy()
     g_emb_swapped[[1, 2]] = g_emb_swapped[[2, 1]]
     b2 = _bundle("x", g_emb_swapped, g_lm[::-1].copy(), weight=0.5)
-    rec2 = aggregate_instance(b2, _seq(roles), FP)
+    rec2 = aggregate_instance(b2, _seq(2, 2), FP)
     assert rec.g_emb == pytest.approx(rec2.g_emb, rel=1e-15)
     assert rec.g_lm == pytest.approx(rec2.g_lm, rel=1e-15)
 
 
 def test_no_content_tokens_rejected():
-    b = _bundle("x", np.zeros((2, 2)), [[0.1, -0.1]], weight=1.0)
+    # BOS, SEP, EOS: the layout of an empty prompt and a response of no tokens
+    b = _bundle("x", np.zeros((3, 2)), [[0.1, -0.1]], weight=1.0)
     with pytest.raises(ValueError, match="content"):
-        aggregate_instance(b, _seq(["special", "special"]), FP)
+        aggregate_instance(b, _seq(0, 0), FP)
 
 
 def test_combine_rules():
@@ -108,8 +109,8 @@ def test_combine_rules():
 
 
 def test_record_invariant_holds_exactly():
-    seq = _seq(["special", "response", "special"])
-    b = _bundle("x", np.ones((3, 2)), [[0.25, -0.25]], weight=1.0)
+    seq = _seq(0, 1)
+    b = _bundle("x", np.ones((4, 2)), [[0.25, -0.25]], weight=1.0)
     rec = aggregate_instance(b, seq, FP)
     assert rec.g_grads == rec.g_emb + rec.g_lm
 

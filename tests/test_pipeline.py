@@ -549,6 +549,28 @@ def test_eval_refuses_a_checkpoint_of_another_vocabulary(extract_run, tmp_path):
         run_eval(replace(cfg, out_dir=str(tmp_path / "eval")), path)
 
 
+def test_a_checkpoint_of_another_dataset_is_refused_though_its_vocabulary_fits(
+        extract_run, tmp_path):
+    cfg, out = extract_run
+    other = tmp_path / "dataset.jsonl"  # one word renamed: same vocabulary size
+    other.write_text(Path(cfg.dataset).read_text().replace("maps", "points"))
+    other_cfg = replace(cfg, dataset=str(other), out_dir=str(tmp_path / "out"))
+    assert prepare(other_cfg).tok.vocab_size == prepare(cfg).tok.vocab_size
+    trained = replace(cfg, out_dir=str(tmp_path / "train"))
+    run_train(trained)
+    refused = "^provenance mismatch: checkpoint belongs to a different dataset$"
+    for model in (out["model"], os.path.join(trained.out_dir, "model.json")):
+        with pytest.raises(RuntimeError, match=refused):
+            run_eval(other_cfg, model)
+    with pytest.raises(RuntimeError, match=refused):  # force skips only the records' check
+        run_pilot(other_cfg, out["records"], force=True)
+    # with no meta beside it, a checkpoint has the vocabulary check alone
+    bare = tmp_path / "bare" / "model.json"
+    bare.parent.mkdir()
+    bare.write_bytes(Path(trained.out_dir, "model.json").read_bytes())
+    assert "bleu" in run_eval(other_cfg, str(bare))["metrics"]
+
+
 def test_train_refuses_a_selection_with_no_pool_instance(extract_run, tmp_path):
     cfg, _ = extract_run
     sel = tmp_path / "selection_test.jsonl"

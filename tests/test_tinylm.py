@@ -29,7 +29,6 @@ from gradsel.tinylm import (
     init_model,
     load_checkpoint,
     loss_and_grads,
-    loss_positions_of,
     model_fingerprint,
     param_shapes,
     param_views,
@@ -51,23 +50,20 @@ WIDE = ModelConfig(
 )
 
 
-def _seq(tokens, roles, instance_id="t0"):
-    return TokenSequence(instance_id, tuple(tokens), tuple(roles))
+def _seq(tokens, sep_pos, instance_id="t0"):
+    return TokenSequence(instance_id, tuple(tokens), sep_pos)
 
 
 def _random_seq(rng: np.random.Generator, cfg: ModelConfig, t_prompt=4, t_resp=4,
                 instance_id="t0"):
     toks = [1] + list(rng.integers(5, cfg.vocab_size, t_prompt)) + [3]
     toks += list(rng.integers(5, cfg.vocab_size, t_resp)) + [2]
-    roles = (
-        ["special"] + ["prompt"] * t_prompt + ["special"]
-        + ["response"] * t_resp + ["special"]
-    )
-    return _seq([int(t) for t in toks], roles, instance_id)
+    return _seq([int(t) for t in toks], 1 + t_prompt, instance_id)
 
 
 def _run(model, seqs, want_param_grads=True):
-    batch = Batch.of(seqs)
+    """seqs is a list of sequences, or a Batch built directly."""
+    batch = seqs if isinstance(seqs, Batch) else Batch.of(seqs)
     trace = forward(model, batch)
     return batch, trace, loss_and_grads(model, batch, trace, want_param_grads)
 
@@ -176,13 +172,20 @@ def test_probability_rows_sum_to_one():
     np.testing.assert_allclose(trace.probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def _batch(tokens, positions):
+    """A batch of one built directly, with a loss at each of positions."""
+    weights = np.zeros((1, len(tokens)))
+    weights[0, positions] = 1.0 / len(positions)
+    return Batch(np.array([tokens]), weights=weights)
+
+
 def test_causality_prefix_invariance():
     m = init_model(TINY)
-    toks = [1, 10, 11, 3, 12, 13]
-    roles = ["special", "prompt", "prompt", "special", "response", "response"]
-    short = forward(m, Batch.of([_seq(toks, roles)]))
-    longer = forward(m, Batch.of([_seq(toks + [14, 2], roles + ["response", "special"])]))
-    np.testing.assert_allclose(short.hf, longer.hf[: len(toks)], rtol=0, atol=1e-12)
+    toks = [1, 10, 11, 3, 12, 13, 14, 2]
+    # the first six tokens end without EOS, a layout only a direct Batch has
+    short = forward(m, _batch(toks[:6], [3, 4]))
+    longer = forward(m, _batch(toks, [3, 4, 5]))
+    np.testing.assert_allclose(short.hf, longer.hf[:6], rtol=0, atol=1e-12)
     np.testing.assert_allclose(short.logits, longer.logits[: short.logits.shape[0]],
                                rtol=0, atol=1e-12)
 
@@ -197,8 +200,8 @@ def test_zeroed_lm_head_gives_uniform():
 def test_forward_rejects_bad_tokens():
     m = init_model(TINY)
     with pytest.raises(ValueError, match="out of range"):
-        forward(m, Batch.of([_seq([1, 99, 2], ["special", "response", "special"])]))
-    too_long = _seq([1] * 13, ["special"] * 13)
+        forward(m, Batch.of([_seq([1, 3, 99, 2], 1)]))
+    too_long = _random_seq(np.random.default_rng(3), TINY, t_prompt=4, t_resp=6)
     with pytest.raises(ValueError, match="max_seq_len"):
         forward(m, Batch.of([too_long]))
 
@@ -213,7 +216,7 @@ def test_g_lm_uniform_two_way_split():
     # logits (0,0), target 0, one loss position -> g_lm = [-1/2, 1/2]
     cfg = ModelConfig(4, 1, 1, 8, 2, 8, 0)
     m = _zeroed_model(cfg)
-    _, _, res = _run(m, [_seq([1, 1, 0], ["special", "special", "response"], "a")])
+    _, _, res = _run(m, _batch([1, 1, 0], [1]))
     np.testing.assert_allclose(res.g_lm[0], [-0.5, 0.5], atol=1e-12)
     assert abs(np.linalg.norm(res.g_lm[0]) - math.sqrt(0.5)) < 1e-9
 
@@ -224,7 +227,7 @@ def test_g_lm_hand_computed_three_way():
     m = _zeroed_model(cfg)
     m.params["lnf.b"][0] = 1.0
     m.params["lm_head"][0, :] = [1.0, 0.0, 0.0]
-    _, trace, res = _run(m, [_seq([0, 2, 1], ["special", "special", "response"], "b")])
+    _, trace, res = _run(m, _batch([0, 2, 1], [1]))
     np.testing.assert_allclose(trace.logits[0], [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(
         res.g_lm[0], [0.57611688, -0.78805844, 0.21194156], atol=1e-7
@@ -235,9 +238,9 @@ def test_g_lm_zero_sum_and_masked_rows():
     m = init_model(TINY)
     seq = _random_seq(np.random.default_rng(2), TINY)
     batch, trace, res = _run(m, [seq])
-    positions = loss_positions_of(seq)
+    positions = seq.loss_positions
     # logits and g_lm exist on the loss rows only, one row per position
-    assert list(batch.loss_rows) == positions
+    assert list(batch.loss_rows) == list(positions)
     assert res.g_lm.shape == (len(positions), TINY.vocab_size)
     for row in res.g_lm:
         assert abs(row.sum()) < 1e-9
@@ -246,9 +249,11 @@ def test_g_lm_zero_sum_and_masked_rows():
 def test_empty_response_rejected():
     m = init_model(TINY)
     ok = _random_seq(np.random.default_rng(4), TINY, instance_id="ok")
-    empty = _seq([1, 10, 3, 2], ["special", "prompt", "special", "special"], "empty")
+    batch = Batch.of([ok, ok])
+    batch.weights[1] = 0.0  # the encoder refuses a response of no tokens
+    empty = Batch(batch.tokens, batch.lengths, batch.weights, ["ok", "empty"])
     with pytest.raises(ValueError, match="empty response: empty"):
-        _run(m, [ok, empty])
+        _run(m, empty)
 
 
 def test_embedding_gradients_match_finite_differences():
@@ -312,9 +317,7 @@ def _mixed_batch(draw):
         words = draw(st.lists(st.integers(5, WIDE.vocab_size - 1),
                               min_size=t_prompt + t_resp, max_size=t_prompt + t_resp))
         toks = [1] + words[:t_prompt] + [3] + words[t_prompt:] + [2]
-        roles = (["special"] + ["prompt"] * t_prompt + ["special"]
-                 + ["response"] * t_resp + ["special"])
-        seqs.append(_seq(toks, roles, f"s{i}"))
+        seqs.append(_seq(toks, 1 + t_prompt, f"s{i}"))
     return seqs
 
 
@@ -508,9 +511,8 @@ def _online_epoch(model, seqs, hyper):
 
 def test_extract_frozen_order_independent():
     m = init_model(TINY)
-    seqs = [_random_seq(np.random.default_rng(60 + i), TINY) for i in range(8)]
-    for i, s in enumerate(seqs):
-        seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
+    seqs = [_random_seq(np.random.default_rng(60 + i), TINY, instance_id=f"id{i}")
+            for i in range(8)]
     bundles = frozen_gradients(m, seqs, _keep)
     shuffled = frozen_gradients(m, list(reversed(seqs)), _keep)
     by_id = {b.instance_id: b for b in shuffled}
@@ -521,9 +523,8 @@ def test_extract_frozen_order_independent():
 
 
 def test_extract_online_single_batch_matches_frozen():
-    seqs = [_random_seq(np.random.default_rng(70 + i), TINY) for i in range(6)]
-    for i, s in enumerate(seqs):
-        seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
+    seqs = [_random_seq(np.random.default_rng(70 + i), TINY, instance_id=f"id{i}")
+            for i in range(6)]
     frozen_model = init_model(TINY)
     frozen = frozen_gradients(frozen_model, seqs, _keep)
     hyper = _hyper(len(seqs), 3)
@@ -536,9 +537,8 @@ def test_extract_online_single_batch_matches_frozen():
 
 
 def test_extract_online_one_bundle_per_instance():
-    seqs = [_random_seq(np.random.default_rng(80 + i), TINY) for i in range(7)]
-    for i, s in enumerate(seqs):
-        seqs[i] = TokenSequence(f"id{i}", s.tokens, s.roles)
+    seqs = [_random_seq(np.random.default_rng(80 + i), TINY, instance_id=f"id{i}")
+            for i in range(7)]
     m = init_model(TINY)
     bundles = _online_epoch(m, seqs, _hyper(2))
     assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
@@ -565,9 +565,8 @@ def test_nonfinite_instance_loss_is_named():
     m.params["lnf.b"][:] = 0.0
     m.params["lnf.b"][0] = 1.0
     m.params["lm_head"][0, 40] = -1e4
-    roles = ["special", "prompt", "special", "response", "response", "special"]
-    seqs = [_seq([1, 7, 3, 8 + i, 9, 2], roles, f"ok{i}") for i in range(3)]
-    seqs.insert(2, _seq([1, 7, 3, 8, 40, 2], roles, "bad"))
+    seqs = [_seq([1, 7, 3, 8 + i, 9, 2], 2, f"ok{i}") for i in range(3)]
+    seqs.insert(2, _seq([1, 7, 3, 8, 40, 2], 2, "bad"))
     before = m.flat.copy()
     with pytest.raises(RuntimeError,
                        match=r"^NaN loss at step 1: instance bad has loss inf$"):
@@ -589,9 +588,8 @@ def test_last_only_trace_keeps_no_caches_and_refuses_backward():
 
 
 def test_loss_positions_follow_response_roles():
-    seq = _seq([1, 5, 3, 6, 7, 2],
-               ["special", "prompt", "special", "response", "response", "special"])
-    assert loss_positions_of(seq) == [2, 3]
+    seq = _seq([1, 5, 3, 6, 7, 2], 2)  # BOS, prompt, SEP, two response tokens, EOS
+    assert list(seq.loss_positions) == [2, 3]
 
 
 def test_param_shapes_orders_embedding_first():
