@@ -232,11 +232,6 @@ def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarr
     return _feature_matrix(seqs, blocks)
 
 
-def _mean_token_vectors(bundle, seq) -> np.ndarray:
-    emb_vecs, lm_vecs = token_vectors(bundle, seq)
-    return np.concatenate([emb_vecs.mean(axis=0), lm_vecs.mean(axis=0)])
-
-
 def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     """Concatenated mean embedding-gradient (d) and mean logit-gradient (V) of
     each sequence's token_vectors, one row per sequence.
@@ -244,7 +239,15 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     The logit rows have the uniform loss weight divided out, so feature
     direction does not depend on response length.
     """
-    return _feature_matrix(seqs, frozen_gradients(model, seqs, _mean_token_vectors))
+    rows = []
+
+    def mean_token_vectors(chunk, batch, res, step) -> None:
+        for b, seq in enumerate(chunk):
+            emb_vecs, lm_vecs = token_vectors(seq, batch, res, b)
+            rows.append(np.concatenate([emb_vecs.mean(axis=0), lm_vecs.mean(axis=0)]))
+
+    frozen_gradients(model, seqs, mean_token_vectors)
+    return _feature_matrix(seqs, rows)
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

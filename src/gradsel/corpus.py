@@ -60,6 +60,10 @@ class TokenSequence:
     tokens: tuple[int, ...]
     sep_pos: int
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.sep_pos <= len(self.tokens) - 3:
+            raise ValueError(f"empty response: {self.instance_id}")
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -259,8 +263,6 @@ def encode_instance(tok: Tokenizer, inst: Instance, max_seq_len: int) -> TokenSe
     """
     prompt_ids = tok.encode_words(inst.prompt)
     response_ids = tok.encode_words(inst.response)
-    if not response_ids:
-        raise ValueError(f"empty response: {inst.id}")
     budget = max_seq_len - len(prompt_ids) - 3  # BOS + SEP + EOS
     if budget < 1:
         raise ValueError(f"instance too long: {inst.id}")

@@ -1,4 +1,4 @@
-"""Collapse per-token gradient bundles into per-instance scalar records.
+"""Collapse each instance's per-token gradients into a scalar record.
 
 Two scalars per instance: the mean L2 norm of the embedding-layer gradient
 over content tokens, and the mean L2 norm of the logit gradient over response
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenSequence, _from_json, _json_lines, open_atomic
-from .tinylm.training import GradientBundle
+from .tinylm.model import BackwardResult, Batch
 
 
 @dataclass(frozen=True)
@@ -30,43 +30,33 @@ class GradientRecord:
     step_index: int
 
 
-def combine(g_emb: float, g_lm: float) -> float:
-    """Plain sum of the two layer magnitudes."""
-    if g_emb < 0 or g_lm < 0:
-        raise ValueError("gradient magnitudes must be nonnegative")
-    return g_emb + g_lm
+def token_vectors(seq: TokenSequence, batch: Batch, res: BackwardResult,
+                  b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient rows instance b of a batch result is measured by: the
+    embedding gradient at each of seq.measured_positions (prompt and
+    response), and the logit gradient of every response target with the 1/n
+    loss weight divided out, so the rows reflect per-token magnitude rather
+    than response length."""
+    starts = batch.row_starts
+    return res.g_emb[b, seq.measured_positions], res.g_lm[starts[b] : starts[b + 1]] / batch.w[b]
 
 
-def token_vectors(bundle: GradientBundle,
-                  seq: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient rows an instance is measured by: the embedding gradient
-    at each of seq.measured_positions (prompt and response), and the logit
-    gradient of every response target with the 1/n loss weight divided out,
-    so the rows reflect per-token magnitude rather than response length."""
-    if bundle.g_emb.shape[0] != len(seq):
-        raise ValueError(f"bundle/sequence length mismatch for {bundle.instance_id}")
-    content = seq.measured_positions
-    if not content:
-        raise ValueError(f"no content tokens in {bundle.instance_id}")
-    return bundle.g_emb[content], bundle.g_lm / bundle.weight
-
-
-def aggregate_instance(bundle: GradientBundle, seq: TokenSequence,
-                       fingerprint: str) -> GradientRecord:
-    """One scalar record from one instance's token_vectors: the mean L2 norm
-    of each side's rows."""
-    emb_vecs, lm_vecs = token_vectors(bundle, seq)
+def aggregate_instance(seq: TokenSequence, batch: Batch, res: BackwardResult, b: int,
+                       step_index: int, fingerprint: str) -> GradientRecord:
+    """One scalar record from instance b's token_vectors: the mean L2 norm of
+    each side's rows."""
+    emb_vecs, lm_vecs = token_vectors(seq, batch, res, b)
     g_emb = float(np.linalg.norm(emb_vecs, axis=1).mean())
     g_lm = float(np.linalg.norm(lm_vecs, axis=1).mean())
     return GradientRecord(
-        instance_id=bundle.instance_id,
+        instance_id=seq.instance_id,
         g_emb=g_emb,
         g_lm=g_lm,
-        g_grads=combine(g_emb, g_lm),
+        g_grads=g_emb + g_lm,
         n_emb_tokens=emb_vecs.shape[0],
         n_lm_tokens=lm_vecs.shape[0],
         model_fingerprint=fingerprint,
-        step_index=bundle.step_index,
+        step_index=step_index,
     )
 
 

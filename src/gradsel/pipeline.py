@@ -355,17 +355,22 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     prep = prep or prepare(cfg)
     model = build_reference_model(cfg, prep)
     fingerprint = model_fingerprint(model)
-    reduce = functools.partial(aggregate_instance, fingerprint=fingerprint)
+    records: list[GradientRecord] = []
+
+    def measure(seqs, batch, res, step) -> None:
+        records.extend(aggregate_instance(seq, batch, res, b, step, fingerprint)
+                       for b, seq in enumerate(seqs))
+
     # frozen: pure measurement against the warmup parameters; online: one
     # training epoch of a copy, each instance measured at the step that
     # consumes it. Either way the checkpoint is the warmup model the records'
     # fingerprint names, written only once the records are.
     if cfg.mode == "frozen":
-        records = frozen_gradients(model, prep.seqs, reduce)
+        frozen_gradients(model, prep.seqs, measure)
     else:
         trainer = Trainer(copy.deepcopy(model), cfg.train_hyper(),
                           total_update_steps(len(prep.seqs), cfg.batch_size, 1))
-        records = trainer.run(prep.seqs, reduce=reduce)
+        trainer.run(prep.seqs, on_step=measure)
     records.sort(key=lambda r: r.instance_id)
 
     records_path = os.path.join(cfg.out_dir, RECORDS_FILE)

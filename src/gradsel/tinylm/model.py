@@ -286,11 +286,10 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
     """Run the model over a batch, caching activations for backprop.
 
     Logits and probabilities exist only on the rows that need them: the loss
-    rows, or with last_only the final position of every sequence (decoding);
-    without last_only every instance needs a response. last_only keeps no
-    per-layer caches, since nothing backpropagates through it. Each
-    sequence's LM head is a GEMM over its own rows, as in a batch of one:
-    OpenBLAS rounds a row of the product by its position among the rows.
+    rows, or with last_only the final position of every sequence (decoding).
+    last_only keeps no per-layer caches, since nothing backpropagates through
+    it. Each sequence's LM head is a GEMM over its own rows, as in a batch of
+    one: OpenBLAS rounds a row of the product by its position among the rows.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -302,8 +301,6 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
     bad = ((tokens < 0) | (tokens >= cfg.vocab_size)).any(axis=1)
     if bad.any():
         raise ValueError(f"instance {batch.ids[int(np.argmax(bad))]}: token id out of range")
-    if not (last_only or batch.w.all()):
-        raise ValueError(f"empty response: {batch.ids[int(np.argmin(batch.w))]}")
     P = model.params
     d, H = cfg.d_model, cfg.n_heads
     scale = 1.0 / math.sqrt(d // H)

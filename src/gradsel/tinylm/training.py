@@ -15,8 +15,7 @@ import numpy as np
 
 from ..corpus import TokenSequence
 from ..rng import ROLE_SHUFFLE, substream
-from .model import (BackwardResult, Batch, Model, batches, forward, loss_and_grads,
-                    param_views)
+from .model import Batch, Model, batches, forward, loss_and_grads, param_views
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -39,25 +38,6 @@ class TrainHyper:
             raise ValueError("warmup_ratio must lie in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-
-@dataclass
-class GradientBundle:
-    """Raw per-instance token gradients captured at one consumption step."""
-
-    instance_id: str
-    g_emb: np.ndarray          # (T, d)
-    g_lm: np.ndarray           # (n_loss, V), one row per response target
-    weight: float
-    step_index: int            # -1 when captured without updates
-
-
-def _bundles(seqs: list[TokenSequence], batch: Batch, res: BackwardResult,
-             step_index: int) -> list[GradientBundle]:
-    starts = batch.row_starts
-    return [GradientBundle(seq.instance_id, res.g_emb[b, : len(seq)],
-                           res.g_lm[starts[b] : starts[b + 1]], float(batch.w[b]), step_index)
-            for b, seq in enumerate(seqs)]
 
 
 def _check_losses(batch: Batch, losses: np.ndarray, where: str) -> None:
@@ -141,64 +121,54 @@ class Trainer:
         grads = np.zeros_like(model.flat)  # reused by every step
         self._grads = (grads, param_views(model.cfg, grads))
 
-    def apply_batch(self, batch: list[TokenSequence],
-                    capture: list[GradientBundle] | None = None) -> float:
+    def apply_batch(self, batch: list[TokenSequence], on_step=None) -> float:
         """One Adam update from the mean gradient over the batch.
 
-        When capture is given, each instance's own (unscaled) gradient bundle
-        is appended before the update is applied.
+        on_step(batch, padded batch, BackwardResult, step) runs after the
+        backward pass and before the update; step counts the updates already
+        applied. The result's param_grads is a buffer every step reuses.
         """
         padded = Batch.of(batch)
         res = loss_and_grads(self.model, padded, forward(self.model, padded), out=self._grads)
         _check_losses(padded, res.losses, f"step {self.adam.t + 1}")
-        if capture is not None:
-            capture.extend(_bundles(batch, padded, res, self.adam.t))
+        if on_step is not None:
+            on_step(batch, padded, res, self.adam.t)
         lr = warmup_lr(self.hyper.learning_rate, self.adam.t + 1,
                        self.total_steps, self.hyper.warmup_ratio)
         self.adam.step(self.model, res.param_grads, lr)
         return sum(res.losses.tolist()) * (1.0 / len(batch))
 
-    def run(self, seqs: list[TokenSequence], on_epoch=None, reduce=None) -> list:
+    def run(self, seqs: list[TokenSequence], on_epoch=None, on_step=None) -> None:
         """Exactly total_steps updates, epoch after epoch, each freshly shuffled.
 
-        Each completed epoch appends its mean batch loss to epoch_losses and
-        then calls on_epoch(model). With reduce, each batch's bundles go
-        through reduce(bundle, seq) before the next batch runs, so no bundle
-        outlives its batch; returns what reduce returned, in consumption order.
+        Each update passes on_step to apply_batch. Each completed epoch appends
+        its mean batch loss to epoch_losses and then calls on_epoch(model).
         """
         if not seqs:
             raise ValueError("empty dataset")
-        reduced: list = []
         left = self.total_steps
         for index_batches in _epochs(len(seqs), self.hyper):
             if left <= 0:
                 break
             losses = []
             for idx in index_batches[:left]:
-                chunk = [seqs[i] for i in idx]
-                bundles = None if reduce is None else []
-                losses.append(self.apply_batch(chunk, capture=bundles))
-                if bundles is not None:
-                    reduced += map(reduce, bundles, chunk)
+                losses.append(self.apply_batch([seqs[i] for i in idx], on_step))
             left -= len(losses)
             if len(losses) == len(index_batches):
                 self.epoch_losses.append(float(np.mean(losses)))
                 if on_epoch is not None:
                     on_epoch(self.model)
-        return reduced
 
 
-def frozen_gradients(model: Model, seqs: list[TokenSequence], reduce) -> list:
-    """reduce(bundle, seq) of every instance's raw token gradients against
-    fixed parameters, in dataset order, with no update.
+def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> None:
+    """on_step(chunk, batch, BackwardResult, -1) for every chunk of seqs, in
+    dataset order, against fixed parameters.
 
-    Runs in batches of SCORE_BATCH; each bundle is bit-identical to a batch
-    of one, so the result does not depend on order or batching. No bundle
-    outlives its batch.
+    Runs in batches of SCORE_BATCH; each instance's gradients are
+    bit-identical to a batch of one, so what on_step measures does not depend
+    on order or batching.
     """
-    reduced: list = []
     for chunk, batch in batches(seqs):
         res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
         _check_losses(batch, res.losses, "frozen extraction")
-        reduced += map(reduce, _bundles(chunk, batch, res, -1), chunk)
-    return reduced
+        on_step(chunk, batch, res, -1)

@@ -1,6 +1,10 @@
 """Command-line interface tests: exit codes, wiring, and output files."""
 
+import builtins
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from dataclasses import replace
@@ -8,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import gradsel
 from gradsel import pipeline
 from gradsel.cli import build_parser, main
 from gradsel.gradstats import read_records, write_records
@@ -308,3 +313,51 @@ def test_readme_commands_parse():
         if args.command == "compare":
             unknown = [n for n in args.strategy.split(",") if n not in pipeline.SELECTION_NAMES]
             assert not unknown, f"README compare names unknown strategies {unknown}: {command}"
+
+
+def _unresolved_references(readme: str) -> tuple[list[str], list[str]]:
+    """The code references in a README text, and those that do not resolve.
+
+    A reference is a backticked dotted name whose root is a gradsel module
+    (`tinylm.Trainer.run`, `gradsel.pipeline.RunConfig`) or a gradsel class
+    (`Batch.of`), or a backticked CamelCase word, which must name a gradsel
+    class or a builtin. File names and other roots (`scipy.`, `hashlib.`) are
+    not references."""
+    roots = {"gradsel": gradsel}
+    classes = {}
+    for info in pkgutil.walk_packages(gradsel.__path__, "gradsel."):
+        module = importlib.import_module(info.name)
+        roots[info.name.rsplit(".", 1)[1]] = module
+        classes.update((name, obj) for name, obj in vars(module).items()
+                       if inspect.isclass(obj) and obj.__module__.startswith("gradsel."))
+    roots = {**classes, **roots}
+    checked, unresolved, missing = [], [], object()
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", readme):
+        root, *parts = name.split(".")
+        if parts and root in roots and parts[-1] not in ("json", "jsonl", "toml", "py", "md"):
+            obj = roots[root]
+        elif not parts and re.fullmatch(r"[A-Z]\w*[a-z]\w*", root):
+            obj = roots.get(root, getattr(builtins, root, missing))
+        else:
+            continue
+        checked.append(name)
+        for part in parts:
+            obj = getattr(obj, part, missing)
+        if obj is missing:
+            unresolved.append(name)
+    return checked, unresolved
+
+
+def test_readme_code_references_resolve():
+    """README names only code that exists, so a rename or a deletion updates it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    checked, unresolved = _unresolved_references(readme)
+    assert not unresolved, f"README names code that does not exist: {unresolved}"
+    for name in ("pipeline._select_step", "tinylm.Trainer.run", "gradstats.token_vectors",
+                 "selector.KDE_BLOCK_CELLS", "SplitMix64.NORMALS_CHUNK", "Batch.of",
+                 "gradsel.pipeline.RunConfig"):
+        assert name in checked
+    assert not {"scipy.special.erf", "hashlib.sha256", "manifest.json"} & set(checked)
+    stale = "`GradientBundle`, `gradstats.combine`, `tinylm.training.GradientBundle`, `Batch.off`"
+    assert _unresolved_references(stale)[1] == [
+        "GradientBundle", "gradstats.combine", "tinylm.training.GradientBundle", "Batch.off"]

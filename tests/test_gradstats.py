@@ -1,4 +1,4 @@
-"""Aggregation-rule tests with hand-built bundles."""
+"""Aggregation-rule tests with hand-built batch results."""
 
 import math
 import os
@@ -8,26 +8,10 @@ import numpy as np
 import pytest
 
 from gradsel.corpus import TokenSequence
-from gradsel.gradstats import (
-    GradientRecord,
-    aggregate_instance,
-    combine,
-    read_records,
-    write_records,
-)
-from gradsel.tinylm.training import GradientBundle
+from gradsel.gradstats import GradientRecord, aggregate_instance, read_records, write_records
+from gradsel.tinylm.model import BackwardResult, Batch
 
 FP = "ab" * 8
-
-
-def _bundle(instance_id, g_emb, g_lm, weight, step=-1):
-    return GradientBundle(
-        instance_id=instance_id,
-        g_emb=np.asarray(g_emb, dtype=float),
-        g_lm=np.asarray(g_lm, dtype=float),
-        weight=weight,
-        step_index=step,
-    )
 
 
 def _seq(n_prompt, n_response, instance_id="x"):
@@ -36,45 +20,45 @@ def _seq(n_prompt, n_response, instance_id="x"):
     return TokenSequence(instance_id, tokens, 1 + n_prompt)
 
 
+def _record(seq, g_emb, g_lm, step=-1):
+    """The record of seq as a batch of one whose backward pass gave these
+    embedding-gradient rows (one per token) and logit-gradient rows (one per
+    response target, scaled by the batch's 1/n loss weight)."""
+    g_emb = np.asarray(g_emb, dtype=float)
+    res = BackwardResult(np.zeros(1), g_emb[None], np.asarray(g_lm, dtype=float), None)
+    return aggregate_instance(seq, Batch.of([seq]), res, 0, step, FP)
+
+
 def test_single_response_token_norm():
-    seq = _seq(0, 1)
-    b = _bundle("x", np.zeros((4, 2)), [[-0.5, 0.5]], weight=1.0)
-    rec = aggregate_instance(b, seq, FP)
+    rec = _record(_seq(0, 1), np.zeros((4, 2)), [[-0.5, 0.5]])
     assert rec.g_lm == pytest.approx(math.sqrt(0.5), rel=1e-12)
     assert rec.n_lm_tokens == 1
 
 
 def test_mean_of_norms_is_arithmetic_mean():
-    seq = _seq(1, 1)
     g_emb = np.zeros((5, 3))
     g_emb[1] = [1.0, 0.0, 0.0]       # norm 1
     g_emb[3] = [0.0, 3.0, 0.0]       # norm 3
-    b = _bundle("x", g_emb, [[0.1, -0.1]], weight=1.0)
-    rec = aggregate_instance(b, seq, FP)
+    rec = _record(_seq(1, 1), g_emb, [[0.1, -0.1]])
     assert rec.g_emb == pytest.approx(2.0)
     assert rec.n_emb_tokens == 2
 
 
 def test_special_tokens_excluded():
     g_emb = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    b = _bundle("x", g_emb, [[0.2, -0.2]], weight=1.0)
-    rec = aggregate_instance(b, _seq(1, 1), FP)
+    rec = _record(_seq(1, 1), g_emb, [[0.2, -0.2]])
     # give BOS, SEP and EOS huge gradients
     g_emb2 = g_emb.copy()
     g_emb2[[0, 2, 4]] = [[9.0, 9.0], [7.0, 7.0], [5.0, 5.0]]
-    b2 = _bundle("x", g_emb2, [[0.2, -0.2]], weight=1.0)
-    rec2 = aggregate_instance(b2, _seq(1, 1), FP)
+    rec2 = _record(_seq(1, 1), g_emb2, [[0.2, -0.2]])
     assert rec.g_emb == rec2.g_emb == 1.0
 
 
 def test_weight_divided_out_gives_length_independence():
-    seq2 = _seq(0, 2)
     row = np.array([0.3, -0.3, 0.0])
-    b2 = _bundle("a", np.zeros((5, 2)), np.stack([row * 0.5] * 2), weight=0.5)
-    rec2 = aggregate_instance(b2, seq2, FP)
-    seq4 = _seq(0, 4)
-    b4 = _bundle("a", np.zeros((7, 2)), np.stack([row * 0.25] * 4), weight=0.25)
-    rec4 = aggregate_instance(b4, seq4, FP)
+    assert Batch.of([_seq(0, 2)]).w[0] == 0.5
+    rec2 = _record(_seq(0, 2, "a"), np.zeros((5, 2)), np.stack([row * 0.5] * 2))
+    rec4 = _record(_seq(0, 4, "a"), np.zeros((7, 2)), np.stack([row * 0.25] * 4))
     assert rec2.g_lm == pytest.approx(rec4.g_lm, rel=1e-12)
     assert rec2.g_lm == pytest.approx(np.linalg.norm(row), rel=1e-12)
 
@@ -83,36 +67,25 @@ def test_permutation_invariance_within_role():
     rng = np.random.default_rng(0)
     g_emb = rng.normal(size=(7, 4))
     g_lm = rng.normal(size=(2, 5))
-    b = _bundle("x", g_emb, g_lm, weight=0.5)
-    rec = aggregate_instance(b, _seq(2, 2), FP)
+    rec = _record(_seq(2, 2), g_emb, g_lm)
     g_emb_swapped = g_emb.copy()
     g_emb_swapped[[1, 2]] = g_emb_swapped[[2, 1]]
-    b2 = _bundle("x", g_emb_swapped, g_lm[::-1].copy(), weight=0.5)
-    rec2 = aggregate_instance(b2, _seq(2, 2), FP)
+    rec2 = _record(_seq(2, 2), g_emb_swapped, g_lm[::-1].copy())
     assert rec.g_emb == pytest.approx(rec2.g_emb, rel=1e-15)
     assert rec.g_lm == pytest.approx(rec2.g_lm, rel=1e-15)
 
 
 def test_no_content_tokens_rejected():
-    # BOS, SEP, EOS: the layout of an empty prompt and a response of no tokens
-    b = _bundle("x", np.zeros((3, 2)), [[0.1, -0.1]], weight=1.0)
-    with pytest.raises(ValueError, match="content"):
-        aggregate_instance(b, _seq(0, 0), FP)
-
-
-def test_combine_rules():
-    assert combine(0.0, 0.0) == 0.0
-    assert combine(0.3, 0.7) == pytest.approx(1.0)
-    assert combine(0.2, 0.5) == combine(0.5, 0.2)
-    with pytest.raises(ValueError):
-        combine(-0.1, 0.5)
+    # BOS, SEP, EOS: the layout of an empty prompt and a response of no
+    # tokens; the sequence itself refuses it, so nothing downstream measures it
+    with pytest.raises(ValueError, match="^empty response: x$"):
+        _seq(0, 0)
 
 
 def test_record_invariant_holds_exactly():
-    seq = _seq(0, 1)
-    b = _bundle("x", np.ones((4, 2)), [[0.25, -0.25]], weight=1.0)
-    rec = aggregate_instance(b, seq, FP)
+    rec = _record(_seq(0, 1), np.ones((4, 2)), [[0.25, -0.25]], step=3)
     assert rec.g_grads == rec.g_emb + rec.g_lm
+    assert (rec.step_index, rec.model_fingerprint) == (3, FP)
 
 
 def _mk_record(i, g_emb, g_lm, fp=FP):

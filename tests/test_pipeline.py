@@ -30,8 +30,9 @@ from gradsel.pipeline import (
     sha256_file,
 )
 from gradsel.selector import silverman_bandwidth
-from gradsel.tinylm import (Trainer, frozen_gradients, init_model, load_checkpoint,
+from gradsel.tinylm import (Batch, Trainer, frozen_gradients, init_model, load_checkpoint,
                             model_fingerprint, save_checkpoint, total_update_steps)
+from gradsel.tinylm.model import BackwardResult
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -131,25 +132,36 @@ def test_frozen_records_name_the_checkpoint_next_to_them(extract_run, tmp_path):
         assert json.loads(Path(out["meta"]).read_text())["model_fingerprint"] == fingerprint
 
 
-def _pair(bundle, seq):
-    return bundle, seq
+def _pair(kept: list):
+    """A step hook that appends each instance, as a batch of one holding its
+    own raw gradient rows, with the step that measured it to kept."""
+    def hook(seqs, batch, res, step):
+        for b, seq in enumerate(seqs):
+            rows = slice(batch.row_starts[b], batch.row_starts[b + 1])
+            one = BackwardResult(res.losses[b : b + 1], res.g_emb[b : b + 1, : len(seq)],
+                                 res.g_lm[rows], None)
+            kept.append((seq, Batch.of([seq]), one, step))
+    return hook
 
 
 def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
-    # reference: keep every raw bundle of the epoch, aggregate, sort by id
+    # reference: keep every instance's raw rows of the pass, aggregate each
+    # as a batch of one, sort by id
     for mode in ("frozen", "online"):
         cfg = _cfg(corpus_dir, str(tmp_path / mode), mode=mode)
         records = read_records(run_extract(cfg)["records"])
         prep = prepare(cfg)
         model = pipeline.build_reference_model(cfg, prep)
         fingerprint = model_fingerprint(model)
+        pairs = []
         if mode == "frozen":
-            pairs = frozen_gradients(model, prep.seqs, _pair)
+            frozen_gradients(model, prep.seqs, _pair(pairs))
         else:
             trainer = Trainer(model, cfg.train_hyper(),
                               total_update_steps(len(prep.seqs), cfg.batch_size, 1))
-            pairs = trainer.run(prep.seqs, reduce=_pair)
-        expected = [aggregate_instance(b, s, fingerprint) for b, s in pairs]
+            trainer.run(prep.seqs, on_step=_pair(pairs))
+        expected = [aggregate_instance(seq, batch, res, 0, step, fingerprint)
+                    for seq, batch, res, step in pairs]
         ids = [r.instance_id for r in records]
         assert ids == sorted(ids)
         assert records == sorted(expected, key=lambda r: r.instance_id)

@@ -10,6 +10,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,12 +249,13 @@ def test_g_lm_zero_sum_and_masked_rows():
 
 def test_empty_response_rejected():
     m = init_model(TINY)
-    ok = _random_seq(np.random.default_rng(4), TINY, instance_id="ok")
-    batch = Batch.of([ok, ok])
-    batch.weights[1] = 0.0  # the encoder refuses a response of no tokens
-    empty = Batch(batch.tokens, batch.lengths, batch.weights, ["ok", "empty"])
-    with pytest.raises(ValueError, match="empty response: empty"):
-        _run(m, empty)
+    # BOS, prompt, SEP, EOS: the sequence itself refuses a response of no
+    # tokens, so no batch reaches the model without one
+    with pytest.raises(ValueError, match="^empty response: empty$"):
+        _seq([1, 5, 3, 2], 2, "empty")
+    with pytest.raises(ValueError, match="^empty response: bos$"):
+        _seq([1, 5, 6, 2], 0, "bos")
+    _run(m, [_seq([1, 5, 3, 6, 2], 2, "shortest")])  # one response token is enough
 
 
 def test_embedding_gradients_match_finite_differences():
@@ -368,13 +370,13 @@ def test_full_score_batch_is_bit_identical_to_batches_of_one():
                                 1 + (11 * i) % (36 - t_prompt), f"s{i}"))
     assert len({len(s) for s in seqs}) > 10
     m = init_model(WIDE)
-    bundles = frozen_gradients(m, seqs, _keep)
+    measured = _frozen(m, seqs)
     _, _, batched = _run(m, seqs, want_param_grads=False)
-    for b, (bundle, seq) in enumerate(zip(bundles, seqs)):
+    for b, (rows, seq) in enumerate(zip(measured, seqs)):
         _, _, one = _run(m, [seq], want_param_grads=False)
         assert batched.losses[b] == one.losses[0]
-        assert np.array_equal(bundle.g_emb, one.g_emb[0])
-        assert np.array_equal(bundle.g_lm, one.g_lm)
+        assert np.array_equal(rows.g_emb, one.g_emb[0])
+        assert np.array_equal(rows.g_lm, one.g_lm)
 
 
 def test_perplexity_uniform_equals_vocab_size():
@@ -462,28 +464,42 @@ def test_run_takes_exactly_its_step_budget(monkeypatch):
     seqs = [_random_seq(np.random.default_rng(100 + i), TINY, instance_id=f"r{i}")
             for i in range(7)]
     hyper = _hyper(3, 4)  # 3 updates per epoch
-    calls = []
+    calls, updated = [], []
     real = Trainer.apply_batch
 
-    def counting(self, batch, capture=None):
+    def counting(self, batch, on_step=None):
         calls.append(len(batch))
-        return real(self, batch, capture)
+        loss = real(self, batch, on_step)
+        updated.append(self.model.flat.copy())
+        return loss
 
     monkeypatch.setattr(Trainer, "apply_batch", counting)
-    seen = []
+    seen, hooked = [], []
     trainer = Trainer(init_model(TINY), hyper, 8)  # two epochs and 2 of 3 updates
-    trainer.run(seqs, on_epoch=seen.append)
+    initial = trainer.model.flat.copy()
+
+    def on_step(chunk, batch, res, step):
+        hooked.append((step, len(chunk), trainer.model.flat.copy()))
+
+    trainer.run(seqs, on_epoch=seen.append, on_step=on_step)
     assert calls == [3, 3, 1, 3, 3, 1, 3, 3]
     assert len(trainer.epoch_losses) == 2  # the cut third epoch records no loss
     assert seen == [trainer.model, trainer.model]
     assert trainer.adam.t == 8
+    # the hook runs once per update, before it: it sees the parameters the
+    # previous update left
+    assert [(step, n) for step, n, _ in hooked] == list(zip(range(8), calls))
+    for (_, _, flat), before in zip(hooked, [initial] + updated):
+        assert np.array_equal(flat, before)
+    assert not np.array_equal(updated[0], initial)
 
     calls.clear()
+    hooked.clear()
     m = init_model(TINY)
     before = m.flat.copy()
     idle = Trainer(m, hyper, 0)
-    assert idle.run(seqs) == []
-    assert calls == [] and idle.epoch_losses == []
+    idle.run(seqs, on_step=on_step)
+    assert calls == [] and hooked == [] and idle.epoch_losses == []
     assert np.array_equal(before, m.flat)
     with pytest.raises(ValueError, match="empty dataset"):
         Trainer(m, hyper, 3).run([])
@@ -498,25 +514,41 @@ def test_warmup_schedule_shape():
     assert warmup_lr(1.0, 1, 100, 0.0) == 1.0
 
 
-def _keep(bundle, seq):
-    """The identity reduction: extraction hands back every raw bundle."""
-    return bundle
+def _keep(kept: list):
+    """A step hook that appends each instance's own raw gradient rows, its id
+    and the step that measured it to kept."""
+    def hook(chunk, batch, res, step):
+        for b, seq in enumerate(chunk):
+            rows = slice(batch.row_starts[b], batch.row_starts[b + 1])
+            kept.append(SimpleNamespace(instance_id=seq.instance_id, step_index=step,
+                                        g_emb=res.g_emb[b, : len(seq)], g_lm=res.g_lm[rows]))
+    return hook
+
+
+def _frozen(model, seqs):
+    """Every instance's raw gradient rows against fixed parameters."""
+    kept = []
+    frozen_gradients(model, seqs, _keep(kept))
+    return kept
 
 
 def _online_epoch(model, seqs, hyper):
-    """Every raw bundle of one training epoch, each taken before its update."""
-    return Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 1)).run(
-        seqs, reduce=_keep)
+    """Every instance's raw gradient rows over one training epoch, each taken
+    before its update."""
+    kept = []
+    Trainer(model, hyper, total_update_steps(len(seqs), hyper.batch_size, 1)).run(
+        seqs, on_step=_keep(kept))
+    return kept
 
 
 def test_extract_frozen_order_independent():
     m = init_model(TINY)
     seqs = [_random_seq(np.random.default_rng(60 + i), TINY, instance_id=f"id{i}")
             for i in range(8)]
-    bundles = frozen_gradients(m, seqs, _keep)
-    shuffled = frozen_gradients(m, list(reversed(seqs)), _keep)
+    measured = _frozen(m, seqs)
+    shuffled = _frozen(m, list(reversed(seqs)))
     by_id = {b.instance_id: b for b in shuffled}
-    for b in bundles:
+    for b in measured:
         assert np.array_equal(b.g_emb, by_id[b.instance_id].g_emb)
         assert np.array_equal(b.g_lm, by_id[b.instance_id].g_lm)
         assert b.step_index == -1
@@ -526,7 +558,7 @@ def test_extract_online_single_batch_matches_frozen():
     seqs = [_random_seq(np.random.default_rng(70 + i), TINY, instance_id=f"id{i}")
             for i in range(6)]
     frozen_model = init_model(TINY)
-    frozen = frozen_gradients(frozen_model, seqs, _keep)
+    frozen = _frozen(frozen_model, seqs)
     hyper = _hyper(len(seqs), 3)
     online = _online_epoch(init_model(TINY), seqs, hyper)
     assert sorted(b.instance_id for b in online) == sorted(b.instance_id for b in frozen)
@@ -540,9 +572,9 @@ def test_extract_online_one_bundle_per_instance():
     seqs = [_random_seq(np.random.default_rng(80 + i), TINY, instance_id=f"id{i}")
             for i in range(7)]
     m = init_model(TINY)
-    bundles = _online_epoch(m, seqs, _hyper(2))
-    assert sorted(b.instance_id for b in bundles) == sorted(s.instance_id for s in seqs)
-    steps = {b.instance_id: b.step_index for b in bundles}
+    measured = _online_epoch(m, seqs, _hyper(2))
+    assert sorted(b.instance_id for b in measured) == sorted(s.instance_id for s in seqs)
+    steps = {b.instance_id: b.step_index for b in measured}
     assert min(steps.values()) == 0
     assert max(steps.values()) == total_update_steps(len(seqs), 2, 1) - 1
 
@@ -573,7 +605,7 @@ def test_nonfinite_instance_loss_is_named():
         Trainer(m, _hyper(), 1).apply_batch(seqs)
     assert np.array_equal(before, m.flat)  # no update was applied
     with pytest.raises(RuntimeError, match="instance bad has loss inf"):
-        frozen_gradients(m, seqs, _keep)
+        _frozen(m, seqs)
 
 
 def test_last_only_trace_keeps_no_caches_and_refuses_backward():
