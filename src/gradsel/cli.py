@@ -40,14 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density strategy or baseline (default: %(default)s)")
     p.add_argument("--fraction", type=float, default=50.0,
                    help="percentage of the records to keep (default: %(default)g)")
-    p.add_argument("--force", action="store_true",
-                   help="skip provenance checks")
 
     p = sub.add_parser("train", help="fine-tune a fresh model on a selection")
     common(p)
     p.add_argument("--selection", default=None,
                    help="selection JSONL; omitted = full training pool")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("eval", help="score a checkpoint on the test split")
     common(p)
@@ -56,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pilot", help="gradient-decile report (CSV)")
     common(p)
     p.add_argument("--records", required=True)
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("compare", help="strategy sweep with base/all rows")
     common(p)
@@ -66,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated percentages (default: %(default)s)")
     p.add_argument("--records", default=None,
                    help="reuse an existing records file")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("synth", help="generate the labeled synthetic corpus")
     p.add_argument("--out", required=True)
@@ -92,13 +87,11 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         out = pipeline.run_extract(cfg)
         print(f"{out['records']} ({out['n_records']} records)")
     elif args.command == "select":
-        result = pipeline.run_select(
-            cfg, args.records, args.strategy, args.fraction, args.force
-        )
+        result = pipeline.run_select(cfg, args.records, args.strategy, args.fraction)
         print(f"{result.strategy}@{result.fraction_percent:g}: "
               f"{len(result.selected_ids)} selected -> {cfg.out_dir}")
     elif args.command == "train":
-        meta = pipeline.run_train(cfg, args.selection, args.force)
+        meta = pipeline.run_train(cfg, args.selection)
         print(f"trained on {meta['n_train']} instances -> {cfg.out_dir}")
     elif args.command == "eval":
         out = pipeline.run_eval(cfg, args.model)
@@ -106,7 +99,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"bleu={m['bleu']:.4f} rouge_l={m['rouge_l']:.4f} "
               f"meteor={m['meteor']:.4f} (n={out['n_test']})")
     elif args.command == "pilot":
-        meta = pipeline.run_pilot(cfg, args.records, args.force)
+        meta = pipeline.run_pilot(cfg, args.records)
         rho = meta["loss_gradient_spearman"]
         print(f"loss/gradient spearman = {'n/a' if rho is None else f'{rho:.4f}'} "
               f"-> {cfg.out_dir}")
@@ -119,9 +112,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             fractions = [float(x) for x in _comma_list(args.fraction)]
         except ValueError:
             parser.error(f"bad fraction list {args.fraction!r}")
-        report = pipeline.run_compare(
-            cfg, strategies, fractions, args.records, args.force
-        )
+        report = pipeline.run_compare(cfg, strategies, fractions, args.records)
         for row in report.rows:
             if row.get("error"):
                 print(f"{row['row']}: ERROR {row['error']}")

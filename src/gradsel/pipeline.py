@@ -399,16 +399,26 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     }
 
 
-def _resolve_records(cfg: RunConfig, prep: Prepared, records_path: str | None,
-                     force: bool) -> tuple[str, list[GradientRecord], str]:
+def _resolve_records(cfg: RunConfig, prep: Prepared,
+                     records_path: str | None) -> tuple[str, list[GradientRecord], str]:
     """Extract into cfg.out_dir when records_path is None, else check the
-    records' provenance; returns the records path, its records and their
-    hash."""
+    records' provenance and that their ids are exactly the dataset's: every
+    command that reads records ranks, scores or looks up each of them against
+    prep. Returns the records path, its records and their hash."""
     if records_path is None:
         records_path = run_extract(cfg, prep)["records"]
     else:
-        check_provenance(records_path, prep, cfg, force)
+        check_provenance(records_path, prep, cfg)
     records, records_hash = _read_records_hashed(records_path)
+    # read_records refuses a repeated id, so equal counts and no foreign id
+    # mean equal id sets
+    by_id = prep.by_id
+    if len(records) != len(by_id) or not all(r.instance_id in by_id for r in records):
+        ids = {r.instance_id for r in records}
+        foreign, missing = sorted(ids - by_id.keys()), sorted(by_id.keys() - ids)
+        raise ValueError(f"records name {len(foreign)} ids not in the dataset "
+                         f"[{', '.join(foreign[:3])}] and miss {len(missing)} of its ids "
+                         f"[{', '.join(missing[:3])}]")
     return records_path, records, records_hash
 
 
@@ -448,38 +458,31 @@ def load_model(prep: Prepared, path: str) -> Model:
 PROVENANCE_FIELDS = ("max_vocab", "max_seq_len")
 
 
-def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig,
-                     force: bool) -> None:
-    """Refuse records whose sidecar metadata points at a different dataset,
-    or at a different value of one of PROVENANCE_FIELDS."""
-    if force:
-        return
+def check_provenance(records_path: str, prep: Prepared, cfg: RunConfig) -> None:
+    """Refuse records whose sidecar metadata is missing, or points at a
+    different dataset or a different value of one of PROVENANCE_FIELDS."""
     meta_path = extract_sibling(records_path, EXTRACT_META_FILE)
     if not os.path.isfile(meta_path):
         raise RuntimeError(
-            f"no provenance metadata next to {records_path} (rerun extract, or force)"
+            f"no provenance metadata next to {records_path} (rerun extract)"
         )
     meta = _read_sidecar(meta_path)
     if meta.dataset_hash != prep.dataset_hash:
         raise RuntimeError(
-            "provenance mismatch: records were extracted from a different "
-            "dataset (pass force to override)"
+            "provenance mismatch: records were extracted from a different dataset"
         )
     for name in PROVENANCE_FIELDS:
         if meta.config.get(name) != getattr(cfg, name):
             raise RuntimeError(
                 f"provenance mismatch: records were extracted with {name}="
-                f"{meta.config.get(name)!r}, this config has {getattr(cfg, name)!r} "
-                "(pass force to override)"
+                f"{meta.config.get(name)!r}, this config has {getattr(cfg, name)!r}"
             )
 
 
-def check_selection_provenance(selection_path: str, prep: Prepared, force: bool) -> None:
+def check_selection_provenance(selection_path: str, prep: Prepared) -> None:
     """Refuse a selection whose meta names a different dataset."""
-    if not force and _names_another_dataset(
-            os.path.splitext(selection_path)[0] + "_meta.json", prep):
-        raise RuntimeError("provenance mismatch: selection belongs to a different dataset "
-                           "(pass force to override)")
+    if _names_another_dataset(os.path.splitext(selection_path)[0] + "_meta.json", prep):
+        raise RuntimeError("provenance mismatch: selection belongs to a different dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -523,35 +526,33 @@ def _select_step(cfg: RunConfig, prep: Prepared, name: str, fraction: float,
     return result, sel_file, write_manifest(cfg.out_dir, [sel_file, meta_file])[sel_file]
 
 
-def run_select(
-    cfg: RunConfig,
-    records_path: str,
-    name: str,
-    fraction: float,
-    force: bool = False,
-) -> SelectionResult:
+def _check_selections(names, fractions) -> None:
+    """Refuse a name outside SELECTION_NAMES or a percentage outside
+    (0, 100], before any records are read."""
+    for name in names:
+        if name not in SELECTION_NAMES:
+            raise ValueError(f"unknown strategy {name!r}")
+    for frac in fractions:
+        if not 0.0 < frac <= 100.0:
+            raise ValueError("fraction must lie in (0, 100]")
+
+
+def run_select(cfg: RunConfig, records_path: str, name: str, fraction: float) -> SelectionResult:
     """Selection of fraction percent of a gradient-record file, every record
     a candidate, by one of SELECTION_NAMES."""
-    if name not in SELECTION_NAMES:
-        raise ValueError(f"unknown strategy {name!r}")
+    _check_selections([name], [fraction])
     prep = prepare(cfg)
-    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path)
     return _select_step(cfg, prep, name, fraction, records, records_path, records_hash,
                         name)[0]
 
 
-def run_baseline(
-    cfg: RunConfig,
-    name: str,
-    records_path: str,
-    fraction: float,
-    force: bool = False,
-) -> SelectionResult:
+def run_baseline(cfg: RunConfig, name: str, records_path: str, fraction: float) -> SelectionResult:
     """run_select with the name first. It stays because the benchmark's
     stages_4k workload (perfbench/workloads.py) calls
     run_baseline(cfg, name, records, 50.0) positionally; ROADMAP item 2's
     follow-on deletes it."""
-    return run_select(cfg, records_path, name, fraction, force)
+    return run_select(cfg, records_path, name, fraction)
 
 
 def run_selection_by_name(
@@ -569,11 +570,6 @@ def run_selection_by_name(
     query_ids = prep.split.query
     if name in QUERY_NAMES and not query_ids:
         raise ValueError(f"{name} needs a nonempty query split")
-    if name in QUERY_NAMES + MODEL_NAMES:  # these read the candidates' text or tokens
-        unknown = [i for i in cand_ids if i not in prep.by_id]
-        if unknown:
-            raise ValueError(f"records name {len(unknown)} ids not in the dataset: "
-                             + ", ".join(unknown[:3]))
     if name in STRATEGIES:
         result = select_strategy(candidates, name, fraction)
     elif name == "random":
@@ -662,11 +658,7 @@ def evaluate_model(model: Model, prep: Prepared, ids) -> dict:
 METRIC_KEYS = ("bleu", "rouge_l", "meteor")
 
 
-def run_train(
-    cfg: RunConfig,
-    selection_path: str | None = None,
-    force: bool = False,
-) -> dict:
+def run_train(cfg: RunConfig, selection_path: str | None = None) -> dict:
     """Fine-tune a fresh model on a selection (or the full training pool)."""
     prep = prepare(cfg)
     pool = set(prep.split.train)
@@ -674,7 +666,7 @@ def run_train(
         train_ids = sorted(pool)
         selection_hash = None
     else:
-        check_selection_provenance(selection_path, prep, force)
+        check_selection_provenance(selection_path, prep)
         ids = read_selection_ids(selection_path)
         unknown = [i for i in ids if i not in prep.by_id]
         if unknown:
@@ -732,11 +724,11 @@ def run_eval(cfg: RunConfig, model_path: str) -> dict:
 # pilot deciles
 
 
-def run_pilot(cfg: RunConfig, records_path: str, force: bool = False) -> dict:
+def run_pilot(cfg: RunConfig, records_path: str) -> dict:
     """Decile report over gradient records, CSV for plotting; losses are
     measured under the checkpoint the records were extracted with."""
     prep = prepare(cfg)
-    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path)
     model = load_model(prep, extract_sibling(records_path, EXTRACT_MODEL_FILE))
     report = pilot_deciles(records, prep.seqs, model)
     with open_atomic(os.path.join(cfg.out_dir, "deciles.csv")) as fh:
@@ -804,7 +796,6 @@ def run_compare(
     strategies: list[str],
     fractions: list[float],
     records_path: str | None = None,
-    force: bool = False,
 ) -> ExperimentReport:
     """Strategy sweep: base row, full-data row, one row per (strategy, N).
 
@@ -813,31 +804,21 @@ def run_compare(
     over them.
     """
     t_start = time.perf_counter()
-    prep = prepare(cfg)
-    for name in strategies:
-        if name not in SELECTION_NAMES:
-            raise ValueError(f"unknown strategy {name!r}")
-    for frac in fractions:
-        if not 0.0 < frac <= 100.0:
-            raise ValueError("fraction must lie in (0, 100]")
+    _check_selections(strategies, fractions)
     row_names = [f"{name}@{frac:g}" for name in strategies for frac in fractions]
     for i, row_name in enumerate(row_names):
         if row_name in row_names[:i]:
             raise ValueError(f"compare row {row_name} is repeated")
+    prep = prepare(cfg)
     _require_test_split(cfg, prep)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    records_path, records, records_hash = _resolve_records(cfg, prep, records_path, force)
+    records_path, records, records_hash = _resolve_records(cfg, prep, records_path)
     timings["extract"] = time.perf_counter() - t0
 
     pool = set(prep.split.train)
     pool_records = [r for r in records if r.instance_id in pool]
-    missing = pool - {r.instance_id for r in pool_records}
-    if missing:
-        raise RuntimeError(
-            f"records do not cover the training pool ({len(missing)} missing)"
-        )
     rows: list[dict] = []
 
     t0 = time.perf_counter()

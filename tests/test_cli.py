@@ -16,6 +16,7 @@ import gradsel
 from gradsel import pipeline
 from gradsel.cli import build_parser, main
 from gradsel.gradstats import read_records, write_records
+from gradsel.tinylm import init_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,15 @@ def records(workspace):
     root, cfg = workspace
     assert main(["extract", "--config", cfg, "--out", str(root / "extracted")]) == 0
     return str(root / "extracted" / "records.jsonl")
+
+
+def _beside_meta(records, where) -> Path:
+    """The records path in a new directory that holds a copy of the extracted
+    records' meta and no checkpoint; the caller writes the records."""
+    where.mkdir()
+    (where / "extract_meta.json").write_bytes(
+        (Path(records).parent / "extract_meta.json").read_bytes())
+    return where / "records.jsonl"
 
 
 def test_synth_writes_dataset_and_manifest(workspace, capsys):
@@ -141,9 +151,9 @@ def test_runtime_failure_exits_one(workspace, records, capsys):
     (root / "list.json").write_text("[1, 2]")
     assert main(["eval", "--config", cfg, "--model", str(root / "list.json")]) == 1
     assert "error: not a model checkpoint" in capsys.readouterr().err
-    (root / "bad_records.jsonl").write_text("[1]\n")
-    assert main(["select", "--config", cfg, "--records", str(root / "bad_records.jsonl"),
-                 "--force"]) == 1
+    bad_records = _beside_meta(records, root / "bad_records")
+    bad_records.write_text("[1]\n")
+    assert main(["select", "--config", cfg, "--records", str(bad_records)]) == 1
     assert "error: line 1: not a JSON object" in capsys.readouterr().err
     (root / "bad_selection.jsonl").write_text("[1]\n")
     assert main(["train", "--config", cfg, "--selection", str(root / "bad_selection.jsonl"),
@@ -238,14 +248,12 @@ def test_pilot_over_constant_gradients_writes_null_spearman(workspace, records, 
     root, cfg = workspace
     flat_records = [replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
                     for r in read_records(records)]
-    flat = root / "flat"
-    flat.mkdir()
-    write_records(flat_records, str(flat / "records.jsonl"))
+    flat = _beside_meta(records, root / "flat")
+    write_records(flat_records, str(flat))
     checkpoint = Path(records).parent / "extract_model.json"
-    (flat / "extract_model.json").write_bytes(checkpoint.read_bytes())
+    (flat.parent / "extract_model.json").write_bytes(checkpoint.read_bytes())
     out = root / "flat_pilot"
-    assert main(["pilot", "--config", cfg, "--records", str(flat / "records.jsonl"),
-                 "--force", "--out", str(out)]) == 0
+    assert main(["pilot", "--config", cfg, "--records", str(flat), "--out", str(out)]) == 0
 
     def no_constants(name):
         raise AssertionError(f"{name} is not JSON")
@@ -255,36 +263,62 @@ def test_pilot_over_constant_gradients_writes_null_spearman(workspace, records, 
     assert "loss/gradient spearman = n/a" in capsys.readouterr().out
 
 
-def test_selections_that_read_the_dataset_refuse_records_naming_ids_outside_it(
+def test_every_records_reader_refuses_records_whose_ids_are_not_the_datasets(
         workspace, records, capsys):
+    """One foreign id, or one missing dataset id: every select name, pilot and
+    compare give the same error before reading the checkpoint (there is none
+    beside these records)."""
     root, cfg = workspace
-    ghost = read_records(records)
-    ghost[0] = replace(ghost[0], instance_id="ghost-1")
-    where = root / "ghost"
-    where.mkdir()
-    write_records(ghost, str(where / "records.jsonl"))
-    checkpoint = Path(records).parent / "extract_model.json"
-    (where / "extract_model.json").write_bytes(checkpoint.read_bytes())
-    select = ["select", "--config", cfg, "--records", str(where / "records.jsonl"),
-              "--force", "--out", str(root / "ghost_sel")]
-    for name in ("bm25", "dsir", "rds", "less", "ppl"):
-        assert main([*select, "--strategy", name]) == 1
-        assert capsys.readouterr().err == ("error: records name 1 ids not in the dataset: "
-                                           "ghost-1\n")
-    # random reads only the records' ids, and counts the foreign one unlabeled
-    assert main([*select, "--strategy", "random", "--fraction", "100"]) == 0
-    meta = json.loads((root / "ghost_sel" / "selection_random_meta.json").read_text())
-    assert meta["stratum_counts"]["unlabeled"] == 1
+    extracted = read_records(records)
+    ghost = [replace(extracted[0], instance_id="ghost-1"), *extracted[1:]]
+    dropped = extracted[1:]
+    first = extracted[0].instance_id
+    for where, kept, foreign in (("ghost", ghost, "1 ids not in the dataset [ghost-1]"),
+                                 ("dropped", dropped, "0 ids not in the dataset []")):
+        path = str(_beside_meta(records, root / where))
+        write_records(kept, path)
+        out = root / f"{where}_out"
+        commands = [["select", "--strategy", name] for name in pipeline.SELECTION_NAMES]
+        commands += [["pilot"], ["compare", "--strategy", "grads"]]
+        for command in commands:
+            assert main([*command, "--config", cfg, "--records", path, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"error: records name {foreign} and miss 1 "
+                                               f"of its ids [{first}]\n"), command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["select", "train", "pilot", "compare"])
+def test_force_is_a_usage_error(workspace, records, command):
+    _, cfg = workspace
+    args = [command, "--config", cfg]
+    if command in ("select", "pilot"):
+        args += ["--records", records]
+    build_parser().parse_args(args)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--force"])
+    assert exc.value.code == 2
+
+
+def test_the_non_synth_subcommands_take_21_flags():
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    flags = [flag for name, sub in subparsers.choices.items() if name != "synth"
+             for action in sub._actions if action.dest != "help"
+             for flag in action.option_strings]
+    assert len(flags) == 21 and "--force" not in flags
 
 
 def test_pilot_and_model_baselines_refuse_a_checkpoint_of_another_vocabulary(
         workspace, records, capsys):
     root, cfg = workspace
-    small = root / "vocab40.json"
-    small.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "max_vocab": 40}))
-    out = root / "vocab40"
+    copied = _beside_meta(records, root / "vocab_plus_one")
+    copied.write_bytes(Path(records).read_bytes())
+    run_cfg = pipeline.load_config(cfg)
+    vocab_size = pipeline.prepare(run_cfg).tok.vocab_size
+    save_checkpoint(init_model(run_cfg.model_config(vocab_size + 1)),
+                    str(copied.parent / "extract_model.json"))
+    out = root / "vocab_plus_one_out"
     for command in (["pilot"], *(["select", "--strategy", n] for n in ("rds", "less", "ppl"))):
-        assert main([*command, "--config", str(small), "--records", records, "--force",
+        assert main([*command, "--config", cfg, "--records", str(copied),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == ("error: checkpoint vocabulary does not match "
                                            "the dataset tokenizer\n")

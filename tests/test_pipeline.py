@@ -252,7 +252,6 @@ def test_select_refuses_records_of_another_extraction_config(extract_run, tmp_pa
     other = replace(cfg, out_dir=str(tmp_path), **{field: value})
     with pytest.raises(RuntimeError, match=f"provenance mismatch: .*{field}="):
         run_select(other, out["records"], "grads", 50.0)
-    assert len(run_select(other, out["records"], "grads", 50.0, force=True).selected_ids) == 45
 
 
 def test_extract_rerun_byte_identical(corpus_dir, extract_run, tmp_path):
@@ -294,20 +293,16 @@ def test_select_refuses_foreign_records(corpus_dir, extract_run, tmp_path_factor
     foreign = _cfg(other_corpus, str(tmp_path_factory.mktemp("sel")))
     with pytest.raises(RuntimeError, match="provenance"):
         run_select(foreign, out["records"], "grads", 50.0)
-    # force accepts the mismatch; selection then runs purely on the records
-    forced = run_select(foreign, out["records"], "grads", 50.0, force=True)
-    assert len(forced.selected_ids) == 45
 
 
 def test_provenance_checks_sidecar(corpus_dir, extract_run, tmp_path):
     cfg, out = extract_run
     prep = prepare(cfg)
-    check_provenance(out["records"], prep, cfg, force=False)
+    check_provenance(out["records"], prep, cfg)
     bare = tmp_path / "records.jsonl"
     bare.write_bytes(Path(out["records"]).read_bytes())
     with pytest.raises(RuntimeError, match="metadata"):
-        check_provenance(str(bare), prep, cfg, force=False)
-    check_provenance(str(bare), prep, cfg, force=True)
+        check_provenance(str(bare), prep, cfg)
 
 
 def test_train_checks_the_selection_provenance(extract_run, tmp_path):
@@ -315,14 +310,13 @@ def test_train_checks_the_selection_provenance(extract_run, tmp_path):
     prep = prepare(cfg)
     sel = tmp_path / "selection_hand.jsonl"
     sel.write_text('{"id": "x"}\n')
-    check_selection_provenance(str(sel), prep, force=False)  # no meta: passes
+    check_selection_provenance(str(sel), prep)  # no meta: passes
     meta = tmp_path / "selection_hand_meta.json"
     meta.write_text('{"strategy": "hand"}')
-    check_selection_provenance(str(sel), prep, force=False)  # no hash: passes
+    check_selection_provenance(str(sel), prep)  # no hash: passes
     meta.write_text(json.dumps({"dataset_hash": "0" * 64}))
     with pytest.raises(RuntimeError, match="selection belongs to a different dataset"):
         run_train(replace(cfg, out_dir=str(tmp_path / "train")), str(sel))
-    check_selection_provenance(str(sel), prep, force=True)
 
 
 @pytest.mark.parametrize("artifact", [
@@ -336,9 +330,9 @@ def test_a_non_object_manifest_or_meta_is_a_named_value_error(extract_run, tmp_p
     read = {
         "manifest.json": lambda: pipeline.write_manifest(str(tmp_path), []),
         "extract_meta.json": lambda: check_provenance(
-            str(tmp_path / "records.jsonl"), prep, cfg, force=False),
+            str(tmp_path / "records.jsonl"), prep, cfg),
         "selection_hand_meta.json": lambda: check_selection_provenance(
-            str(tmp_path / "selection_hand.jsonl"), prep, force=False),
+            str(tmp_path / "selection_hand.jsonl"), prep),
     }[artifact]
     with pytest.raises(ValueError, match=f"{artifact}: not a JSON object$"):
         read()
@@ -348,11 +342,10 @@ def test_constant_gradients_select_the_first_instances_with_null_bandwidth(
         extract_run, tmp_path):
     cfg, out = extract_run
     ids = [r.instance_id for r in read_records(out["records"])]
-    records = tmp_path / "records.jsonl"
+    records = _records_without_checkpoint(out, tmp_path)
     write_records([replace(r, g_emb=0.5, g_lm=0.25, g_grads=0.75)
-                   for r in read_records(out["records"])], str(records))
-    result = run_select(replace(cfg, out_dir=str(tmp_path / "sel")), str(records),
-                        "grads", 50.0, force=True)
+                   for r in read_records(out["records"])], records)
+    result = run_select(replace(cfg, out_dir=str(tmp_path / "sel")), records, "grads", 50.0)
     assert result.ordered_ids == tuple(ids[:45])
     meta = json.loads((tmp_path / "sel" / "selection_grads_meta.json").read_text())
     assert meta["bandwidth"] is None
@@ -525,6 +518,17 @@ def test_a_model_baseline_with_no_checkpoint_needs_a_reference_model(extract_run
     assert not (tmp_path / "sel").exists()
 
 
+def test_select_refuses_a_fraction_out_of_range_before_reading_records(extract_run, tmp_path):
+    cfg, out = extract_run
+    records = _records_without_checkpoint(out, tmp_path)
+    for fraction in (0.0, 100.5):
+        with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 100\]$"):
+            run_select(replace(cfg, out_dir=str(tmp_path / "sel")), records, "rds", fraction)
+        with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 100\]$"):
+            run_select(cfg, str(tmp_path / "no-such-records.jsonl"), "grads", fraction)
+    assert not (tmp_path / "sel").exists()
+
+
 def test_bm25_with_no_query_split_is_refused(extract_run, tmp_path):
     cfg, out = extract_run
     with pytest.raises(ValueError, match="^bm25 needs a nonempty query split$"):
@@ -546,8 +550,8 @@ def test_compare_refuses_records_that_miss_a_pool_instance(extract_run, tmp_path
     records = _records_without_checkpoint(out, tmp_path)
     dropped = min(prepare(cfg).split.train)
     write_records([r for r in read_records(records) if r.instance_id != dropped], records)
-    with pytest.raises(RuntimeError,
-                       match=r"^records do not cover the training pool \(1 missing\)$"):
+    with pytest.raises(ValueError, match=r"^records name 0 ids not in the dataset \[\] and "
+                                         rf"miss 1 of its ids \[{dropped}\]$"):
         run_compare(replace(cfg, out_dir=str(tmp_path / "cmp")), ["grads"], [50.0],
                     records_path=records)
 
@@ -574,8 +578,9 @@ def test_a_checkpoint_of_another_dataset_is_refused_though_its_vocabulary_fits(
     for model in (out["model"], os.path.join(trained.out_dir, "model.json")):
         with pytest.raises(RuntimeError, match=refused):
             run_eval(other_cfg, model)
-    with pytest.raises(RuntimeError, match=refused):  # force skips only the records' check
-        run_pilot(other_cfg, out["records"], force=True)
+    with pytest.raises(RuntimeError, match="^provenance mismatch: records were extracted "
+                                           "from a different dataset$"):
+        run_pilot(other_cfg, out["records"])
     # with no meta beside it, a checkpoint has the vocabulary check alone
     bare = tmp_path / "bare" / "model.json"
     bare.parent.mkdir()
