@@ -167,6 +167,48 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         assert records == sorted(expected, key=lambda r: r.instance_id)
 
 
+def test_frozen_extract_measures_each_distinct_sequence_once(corpus_dir, tmp_path, monkeypatch):
+    handed = []
+    real = pipeline.frozen_gradients
+
+    def counted(model, seqs, on_step):
+        handed.extend(seqs)
+        return real(model, seqs, on_step)
+
+    monkeypatch.setattr(pipeline, "frozen_gradients", counted)
+    cfg = _cfg(corpus_dir, str(tmp_path))
+    records = read_records(run_extract(cfg)["records"])
+    prep = prepare(cfg)
+    firsts = {}
+    for seq in prep.seqs:
+        firsts.setdefault((seq.tokens, seq.sep_pos), seq)
+    assert len(firsts) < len(prep.seqs)  # the corpus repeats sequences
+    assert handed == list(firsts.values())
+    ids = [r.instance_id for r in records]
+    assert ids == sorted(prep.by_id)
+    by_id = {r.instance_id: r for r in records}
+    for seq in prep.seqs:
+        first = by_id[firsts[seq.tokens, seq.sep_pos].instance_id]
+        assert by_id[seq.instance_id] == replace(first, instance_id=seq.instance_id)
+
+
+def test_frozen_extract_names_the_first_non_finite_instance(corpus_dir, tmp_path, monkeypatch):
+    real = pipeline.build_reference_model
+
+    def non_finite(cfg, prep):
+        model = real(cfg, prep)
+        model.params["lnf.g"][0] = float("nan")
+        return model
+
+    monkeypatch.setattr(pipeline, "build_reference_model", non_finite)
+    cfg = _cfg(corpus_dir, str(tmp_path))
+    first = prepare(cfg).seqs[0].instance_id
+    with pytest.raises(RuntimeError, match=rf"^NaN loss at frozen extraction: "
+                                           rf"instance {re.escape(first)} has loss nan"):
+        run_extract(cfg)
+    assert os.listdir(tmp_path) == []  # no records, meta, checkpoint or manifest
+
+
 def test_prepared_index_built_once(corpus_dir, tmp_path):
     prep = prepare(_cfg(corpus_dir, str(tmp_path)))
     assert prep.by_id is prep.by_id
