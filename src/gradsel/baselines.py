@@ -1,10 +1,10 @@
-"""Comparison selectors: random, BM25, DSIR, RDS, PPL, and LESS-style.
+"""Comparison rankers: random, BM25, DSIR, RDS, PPL, and LESS-style.
 
-Each baseline returns the same SelectionResult shape as the density selector
-so downstream training and evaluation treat all methods uniformly. The
-similarity baselines (BM25, DSIR, RDS, LESS) rank candidates against a small
-held-out query set; PPL mirrors the density criterion with perplexity in
-place of gradient magnitude.
+Each baseline only ranks: it returns one score per candidate or an order
+over the candidates, and pipeline.run_selection_by_name cuts every ranking
+to the budget the same way. The similarity baselines (BM25, DSIR, RDS, LESS)
+score candidates against a small held-out query set; PPL ranks perplexities
+by selector.density_order, the density criterion of the gradient strategies.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import numpy as np
 from .corpus import TokenSequence
 from .gradstats import token_vectors
 from .rng import ROLE_GUMBEL, ROLE_SELECT, substream
-from .selector import (
-    SelectionResult,
-    descending_order,
-    select_by_density,
-    selection_from_order,
-    subset_size,
-)
+from .selector import descending_order
 from .tinylm.model import Model, batches, forward
 from .tinylm.training import frozen_gradients
 
@@ -33,16 +27,13 @@ DSIR_BUCKETS = 4096
 DSIR_ORDERS = (1, 2)
 
 
-def select_random(ids: list[str], percent: float, seed: int) -> SelectionResult:
-    """Uniform sample without replacement, deterministic per seed."""
-    if not ids:
+def select_random(n: int, seed: int) -> list[int]:
+    """A uniform permutation of range(n), deterministic per seed. It is the
+    whole partial Fisher-Yates pass, so its first k entries are the k-sample
+    sample_without_replacement(n, k) draws from the same stream."""
+    if n < 1:
         raise ValueError("no candidates")
-    rng = substream(seed, ROLE_SELECT)
-    size = subset_size(len(ids), percent)
-    picked = rng.sample_without_replacement(len(ids), size)
-    scores = np.zeros(len(ids))
-    scores[picked] = 1.0
-    return selection_from_order("random", percent, ids, picked, scores, seed=seed)
+    return substream(seed, ROLE_SELECT).sample_without_replacement(n, n)
 
 
 def _encode(docs: Iterable[list[str]],
@@ -61,11 +52,6 @@ def _encode(docs: Iterable[list[str]],
         ids += [add(w, len(vocab)) for w in doc]
         lens.append(len(ids) - start)
     return np.array(ids, dtype=np.intc), np.array(lens, dtype=np.intc)
-
-
-def _check_one_score_per_id(ids: list[str], scores: np.ndarray) -> None:
-    if len(ids) != len(scores):
-        raise ValueError(f"{len(ids)} ids for {len(scores)} candidates")
 
 
 def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]]) -> np.ndarray:
@@ -108,13 +94,6 @@ def bm25_scores(candidates: Iterable[list[str]], queries: Iterable[list[str]]) -
                 s[docs] += c
         out += s
     return out / len(query_ids)
-
-
-def bm25_select(ids: list[str], candidates: Iterable[list[str]],
-                queries: Iterable[list[str]], percent: float) -> SelectionResult:
-    scores = bm25_scores(candidates, queries)
-    _check_one_score_per_id(ids, scores)
-    return selection_from_order("bm25", percent, ids, descending_order(scores), scores)
 
 
 def _fnv1a(data: bytes) -> int:
@@ -200,14 +179,11 @@ def dsir_log_weights(candidates: Iterable[list[str]],
     return out
 
 
-def dsir_select(ids: list[str], candidates: Iterable[list[str]],
-                target: Iterable[list[str]], percent: float, seed: int) -> SelectionResult:
-    """Importance resampling: Gumbel-top-k over the log-weights."""
-    logw = dsir_log_weights(candidates, target)
-    _check_one_score_per_id(ids, logw)
+def dsir_order(logw: np.ndarray, seed: int) -> list[int]:
+    """Importance resampling: the candidates by log-weight plus Gumbel noise,
+    largest first, so any prefix is a Gumbel-top-k sample."""
     rng = substream(seed, ROLE_GUMBEL)
-    keys = logw + np.array([rng.gumbel() for _ in range(len(logw))])
-    return selection_from_order("dsir", percent, ids, descending_order(keys), logw, seed=seed)
+    return descending_order(logw + np.array([rng.gumbel() for _ in range(len(logw))]))
 
 
 def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
@@ -257,45 +233,30 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
-def rds_select(ids: list[str], cands: np.ndarray, queries: np.ndarray,
-               percent: float) -> SelectionResult:
-    """Mean cosine of each candidate row to the query rows; zero-norm
-    candidates last."""
-    if cands.shape != (len(ids), queries.shape[-1]):
-        raise ValueError(f"feature width mismatch: {len(ids)} ids, candidates "
-                         f"{cands.shape}, queries {queries.shape}")
+def rds_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mean cosine of each candidate row to the query rows; a zero-norm
+    candidate scores -1, below any cosine."""
+    if cands.shape[1:] != queries.shape[1:]:
+        raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
+                         f"queries {queries.shape}")
     usable = [q for q in queries if np.linalg.norm(q) > 0]
     if not usable:
         raise ValueError("all query features have zero norm")
-    scores = np.empty(len(ids))
+    scores = np.empty(len(cands))
     for i, f in enumerate(cands):
         if np.linalg.norm(f) == 0:
             scores[i] = -1.0
         else:
             scores[i] = float(np.mean([_cosine(f, q) for q in usable]))
-    return selection_from_order("rds", percent, ids, descending_order(scores), scores)
+    return scores
 
 
-def less_select(ids: list[str], cands: np.ndarray, queries: np.ndarray,
-                percent: float) -> SelectionResult:
+def less_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Max cosine of each candidate row to the query rows."""
-    if not len(queries) or cands.shape != (len(ids), queries.shape[-1]):
-        raise ValueError(f"feature width mismatch: {len(ids)} ids, candidates "
-                         f"{cands.shape}, queries {queries.shape}")
-    scores = np.empty(len(ids))
-    for i in range(len(ids)):
-        scores[i] = max(_cosine(cands[i], queries[j]) for j in range(queries.shape[0]))
-    return selection_from_order("less", percent, ids, descending_order(scores), scores)
-
-
-def ppl_select(ids: list[str], perplexities: list[float], percent: float) -> SelectionResult:
-    """Density criterion over perplexities instead of gradient magnitudes."""
-    ppl = np.asarray(perplexities, dtype=float)
-    if ppl.size == 0:
-        raise ValueError("no perplexities")
-    if np.any(ppl <= 0):
-        raise ValueError("perplexities must be positive")
-    return select_by_density(ppl, list(ids), percent, "ppl")
+    if not len(queries) or cands.shape[1:] != queries.shape[1:]:
+        raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
+                         f"queries {queries.shape}")
+    return np.array([max(_cosine(c, q) for q in queries) for c in cands])
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,8 @@ from .corpus import (
 from .evalmetrics import bleu, greedy_decode, meteor_report, pilot_deciles, rouge_report
 from .gradstats import GradientRecord, _fmt, aggregate_instance, read_records, write_records
 from .rng import ROLE_SPLIT, substream
-from .selector import STRATEGIES, TIE_BREAK, SelectionResult, attach_strata, select_strategy
+from .selector import (STRATEGIES, TIE_BREAK, SelectionResult, density_order, descending_order,
+                       select_strategy, selection_from_order)
 from .tinylm import (
     Model,
     ModelConfig,
@@ -580,36 +582,44 @@ def run_selection_by_name(
     cfg: RunConfig,
     ref_model: Model | None,
 ) -> SelectionResult:
-    """Dispatch a density strategy or a baseline over the candidate records;
-    the result carries the stratum mix of what it selected. ref_model is the
-    checkpoint rds/less/ppl read."""
+    """Rank the candidate records by a density strategy or a baseline, then
+    keep the first subset_size of that order: the one place a ranking becomes
+    a selection. The result carries the stratum mix of what it selected.
+    ref_model is the checkpoint rds/less/ppl read."""
     cand_ids = [r.instance_id for r in candidates]
     query_ids = prep.split.query
     if name in QUERY_NAMES and not query_ids:
         raise ValueError(f"{name} needs a nonempty query split")
+    seed = bandwidth = None
     if name in STRATEGIES:
-        result = select_strategy(candidates, name, fraction)
+        order, scores, bandwidth = select_strategy(candidates, name, fraction)
     elif name == "random":
-        result = baselines.select_random(cand_ids, fraction, cfg.seed)
+        seed = cfg.seed
+        order, scores = baselines.select_random(len(cand_ids), seed), np.ones(len(cand_ids))
     elif name in ("bm25", "dsir"):
         cands, queries = ((split_words(i.prompt + " " + i.response)
                            for i in prep.instances_for(ids)) for ids in (cand_ids, query_ids))
         if name == "bm25":
-            result = baselines.bm25_select(cand_ids, cands, queries, fraction)
+            scores = baselines.bm25_scores(cands, queries)
+            order = descending_order(scores)
         else:
-            result = baselines.dsir_select(cand_ids, cands, queries, fraction, cfg.seed)
+            seed = cfg.seed
+            scores = baselines.dsir_log_weights(cands, queries)
+            order = baselines.dsir_order(scores, seed)
     elif name == "ppl":
-        ppls = baselines.sequence_perplexities(ref_model, prep.seqs_for(cand_ids))
-        result = baselines.ppl_select(cand_ids, ppls, fraction)
+        ppls = np.array(baselines.sequence_perplexities(ref_model, prep.seqs_for(cand_ids)))
+        if np.any(ppls <= 0):
+            raise ValueError("perplexities must be positive")
+        order, scores, bandwidth = density_order(ppls)
     else:
         feats = (baselines.representation_features if name == "rds"
                  else baselines.gradient_features)
         cands, queries = (feats(ref_model, prep.seqs_for(ids)) for ids in (cand_ids, query_ids))
-        if name == "rds":
-            result = baselines.rds_select(cand_ids, cands, queries, fraction)
-        else:
-            result = baselines.less_select(cand_ids, cands, queries, fraction)
-    return attach_strata(result, prep.strata)
+        scores = (baselines.rds_scores if name == "rds" else baselines.less_scores)(cands, queries)
+        order = descending_order(scores)
+    result = selection_from_order(name, fraction, cand_ids, order, scores, seed, bandwidth)
+    strata = Counter(prep.strata.get(i) or "unlabeled" for i in result.selected_ids)
+    return replace(result, stratum_counts=dict(strata))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ normalization-based variants of the same pipeline are provided for ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -115,9 +115,16 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
     """Keep the first subset_size(len(ids), percent) indices of order.
 
     order indexes ids, best first; scores[i] is the value reported for ids[i]
-    (no values are reported when scores is None).
+    (no values are reported when scores is None), so a score count other than
+    the id count is refused. A bandwidth marks a density ranking, whose every
+    kept density must dominate every dropped one.
     """
-    chosen = order[: subset_size(len(ids), percent)]
+    if scores is not None and len(scores) != len(ids):
+        raise ValueError(f"{len(ids)} ids for {len(scores)} scores")
+    size = subset_size(len(ids), percent)
+    chosen = order[:size]
+    if bandwidth is not None and size < len(order):  # also trips on NaN densities
+        assert scores[chosen].min() >= scores[order[size:]].max()
     return SelectionResult(
         strategy=strategy,
         fraction_percent=percent,
@@ -129,25 +136,19 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
     )
 
 
-def select_by_density(values: np.ndarray, ids: list[str], percent: float,
-                      strategy: str) -> SelectionResult:
-    """Fit a Silverman-bandwidth KDE to values and keep the densest percent,
-    ties broken by dataset position.
+def density_order(values) -> tuple[list[int], np.ndarray | None, float | None]:
+    """Rank values by their density under a Silverman-bandwidth KDE, densest
+    first, ties broken by dataset position; returns the order, the densities
+    and the bandwidth.
 
     When every value is the same, every instance has the same density: the
-    tie-break keeps the first ones in dataset order, and the result carries
-    no bandwidth and no f values.
+    order is the dataset order, with no densities and no bandwidth.
     """
     h = silverman_bandwidth(values)
     if h is None:
-        return selection_from_order(strategy, percent, ids, list(range(len(ids))), None)
+        return list(range(len(values))), None, None
     f = kde_density(values, h, values)
-    order = descending_order(f)
-    result = selection_from_order(strategy, percent, ids, order, f, bandwidth=h)
-    size = len(result.ordered_ids)
-    if size < len(order):  # every kept density dominates every dropped one
-        assert f[order[:size]].min() >= f[order[size:]].max()
-    return result
+    return descending_order(f), f, h
 
 
 def minmax_unit(x: np.ndarray) -> np.ndarray:
@@ -180,23 +181,24 @@ def weightr_values(records: list[GradientRecord]) -> np.ndarray:
 
 
 def select_strategy(records: list[GradientRecord], strategy: str,
-                    percent: float) -> SelectionResult:
-    """Dispatch over the ablation families: the top, tail and mid windows rank
-    g_grads itself; the density variants share the KDE path."""
+                    percent: float) -> tuple[list[int], np.ndarray | None, float | None]:
+    """Rank records by one of STRATEGIES: the order, the scores and the KDE
+    bandwidth. The top, tail and mid windows rank g_grads itself, and only mid
+    reads percent, as its window is centred on the budget; the density
+    variants share density_order."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not records:
         raise ValueError("no records to select from")
-    ids = [r.instance_id for r in records]
     g = np.array([r.g_grads for r in records])
     window = strategy.split("_")[0]
     if window in ("top", "tail", "mid"):
         if window == "tail":  # ascending, ties keep the lower index first
             order = np.lexsort((g,)).tolist()
         else:  # top from rank 0; mid centered on the median rank, clipped by construction
-            lo = 0 if window == "top" else (len(ids) - subset_size(len(ids), percent)) // 2
+            lo = 0 if window == "top" else (len(g) - subset_size(len(g), percent)) // 2
             order = descending_order(g)[lo:]
-        return selection_from_order(strategy, percent, ids, order, g)
+        return order, g, None
     if strategy == "grads":
         values = g
     elif strategy == "emb_only":
@@ -207,14 +209,4 @@ def select_strategy(records: list[GradientRecord], strategy: str,
         values = weight_values(records)
     else:
         values = weightr_values(records)
-    return select_by_density(values, ids, percent, strategy)
-
-
-def attach_strata(result: SelectionResult,
-                  strata_by_id: dict[str, str | None]) -> SelectionResult:
-    """Fill stratum_counts when generator provenance is available."""
-    counts: dict[str, int] = {}
-    for i in result.selected_ids:
-        label = strata_by_id.get(i) or "unlabeled"
-        counts[label] = counts.get(label, 0) + 1
-    return replace(result, stratum_counts=counts)
+    return density_order(values)

@@ -32,6 +32,7 @@ from gradsel.selector import (
     STRATEGIES,
     kde_density,
     select_strategy,
+    selection_from_order,
     silverman_bandwidth,
     subset_size,
 )
@@ -221,6 +222,13 @@ def test_criterion_03_kde_density_normalization():
 # criterion 4: selector size rule, density cut, and invariances
 
 
+def _select(records, strategy, percent):
+    """select_strategy's ranking cut to the budget, as the pipeline cuts it."""
+    order, scores, h = select_strategy(records, strategy, percent)
+    ids = [r.instance_id for r in records]
+    return selection_from_order(strategy, percent, ids, order, scores, bandwidth=h)
+
+
 def test_criterion_04_selector_invariants():
     rng = np.random.default_rng(41)
 
@@ -230,26 +238,26 @@ def test_criterion_04_selector_invariants():
             expected = max(1, int(Fraction(str(percent)) * k / 100 + Fraction(1, 2)))
             assert subset_size(k, percent) == expected
             if k >= 2:  # density fit needs a defined sample spread
-                result = select_strategy(records, "grads", percent)
+                result = _select(records, "grads", percent)
                 assert len(result.selected_ids) == expected
 
     values = [float(g) for g in rng.lognormal(0.0, 0.5, 60)]
     records = [_rec(i, g) for i, g in enumerate(values)]
-    result = select_strategy(records, "grads", 40)
+    result = _select(records, "grads", 40)
     chosen = set(result.selected_ids)
     lo = min(result.f_values[i] for i in chosen)
     hi = max(v for i, v in result.f_values.items() if i not in chosen)
     assert lo >= hi
 
-    base = set(select_strategy(records, "grads", 35).selected_ids)
+    base = set(_select(records, "grads", 35).selected_ids)
     for _ in range(20):
         scale = float(np.exp(rng.uniform(-3, 3)))
         scaled = [_rec(i, g * scale) for i, g in enumerate(values)]
-        assert set(select_strategy(scaled, "grads", 35).selected_ids) == base
+        assert set(_select(scaled, "grads", 35).selected_ids) == base
 
     shuffled = list(records)
     rng.shuffle(shuffled)
-    assert set(select_strategy(shuffled, "grads", 35).selected_ids) == base
+    assert set(_select(shuffled, "grads", 35).selected_ids) == base
     _verdict(4, True, "size rule, density cut, rescale and permutation invariance")
 
 
@@ -320,7 +328,7 @@ def test_criterion_08_ablation_ordering(trend_runs):
 
     records = [_rec(i, float(g)) for i, g in enumerate((5, 1, 9, 3, 7, 2, 8, 4, 6, 0))]
     oracle = {"r0002", "r0006", "r0004", "r0008", "r0000"}  # g = 9 8 7 6 5
-    picked = set(select_strategy(records, "top_grad", 50).selected_ids)
+    picked = set(_select(records, "top_grad", 50).selected_ids)
 
     ok = grads >= top and grads >= weightr and picked == oracle
     _verdict(8, ok, f"bleu grads {grads:.3f} >= top_grad {top:.3f}, "
@@ -402,13 +410,12 @@ def test_criterion_10_baseline_determinism(small_run, tmp_path):
     assert math.exp(logw[0]) == pytest.approx(
         float(r["a"] ** 2 * r["b"] * r["aa"] * r["ab"]), rel=1e-12)
 
-    ids = [f"i{k:02d}" for k in range(20)]
-    counts = {i: 0 for i in ids}
+    counts = [0] * 20
     trials = 10_000
     for seed in range(trials):
-        for picked in select_random(ids, 50.0, seed).selected_ids:
+        for picked in select_random(20, seed)[: subset_size(20, 50.0)]:
             counts[picked] += 1
-    freqs = [c / trials for c in counts.values()]
+    freqs = [c / trials for c in counts]
     spread = max(abs(f - 0.5) for f in freqs)
     assert spread <= 0.02
 

@@ -15,20 +15,18 @@ from gradsel.baselines import (
     DSIR_BUCKETS,
     DSIR_ORDERS,
     bm25_scores,
-    bm25_select,
     dsir_log_weights,
-    dsir_select,
+    dsir_order,
     gradient_features,
     hash_bucket,
-    less_select,
-    ppl_select,
-    rds_select,
+    less_scores,
+    rds_scores,
     representation_features,
     select_random,
 )
 from gradsel.corpus import TokenSequence
 from gradsel.rng import ROLE_SELECT, substream
-from gradsel.selector import subset_size
+from gradsel.selector import density_order, descending_order, selection_from_order, subset_size
 from gradsel.tinylm import ModelConfig, init_model
 
 
@@ -37,37 +35,32 @@ def _ids(n):
 
 
 def test_random_full_and_deterministic():
-    ids = _ids(10)
-    assert set(select_random(ids, 100, seed=1).selected_ids) == set(ids)
-    a = select_random(ids, 50, seed=42)
-    b = select_random(ids, 50, seed=42)
-    assert a.selected_ids == b.selected_ids
-    assert len(a.selected_ids) == 5
-    assert select_random(ids, 50, seed=43).selected_ids != a.selected_ids
+    assert sorted(select_random(10, seed=1)) == list(range(10))
+    a = select_random(10, seed=42)
+    assert a == select_random(10, seed=42)
+    assert sorted(a[:5]) != sorted(select_random(10, seed=43)[:5])
+    with pytest.raises(ValueError, match="^no candidates$"):
+        select_random(0, seed=1)
 
 
 def test_random_order_matches_sorted_reference():
-    # reference: the sampled indices, then the rest in sorted(set(...)) order
-    ids = _ids(37)
+    # reference: the k-sample of the same stream, for the kept prefix
     for seed in range(5):
-        size = subset_size(len(ids), 30)
-        picked = substream(seed, ROLE_SELECT).sample_without_replacement(len(ids), size)
-        order = (picked + sorted(set(range(len(ids))) - set(picked)))[:size]
-        res = select_random(ids, 30, seed=seed)
-        assert res.ordered_ids == tuple(ids[i] for i in order)
-        assert res.selected_ids == tuple(ids[i] for i in sorted(order))
-        assert [res.f_values[i] for i in ids] == [float(k in picked) for k in range(len(ids))]
+        size = subset_size(37, 30)
+        picked = substream(seed, ROLE_SELECT).sample_without_replacement(37, size)
+        order = select_random(37, seed=seed)
+        assert order[:size] == picked
+        assert sorted(order) == list(range(37))
 
 
 def test_random_marginal_frequencies():
-    ids = _ids(10)
-    hits = {i: 0 for i in ids}
+    hits = [0] * 10
     trials = 10000
     for s in range(trials):
-        for i in select_random(ids, 50, seed=s).selected_ids:
+        for i in select_random(10, seed=s)[:5]:
             hits[i] += 1
-    for i in ids:
-        assert abs(hits[i] / trials - 0.5) < 0.02
+    for h in hits:
+        assert abs(h / trials - 0.5) < 0.02
 
 
 def test_bm25_single_doc_idf():
@@ -86,8 +79,7 @@ def test_bm25_no_overlap_scores_zero():
     scores = bm25_scores(docs, [["apple", "tart"]])
     assert scores[0] == 0.0
     assert scores[1] > 0.0
-    res = bm25_select(_ids(2), docs, [["apple"]], 50)
-    assert res.selected_ids == ("c001",)
+    assert descending_order(bm25_scores(docs, [["apple"]]))[:1] == [1]
 
 
 def test_bm25_duplicate_docs_share_score():
@@ -247,10 +239,10 @@ def test_dsir_log_weights_match_per_occurrence_reference(n_buckets, monkeypatch)
 def test_dsir_deterministic_and_sized():
     cands = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]
     target = [["a", "b"]]
-    a = dsir_select(_ids(4), cands, target, 50, seed=7)
-    b = dsir_select(_ids(4), cands, target, 50, seed=7)
-    assert a.selected_ids == b.selected_ids
-    assert len(a.selected_ids) == 2
+    logw = dsir_log_weights(cands, target)
+    a = dsir_order(logw, seed=7)
+    assert a == dsir_order(logw, seed=7)
+    assert sorted(a) == [0, 1, 2, 3]
 
 
 # Empty and one-word documents, a word no other document has, and repeats.
@@ -287,13 +279,21 @@ def test_an_all_empty_pool_scores_zero_without_a_warning():
     assert np.array_equal(dsir_log_weights(iter(docs), _EDGE_QUERIES), np.zeros(3))
 
 
-def test_bm25_and_dsir_refuse_a_candidate_count_other_than_the_id_count():
-    with pytest.raises(ValueError, match="^3 ids for 2 candidates$"):
-        bm25_select(_ids(3), [["x", "y"], ["y"]], [["y"]], 50)
-    with pytest.raises(ValueError, match="^1 ids for 3 candidates$"):
-        dsir_select(_ids(1), [["x", "y"], ["y"], ["x"]], [["y"]], 50, seed=0)
-    with pytest.raises(ValueError, match="^2 ids for 3 candidates$"):
-        bm25_select(_ids(2), iter([["x"], ["y"], ["x"]]), [["y"]], 50)
+def test_a_score_count_other_than_the_id_count_is_refused():
+    # the cut zips ids with scores, so a short or long score array is refused
+    # there rather than truncated
+    scores = bm25_scores([["x", "y"], ["y"]], [["y"]])
+    with pytest.raises(ValueError, match="^3 ids for 2 scores$"):
+        selection_from_order("bm25", 50, _ids(3), descending_order(scores), scores)
+    logw = dsir_log_weights([["x", "y"], ["y"], ["x"]], [["y"]])
+    with pytest.raises(ValueError, match="^1 ids for 3 scores$"):
+        selection_from_order("dsir", 50, _ids(1), dsir_order(logw, 0), logw, seed=0)
+    scores = bm25_scores(iter([["x"], ["y"], ["x"]]), [["y"]])
+    with pytest.raises(ValueError, match="^2 ids for 3 scores$"):
+        selection_from_order("bm25", 50, _ids(2), descending_order(scores), scores)
+    ones = np.ones(4)
+    with pytest.raises(ValueError, match="^5 ids for 4 scores$"):
+        selection_from_order("random", 100, _ids(5), select_random(5, 0), ones, seed=0)
 
 
 def _word_docs(n_docs, seed, shortest=0):
@@ -338,48 +338,58 @@ def _rows(*rows):
 def test_rds_self_similarity_ranks_first():
     q = _rows([1.0, 2.0, 3.0])
     cands = _rows([3.0, -1.0, 0.5], [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
-    res = rds_select(_ids(3), cands, q, 34)
-    assert res.selected_ids == ("c001",)
-    assert res.f_values["c001"] == pytest.approx(1.0)
-    assert res.f_values["c002"] == pytest.approx(-1.0)
+    scores = rds_scores(cands, q)
+    assert descending_order(scores)[: subset_size(3, 34)] == [1]
+    assert scores[1] == pytest.approx(1.0)
+    assert scores[2] == pytest.approx(-1.0)
 
 
 def test_rds_orthogonal_and_scale_invariance():
     q = _rows([1.0, 0.0])
     cands = _rows([0.0, 2.0], [5.0, 0.0])
-    res = rds_select(_ids(2), cands, q, 100)
-    assert res.f_values["c000"] == pytest.approx(0.0)
-    assert res.f_values["c001"] == pytest.approx(1.0)
-    scaled = rds_select(_ids(2), _rows([0.0, 10.0], [0.2, 0.0]), q, 50)
-    assert scaled.selected_ids == res.selected_ids[:1] or scaled.selected_ids == ("c001",)
+    scores = rds_scores(cands, q)
+    assert scores[0] == pytest.approx(0.0)
+    assert scores[1] == pytest.approx(1.0)
+    scaled = rds_scores(_rows([0.0, 10.0], [0.2, 0.0]), q)
+    assert descending_order(scaled)[:1] == [1]
 
 
 def test_rds_zero_norm_candidate_scores_minus_one():
     q = _rows([1.0, 1.0])
     cands = _rows([0.0, 0.0], [1.0, 1.0])
-    res = rds_select(_ids(2), cands, q, 50)
-    assert res.f_values["c000"] == -1.0
-    assert res.selected_ids == ("c001",)
+    scores = rds_scores(cands, q)
+    assert scores[0] == -1.0
+    assert descending_order(scores)[:1] == [1]
 
 
 def test_rds_length_mismatch_rejected():
     with pytest.raises(ValueError, match="width mismatch"):
-        rds_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100)
-    with pytest.raises(ValueError, match="width mismatch"):  # one row per id
-        rds_select(_ids(2), _rows([1.0, 2.0]), _rows([1.0, 2.0]), 100)
+        rds_scores(_rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]))
+    scores = rds_scores(_rows([1.0, 2.0]), _rows([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^2 ids for 1 scores$"):  # one row per id
+        selection_from_order("rds", 100, _ids(2), descending_order(scores), scores)
+    with pytest.raises(ValueError, match="^all query features have zero norm$"):
+        rds_scores(_rows([1.0, 2.0]), _rows([0.0, 0.0]))
 
 
 def test_less_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="width mismatch"):
-        less_select(_ids(1), _rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]), 100)
+        less_scores(_rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="width mismatch"):  # no query rows
-        less_select(_ids(1), _rows([1.0, 2.0]), np.empty((0, 2)), 100)
+        less_scores(_rows([1.0, 2.0]), np.empty((0, 2)))
+
+
+def _ppl_selection(ids, ppls, percent):
+    """The pipeline's ppl branch on measured perplexities: their density
+    order, cut to the budget."""
+    order, f, h = density_order(np.array(ppls))
+    return selection_from_order("ppl", percent, ids, order, f, bandwidth=h)
 
 
 def test_ppl_outlier_rejected():
     rng = np.random.default_rng(0)
     ppls = list(rng.normal(10.0, 0.1, 99)) + [1000.0]
-    res = ppl_select(_ids(100), ppls, 50)
+    res = _ppl_selection(_ids(100), ppls, 50)
     assert "c099" not in res.selected_ids
     assert len(res.selected_ids) == 50
 
@@ -387,12 +397,10 @@ def test_ppl_outlier_rejected():
 def test_ppl_full_and_scale_invariant():
     rng = np.random.default_rng(1)
     ppls = list(rng.uniform(5, 15, 20))
-    assert len(ppl_select(_ids(20), ppls, 100).selected_ids) == 20
-    a = ppl_select(_ids(20), ppls, 40).selected_ids
-    b = ppl_select(_ids(20), [2 * p for p in ppls], 40).selected_ids
+    assert len(_ppl_selection(_ids(20), ppls, 100).selected_ids) == 20
+    a = _ppl_selection(_ids(20), ppls, 40).selected_ids
+    b = _ppl_selection(_ids(20), [2 * p for p in ppls], 40).selected_ids
     assert a == b
-    with pytest.raises(ValueError, match="positive"):
-        ppl_select(_ids(2), [1.0, -2.0], 50)
 
 
 def test_less_identical_vector_scores_one():
@@ -400,16 +408,15 @@ def test_less_identical_vector_scores_one():
     dim = 300
     q = rng.normal(size=dim)
     cands = _rows(rng.normal(size=dim), q)
-    res = less_select(_ids(2), cands, _rows(q), 50)
-    assert res.f_values["c001"] == pytest.approx(1.0, abs=1e-12)
-    assert res.selected_ids == ("c001",)
+    scores = less_scores(cands, _rows(q))
+    assert scores[1] == pytest.approx(1.0, abs=1e-12)
+    assert descending_order(scores)[:1] == [1]
 
 
 def test_less_no_projection_is_exact_cosine():
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([2.0, 4.0, 4.0])
-    res = less_select(_ids(1), _rows(u), _rows(v), 100)
-    assert res.f_values["c000"] == pytest.approx(1.0, rel=1e-12)
+    assert less_scores(_rows(u), _rows(v))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 _SEQS = [
@@ -448,12 +455,16 @@ def test_all_baselines_subset_size_matches_rule():
     gfeats = rng.normal(size=(7, 5))
     gq = rng.normal(size=(1, 5))
     ppls = list(rng.uniform(5, 9, 7))
-    for res in (
-        select_random(ids, 50, 0),
-        bm25_select(ids, docs, qs, 50),
-        dsir_select(ids, docs, qs, 50, 0),
-        rds_select(ids, feats, qf, 50),
-        less_select(ids, gfeats, gq, 50),
-        ppl_select(ids, ppls, 50),
+    bm25, logw = bm25_scores(docs, qs), dsir_log_weights(docs, qs)
+    rds, less = rds_scores(feats, qf), less_scores(gfeats, gq)
+    for order, scores, bandwidth in (
+        (select_random(7, 0), np.ones(7), None),
+        (descending_order(bm25), bm25, None),
+        (dsir_order(logw, 0), logw, None),
+        (descending_order(rds), rds, None),
+        (descending_order(less), less, None),
+        density_order(np.array(ppls)),
     ):
+        assert sorted(order) == list(range(7))
+        res = selection_from_order("any", 50, ids, order, scores, bandwidth=bandwidth)
         assert len(res.selected_ids) == 4  # 3.5 rounds half-up

@@ -6,13 +6,14 @@ import os
 import re
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gradsel import pipeline
+from gradsel import baselines, pipeline
 from gradsel.corpus import sha256
-from gradsel.gradstats import aggregate_instance, read_records, write_records
+from gradsel.gradstats import GradientRecord, aggregate_instance, read_records, write_records
 from gradsel.pipeline import (
     RunConfig,
     check_provenance,
@@ -576,6 +577,27 @@ def test_bm25_with_no_query_split_is_refused(extract_run, tmp_path):
     with pytest.raises(ValueError, match="^bm25 needs a nonempty query split$"):
         run_select(replace(cfg, out_dir=str(tmp_path), query_size=0), out["records"],
                    "bm25", 50.0)
+
+
+def test_selection_counts_the_strata_it_keeps():
+    recs = [GradientRecord(f"r{i}", g, 0.0, g, 4, 2, "00" * 8, -1)
+            for i, g in enumerate([1.0, 1.01, 5.0, 1.02])]
+    prep = SimpleNamespace(split=SimpleNamespace(query=[]),
+                           strata={"r0": "domain", "r1": "noise", "r2": None, "r3": "domain"})
+    kept = pipeline.run_selection_by_name("grads", 75.0, recs, prep, None, None)
+    assert kept.selected_ids == ("r0", "r1", "r3")  # the outlier r2 is dropped
+    assert kept.stratum_counts == {"domain": 2, "noise": 1}
+    every = pipeline.run_selection_by_name("grads", 100.0, recs, prep, None, None)
+    assert every.stratum_counts == {"domain": 2, "noise": 1, "unlabeled": 1}
+
+
+def test_ppl_refuses_a_perplexity_that_is_not_positive(extract_run, tmp_path, monkeypatch):
+    cfg, out = extract_run
+    monkeypatch.setattr(baselines, "sequence_perplexities",
+                        lambda model, seqs: [1.0] * (len(seqs) - 1) + [-2.0])
+    with pytest.raises(ValueError, match="^perplexities must be positive$"):
+        run_select(replace(cfg, out_dir=str(tmp_path / "sel")), out["records"], "ppl", 50.0)
+    assert not (tmp_path / "sel").exists()
 
 
 def test_run_baseline_writes_what_run_select_writes(extract_run, tmp_path):

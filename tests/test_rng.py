@@ -133,6 +133,17 @@ def test_sample_without_replacement():
     assert sorted(SplitMix64(8).sample_without_replacement(5, 5)) == list(range(5))
 
 
+def test_a_full_sample_starts_with_every_shorter_sample():
+    # random selection ranks by the full pass and keeps its first k entries,
+    # which must be the k-sample of the same stream
+    for n in (1, 2, 5, 17, 64):
+        for seed in (0, 7, 2**63 + 5):
+            full = SplitMix64(seed).sample_without_replacement(n, n)
+            assert sorted(full) == list(range(n))
+            for k in range(n + 1):
+                assert SplitMix64(seed).sample_without_replacement(n, k) == full[:k]
+
+
 def test_substreams_diverge_and_repeat():
     a = substream(42, ROLE_INIT)
     b = substream(42, ROLE_SHUFFLE)

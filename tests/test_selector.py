@@ -13,13 +13,12 @@ from gradsel.selector import (
     descending_order,
     descending_ranks,
     kde_density,
+    density_order,
     minmax_unit,
-    select_by_density,
     select_strategy,
     selection_from_order,
     silverman_bandwidth,
     subset_size,
-    attach_strata,
     weight_values,
     weightr_values,
 )
@@ -36,6 +35,13 @@ def _rec(i, g_emb, g_lm=0.0):
         model_fingerprint="00" * 8,
         step_index=-1,
     )
+
+
+def _select(recs, strategy, percent):
+    """select_strategy's ranking cut to the budget, as the pipeline cuts it."""
+    order, scores, h = select_strategy(recs, strategy, percent)
+    ids = [r.instance_id for r in recs]
+    return selection_from_order(strategy, percent, ids, order, scores, bandwidth=h)
 
 
 def _brute_kde(values, h):
@@ -91,7 +97,7 @@ def test_silverman_degenerate_cases():
 @pytest.mark.parametrize("strategy", ["grads", "emb_only", "lm_only", "weight"])
 def test_constant_values_keep_the_first_instances_without_a_bandwidth(strategy):
     recs = [_rec(i, 0.3, 0.1) for i in range(10)]
-    res = select_strategy(recs, strategy, 40)
+    res = _select(recs, strategy, 40)
     assert res.selected_ids == res.ordered_ids == ("r000", "r001", "r002", "r003")
     assert res.bandwidth is None and res.f_values == {}
 
@@ -164,7 +170,7 @@ def test_subset_size_rules():
 
 
 def _keep_densest(f, percent):
-    """The ranking select_by_density applies to its densities f."""
+    """The cut run_selection_by_name applies to density_order's densities f."""
     ids = [f"s{i}" for i in range(len(f))]
     return selection_from_order("grads", percent, ids, descending_order(f), f)
 
@@ -182,11 +188,12 @@ def test_densest_tie_break_by_index():
     assert res.selected_ids == ("s0", "s1")
 
 
-def test_select_by_density_boundary_dominance():
+def test_density_order_boundary_dominance():
     rng = np.random.default_rng(3)
     vals = rng.uniform(size=31)
     ids = [f"s{i}" for i in range(31)]
-    res = select_by_density(vals, ids, 37, "grads")
+    order, f, h = density_order(vals)
+    res = selection_from_order("grads", 37, ids, order, f, bandwidth=h)
     assert res.bandwidth == silverman_bandwidth(vals)
     assert list(res.f_values.values()) == kde_density(vals, res.bandwidth, vals).tolist()
     kept = {f for i, f in res.f_values.items() if i in res.selected_ids}
@@ -195,13 +202,21 @@ def test_select_by_density_boundary_dominance():
     assert min(kept) >= max(dropped)
 
 
+def test_the_density_cut_trips_on_nan_densities():
+    ids = ["s0", "s1", "s2", "s3"]
+    for f in ([0.3, np.nan, 0.2, 0.1], [np.nan, 0.3, 0.2, 0.1]):  # dropped, kept
+        f = np.array(f)
+        with pytest.raises(AssertionError):
+            selection_from_order("grads", 50, ids, descending_order(f), f, bandwidth=1.0)
+
+
 def test_density_selection_scale_invariant():
     rng = np.random.default_rng(4)
     g = np.concatenate([rng.normal(1.0, 0.05, 30), rng.normal(3.0, 0.05, 30)])
     recs = [_rec(i, v) for i, v in enumerate(g)]
-    base = select_strategy(recs, "grads", 40)
+    base = _select(recs, "grads", 40)
     scaled_recs = [_rec(i, v * 17.3) for i, v in enumerate(g)]
-    scaled = select_strategy(scaled_recs, "grads", 40)
+    scaled = _select(scaled_recs, "grads", 40)
     assert base.selected_ids == scaled.selected_ids
 
 
@@ -210,7 +225,7 @@ def test_bimodal_takes_both_clusters_drops_outlier():
     low = rng.normal(1.0, 0.03, 25)
     high = rng.normal(5.0, 0.03, 25)
     recs = [_rec(i, v) for i, v in enumerate(np.concatenate([low, high, [40.0]]))]
-    res = select_strategy(recs, "grads", 50)
+    res = _select(recs, "grads", 50)
     picked = set(res.selected_ids)
     assert any(f"r{i:03d}" in picked for i in range(25))
     assert any(f"r{i:03d}" in picked for i in range(25, 50))
@@ -220,22 +235,22 @@ def test_bimodal_takes_both_clusters_drops_outlier():
 def test_grads_equals_emb_only_when_lm_zero():
     rng = np.random.default_rng(6)
     recs = [_rec(i, v, 0.0) for i, v in enumerate(rng.uniform(1, 2, 40))]
-    a = select_strategy(recs, "grads", 30)
-    b = select_strategy(recs, "emb_only", 30)
+    a = _select(recs, "grads", 30)
+    b = _select(recs, "emb_only", 30)
     assert a.selected_ids == b.selected_ids
 
 
 def test_top_and_tail_windows():
     recs = [_rec(i, v) for i, v in enumerate([1.0, 2.0, 3.0, 4.0])]
-    top = select_strategy(recs, "top_grad", 50)
+    top = _select(recs, "top_grad", 50)
     assert top.selected_ids == ("r002", "r003")
-    tail = select_strategy(recs, "tail_grad", 50)
+    tail = _select(recs, "tail_grad", 50)
     assert tail.selected_ids == ("r000", "r001")
 
 
 def test_mid_window_centered_on_median():
     recs = [_rec(i, v) for i, v in enumerate([5.0, 4.0, 3.0, 2.0, 1.0])]
-    mid = select_strategy(recs, "mid_grad", 40)
+    mid = _select(recs, "mid_grad", 40)
     # descending order r000..r004; size 2, margin (5-2)//2=1 -> ranks 2..3
     assert mid.selected_ids == ("r001", "r002")
 
@@ -267,7 +282,7 @@ def test_weight_strategies_run_end_to_end():
     recs = [_rec(i, a, b) for i, (a, b) in
             enumerate(zip(rng.uniform(1, 2, 30), rng.uniform(0.1, 3, 30)))]
     for strat in ("weight", "weightr", "lm_only"):
-        res = select_strategy(recs, strat, 20)
+        res = _select(recs, strat, 20)
         assert len(res.selected_ids) == 6
         assert len(set(res.selected_ids)) == 6
 
@@ -278,7 +293,7 @@ def test_unknown_strategy_and_empty_records():
     with pytest.raises(ValueError):
         select_strategy([], "grads", 50)
     with pytest.raises(ValueError):
-        select_by_density(np.array([]), [], 50, "grads")
+        density_order(np.array([]))
     with pytest.raises(ValueError):
         _keep_densest([], 50)
 
@@ -287,20 +302,12 @@ def test_permutation_invariance_of_selected_set():
     rng = np.random.default_rng(8)
     g = list(rng.uniform(1, 4, 25))
     recs = [_rec(i, v) for i, v in enumerate(g)]
-    res = select_strategy(recs, "grads", 40)
+    res = _select(recs, "grads", 40)
     perm = list(range(25))
     rng.shuffle(perm)
     shuffled = [recs[i] for i in perm]
-    res2 = select_strategy(shuffled, "grads", 40)
+    res2 = _select(shuffled, "grads", 40)
     assert set(res.selected_ids) == set(res2.selected_ids)
-
-
-def test_attach_strata_counts():
-    recs = [_rec(i, v) for i, v in enumerate([1.0, 1.01, 5.0, 1.02])]
-    res = select_strategy(recs, "grads", 75)
-    strata = {"r000": "domain", "r001": "noise", "r002": None, "r003": "domain"}
-    tagged = attach_strata(res, strata)
-    assert sum(tagged.stratum_counts.values()) == len(res.selected_ids)
 
 
 def test_numpy_rankings_match_sorted_reference():
@@ -321,7 +328,7 @@ def test_numpy_rankings_match_sorted_reference():
         lo = (n - size) // 2
         for strategy, ref in (("top_grad", desc[:size]), ("tail_grad", asc[:size]),
                               ("mid_grad", desc[lo : lo + size])):
-            res = select_strategy(recs, strategy, 50)
+            res = _select(recs, strategy, 50)
             assert res.ordered_ids == tuple(recs[i].instance_id for i in ref)
             assert res.selected_ids == tuple(recs[i].instance_id for i in sorted(ref))
         res = _keep_densest(x, 50)
