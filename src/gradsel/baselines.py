@@ -200,7 +200,12 @@ def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
 
 def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     """Final-layer hidden state at each sequence's last position, one row per
-    sequence."""
+    sequence.
+
+    Every sequence is run, repeats included: unlike frozen_gradients' rows,
+    no test shows these are bit-identical to a batch of one. forward's
+    last-position GEMM over the chunk rounds a row by its position; it makes
+    the logits, and the rows read here come before it."""
     blocks = []
     for _, batch in batches(seqs):
         trace = forward(model, batch, last_only=True)
@@ -210,7 +215,8 @@ def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarr
 
 def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     """Concatenated mean embedding-gradient (d) and mean logit-gradient (V) of
-    each sequence's token_vectors, one row per sequence.
+    each sequence's token_vectors, one row per sequence; a repeated sequence
+    gets its first copy's row, as frozen_gradients measures it once.
 
     The logit rows have the uniform loss weight divided out, so feature
     direction does not depend on response length.
@@ -222,8 +228,8 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
             emb_vecs, lm_vecs = token_vectors(seq, batch, res, b)
             rows.append(np.concatenate([emb_vecs.mean(axis=0), lm_vecs.mean(axis=0)]))
 
-    frozen_gradients(model, seqs, mean_token_vectors)
-    return _feature_matrix(seqs, rows)
+    at = frozen_gradients(model, seqs, mean_token_vectors)
+    return _feature_matrix(seqs, [rows[i] for i in at])
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -354,10 +354,9 @@ def build_reference_model(cfg: RunConfig, prep: Prepared) -> Model:
 def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     """Gradient records for every instance in the dataset file, sorted by id.
 
-    Frozen mode measures each distinct token sequence once, at its first
-    instance in dataset order, and gives every instance that repeats it the
-    same record under its own id: a frozen measurement reads only the tokens
-    and sep_pos, and is bit-identical whatever its batch-mates. Online mode
+    Frozen mode gives every instance that repeats an earlier token sequence
+    the record of that sequence's first instance, under its own id, since
+    frozen_gradients measures each distinct sequence once. Online mode
     measures every instance in the training step that consumes it."""
     t0 = time.perf_counter()
     prep = prep or prepare(cfg)
@@ -374,18 +373,11 @@ def run_extract(cfg: RunConfig, prep: Prepared | None = None) -> dict:
     # consumes it. Either way the checkpoint is the warmup model the records'
     # fingerprint names, written only once the records are.
     if cfg.mode == "frozen":
-        firsts: dict[tuple, TokenSequence] = {}
-        repeats: list[TokenSequence] = []
-        for seq in prep.seqs:
-            key = (seq.tokens, seq.sep_pos)
-            if key in firsts:
-                repeats.append(seq)
-            else:
-                firsts[key] = seq
-        frozen_gradients(model, list(firsts.values()), measure)
-        measured = dict(zip(firsts, records))  # measure runs in dataset order
-        records.extend(replace(measured[seq.tokens, seq.sep_pos], instance_id=seq.instance_id)
-                       for seq in repeats)
+        at = frozen_gradients(model, prep.seqs, measure)
+        # records[i] is the i-th sequence measured; copy it to each repeat
+        records.extend([replace(records[i], instance_id=seq.instance_id)
+                        for seq, i in zip(prep.seqs, at)
+                        if records[i].instance_id != seq.instance_id])
     else:
         trainer = Trainer(copy.deepcopy(model), cfg.train_hyper(),
                           total_update_steps(len(prep.seqs), cfg.batch_size, 1))

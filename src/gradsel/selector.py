@@ -147,7 +147,10 @@ def density_order(values) -> tuple[list[int], np.ndarray | None, float | None]:
     h = silverman_bandwidth(values)
     if h is None:
         return list(range(len(values))), None, None
-    f = kde_density(values, h, values)
+    # equal values sum the same kernel values in the same order, so each
+    # distinct value's density is evaluated once and scattered to its copies
+    uniq, inv = np.unique(values, return_inverse=True)
+    f = kde_density(values, h, uniq)[inv]
     return descending_order(f), f, h
 
 

@@ -160,15 +160,24 @@ class Trainer:
                     on_epoch(self.model)
 
 
-def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> None:
-    """on_step(chunk, batch, BackwardResult, -1) for every chunk of seqs, in
-    dataset order, against fixed parameters.
+def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> list[int]:
+    """on_step(chunk, batch, BackwardResult, -1) for every chunk of the
+    distinct sequences of seqs, in the order given, against fixed parameters;
+    returns, for each of seqs, the position of its first copy among the
+    sequences measured.
 
     Runs in batches of SCORE_BATCH; each instance's gradients are
-    bit-identical to a batch of one, so what on_step measures does not depend
-    on order or batching.
+    bit-identical to a batch of one, as the tinylm tests check, so what
+    on_step measures does not depend on order or batching. A measurement then
+    reads only the tokens and sep_pos, and each distinct (tokens, sep_pos) is
+    measured once, at its first copy: a repeat would measure the same bits.
     """
-    for chunk, batch in batches(seqs):
+    firsts: dict[tuple, TokenSequence] = {}
+    for seq in seqs:
+        firsts.setdefault((seq.tokens, seq.sep_pos), seq)
+    for chunk, batch in batches(list(firsts.values())):
         res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
         _check_losses(batch, res.losses, "frozen extraction")
         on_step(chunk, batch, res, -1)
+    position = {key: i for i, key in enumerate(firsts)}
+    return [position[seq.tokens, seq.sep_pos] for seq in seqs]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from gradsel.baselines import (
 from gradsel.corpus import TokenSequence
 from gradsel.rng import ROLE_SELECT, substream
 from gradsel.selector import density_order, descending_order, selection_from_order, subset_size
-from gradsel.tinylm import ModelConfig, init_model
+from gradsel.tinylm import ModelConfig, init_model, training
 
 
 def _ids(n):
@@ -433,6 +434,25 @@ def test_feature_extraction_shapes_and_kinds():
     grads = gradient_features(m, _SEQS)
     assert grads.shape == (2, 8 + 30)
     assert np.array_equal(grads[1], gradient_features(m, _SEQS[1:])[0])
+
+
+def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
+    measured = []
+    real = training.loss_and_grads
+
+    def counted(model, batch, *args, **kwargs):
+        measured.extend(batch.ids)
+        return real(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(training, "loss_and_grads", counted)
+    a, b = _SEQS
+    seqs = [a, b, replace(a, instance_id="a2"), replace(b, instance_id="b2"),
+            replace(a, instance_id="a3")]
+    grads = gradient_features(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
+    assert measured == ["a", "b"]
+    assert grads.shape == (5, 8 + 30)
+    for i, first in enumerate([0, 1, 0, 1, 0]):
+        assert np.array_equal(grads[i], grads[first])
 
 
 def test_non_finite_features_are_refused_by_instance():

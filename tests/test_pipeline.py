@@ -32,7 +32,7 @@ from gradsel.pipeline import (
 )
 from gradsel.selector import silverman_bandwidth
 from gradsel.tinylm import (Batch, Trainer, frozen_gradients, init_model, load_checkpoint,
-                            model_fingerprint, save_checkpoint, total_update_steps)
+                            model_fingerprint, save_checkpoint, total_update_steps, training)
 from gradsel.tinylm.model import BackwardResult
 
 
@@ -147,7 +147,8 @@ def _pair(kept: list):
 
 def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
     # reference: keep every instance's raw rows of the pass, aggregate each
-    # as a batch of one, sort by id
+    # as a batch of one, sort by id; frozen mode measures each instance as a
+    # batch of its own, repeats included
     for mode in ("frozen", "online"):
         cfg = _cfg(corpus_dir, str(tmp_path / mode), mode=mode)
         records = read_records(run_extract(cfg)["records"])
@@ -156,7 +157,8 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
         fingerprint = model_fingerprint(model)
         pairs = []
         if mode == "frozen":
-            frozen_gradients(model, prep.seqs, _pair(pairs))
+            for seq in prep.seqs:
+                frozen_gradients(model, [seq], _pair(pairs))
         else:
             trainer = Trainer(model, cfg.train_hyper(),
                               total_update_steps(len(prep.seqs), cfg.batch_size, 1))
@@ -169,14 +171,15 @@ def test_extract_records_match_aggregating_all_bundles(corpus_dir, tmp_path):
 
 
 def test_frozen_extract_measures_each_distinct_sequence_once(corpus_dir, tmp_path, monkeypatch):
-    handed = []
-    real = pipeline.frozen_gradients
+    measured = []
+    real = training.loss_and_grads
 
-    def counted(model, seqs, on_step):
-        handed.extend(seqs)
-        return real(model, seqs, on_step)
+    def counted(model, batch, *args, want_param_grads=True, **kwargs):
+        if not want_param_grads:  # the frozen pass, not warmup
+            measured.extend(batch.ids)
+        return real(model, batch, *args, want_param_grads=want_param_grads, **kwargs)
 
-    monkeypatch.setattr(pipeline, "frozen_gradients", counted)
+    monkeypatch.setattr(training, "loss_and_grads", counted)
     cfg = _cfg(corpus_dir, str(tmp_path))
     records = read_records(run_extract(cfg)["records"])
     prep = prepare(cfg)
@@ -184,7 +187,7 @@ def test_frozen_extract_measures_each_distinct_sequence_once(corpus_dir, tmp_pat
     for seq in prep.seqs:
         firsts.setdefault((seq.tokens, seq.sep_pos), seq)
     assert len(firsts) < len(prep.seqs)  # the corpus repeats sequences
-    assert handed == list(firsts.values())
+    assert measured == [seq.instance_id for seq in firsts.values()]
     ids = [r.instance_id for r in records]
     assert ids == sorted(prep.by_id)
     by_id = {r.instance_id: r for r in records}

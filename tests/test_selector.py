@@ -130,6 +130,25 @@ def test_blocked_kde_matches_dense_bit_for_bit(monkeypatch):
     assert np.array_equal(kde_density(values, 0.4, xs), _dense_kde(values, 0.4, xs))
 
 
+def test_density_order_evaluates_each_distinct_value_once(monkeypatch):
+    """Copies, 0.0 next to -0.0 among them, get the bits of a KDE evaluated at
+    every value, from one evaluation per distinct value."""
+    evaluated = []
+    real = selector.kde_density
+
+    def counted(values, h, xs):
+        evaluated.append(len(xs))
+        return real(values, h, xs)
+
+    monkeypatch.setattr(selector, "kde_density", counted)
+    rng = np.random.default_rng(14)
+    distinct = rng.gamma(2.0, 1.0, 40).round(1)
+    values = np.concatenate([rng.choice(distinct, 200), [0.0, -0.0, 0.0]])
+    _, f, h = density_order(values)
+    assert evaluated == [np.unique(values).size] and evaluated[0] < values.size
+    assert np.array_equal(f, real(values, h, values))
+
+
 def test_kde_memory_stays_bounded():
     values = np.random.default_rng(13).normal(size=4096)
     tracemalloc.start()

@@ -554,6 +554,20 @@ def test_extract_frozen_order_independent():
         assert b.step_index == -1
 
 
+def test_frozen_pass_measures_each_distinct_sequence_once():
+    """c has a's tokens under another sep_pos, so it is a sequence of its own;
+    a2 and b2 repeat a and b under other ids."""
+    rng = np.random.default_rng(80)
+    a, b = (_random_seq(rng, TINY, instance_id=i) for i in "ab")
+    c = replace(a, instance_id="c", sep_pos=a.sep_pos + 1)
+    seqs = [a, b, replace(a, instance_id="a2"), c, replace(b, instance_id="b2")]
+    handed = []
+    at = frozen_gradients(init_model(TINY), seqs,
+                          lambda chunk, batch, res, step: handed.extend(chunk))
+    assert handed == [a, b, c]
+    assert at == [0, 1, 0, 2, 1]
+
+
 def test_extract_online_single_batch_matches_frozen():
     seqs = [_random_seq(np.random.default_rng(70 + i), TINY, instance_id=f"id{i}")
             for i in range(6)]
