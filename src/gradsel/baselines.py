@@ -202,10 +202,10 @@ def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarr
     """Final-layer hidden state at each sequence's last position, one row per
     sequence.
 
-    Every sequence is run, repeats included: unlike frozen_gradients' rows,
-    no test shows these are bit-identical to a batch of one. forward's
-    last-position GEMM over the chunk rounds a row by its position; it makes
-    the logits, and the rows read here come before it."""
+    Every sequence is run, repeats included. Each row is bit-identical to
+    its batch of one (test_tinylm's
+    test_last_only_rows_are_bit_identical_to_batches_of_one), so a repeat
+    could take its first copy's row; that step is not taken yet."""
     blocks = []
     for _, batch in batches(seqs):
         trace = forward(model, batch, last_only=True)
@@ -232,37 +232,41 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     return _feature_matrix(seqs, [rows[i] for i in at])
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(u @ v / (nu * nv))
+def _with_norms(rows: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Each row with its norm, taken once by the 1-D np.linalg.norm."""
+    return [(r, np.linalg.norm(r)) for r in rows]
+
+
+def _check_queries(cands: np.ndarray, queries: np.ndarray) -> None:
+    if not len(queries):
+        raise ValueError("empty query set: no query features to score against")
+    if cands.shape[1:] != queries.shape[1:]:
+        raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
+                         f"queries {queries.shape}")
+
+
+def _cosines(u: np.ndarray, nu: float, queries) -> list[float]:
+    """Cosine of u, of norm nu, to each (row, norm) query; 0.0 where either
+    norm is zero."""
+    return [float(u @ q / (nu * nq)) if nu and nq else 0.0 for q, nq in queries]
 
 
 def rds_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Mean cosine of each candidate row to the query rows; a zero-norm
     candidate scores -1, below any cosine."""
-    if cands.shape[1:] != queries.shape[1:]:
-        raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
-                         f"queries {queries.shape}")
-    usable = [q for q in queries if np.linalg.norm(q) > 0]
+    _check_queries(cands, queries)
+    usable = [(q, nq) for q, nq in _with_norms(queries) if nq > 0]
     if not usable:
         raise ValueError("all query features have zero norm")
-    scores = np.empty(len(cands))
-    for i, f in enumerate(cands):
-        if np.linalg.norm(f) == 0:
-            scores[i] = -1.0
-        else:
-            scores[i] = float(np.mean([_cosine(f, q) for q in usable]))
-    return scores
+    return np.array([float(np.mean(_cosines(f, nf, usable))) if nf else -1.0
+                     for f, nf in _with_norms(cands)])
 
 
 def less_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Max cosine of each candidate row to the query rows."""
-    if not len(queries) or cands.shape[1:] != queries.shape[1:]:
-        raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
-                         f"queries {queries.shape}")
-    return np.array([max(_cosine(c, q) for q in queries) for c in cands])
+    _check_queries(cands, queries)
+    qs = _with_norms(queries)
+    return np.array([max(_cosines(c, nc, qs)) for c, nc in _with_norms(cands)])
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:

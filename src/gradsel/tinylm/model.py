@@ -10,7 +10,8 @@ downstream code aggregates into per-instance scores.
 
 Right padding is exact: attention is causal, so padded positions never feed
 real ones; layer norm works row by row; padded positions carry no loss
-weight. Each instance's loss, embedding gradient and logit gradient are
+weight. Every output of forward (hidden rows, loss-row logits and last-row
+logits) and each instance's loss, embedding gradient and logit gradient are
 bit-identical to its batch-of-one result: key-axis sums and dot products
 run over each sequence's own length, each sequence's LM head is a GEMM of
 its own, and x @ w.T runs in fixed row blocks, so neither the padding nor
@@ -286,10 +287,11 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
     """Run the model over a batch, caching activations for backprop.
 
     Logits and probabilities exist only on the rows that need them: the loss
-    rows, or with last_only the final position of every sequence (decoding).
-    last_only keeps no per-layer caches, since nothing backpropagates through
-    it. Each sequence's LM head is a GEMM over its own rows, as in a batch of
-    one: OpenBLAS rounds a row of the product by its position among the rows.
+    rows, or with last_only the final position of every sequence (decoding,
+    rds features). last_only keeps no per-layer caches, since nothing
+    backpropagates through it. Either way each sequence's LM head is a GEMM
+    over its own rows, as in a batch of one: OpenBLAS rounds a row of the
+    product by its position among the rows.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -327,16 +329,14 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
                                      b, b_xhat, b_inv, f1, erf1, gact))
     hf, hf_xhat, hf_inv = _layernorm(h, P["lnf.g"], P["lnf.b"])
     W = P["lm_head"]
-    starts = batch.row_starts.tolist()
-    if last_only:
-        rows = np.arange(B) * T + batch.lengths - 1
-        logits = hf[rows] @ W
+    if last_only:  # one row per sequence: its last
+        rows, starts = np.arange(B) * T + batch.lengths - 1, list(range(B + 1))
     else:
-        rows = batch.loss_rows
-        logits = np.empty((rows.size, W.shape[1]))
-        for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
-            own = slice(b * T, b * T + batch.lengths[b])
-            logits[lo:hi] = (hf[own] @ W)[rows[lo:hi] - b * T]
+        rows, starts = batch.loss_rows, batch.row_starts.tolist()
+    logits = np.empty((rows.size, W.shape[1]))
+    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        own = slice(b * T, b * T + batch.lengths[b])
+        logits[lo:hi] = (hf[own] @ W)[rows[lo:hi] - b * T]
     probs = _softmax_rows(logits)
     losses = None
     if not last_only:

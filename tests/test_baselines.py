@@ -376,8 +376,31 @@ def test_rds_length_mismatch_rejected():
 def test_less_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="width mismatch"):
         less_scores(_rows([1.0, 2.0]), _rows([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="width mismatch"):  # no query rows
-        less_scores(_rows([1.0, 2.0]), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("scores", [rds_scores, less_scores])
+def test_empty_query_set_rejected(scores):
+    with pytest.raises(ValueError, match="^empty query set"):
+        scores(_rows([1.0, 2.0]), np.empty((0, 2)))
+
+
+def test_rds_and_less_keep_the_bits_of_per_pair_cosines():
+    """Norms are taken once per row; every score keeps the bits of a cosine
+    that takes both norms for each (candidate, query) pair."""
+    rng = np.random.default_rng(3)
+    cands, queries = rng.normal(size=(40, 9)), rng.normal(size=(5, 9))
+    cands[7] = queries[3] = 0.0
+
+    def cos(u, v):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        return 0.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
+
+    usable = [q for q in queries if np.linalg.norm(q) > 0]
+    rds = [-1.0 if np.linalg.norm(c) == 0 else float(np.mean([cos(c, q) for q in usable]))
+           for c in cands]
+    less = [max(cos(c, q) for q in queries) for c in cands]
+    assert rds_scores(cands, queries).tolist() == rds
+    assert less_scores(cands, queries).tolist() == less
 
 
 def _ppl_selection(ids, ppls, percent):

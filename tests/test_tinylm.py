@@ -360,15 +360,24 @@ def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one():
         assert np.array_equal(buf, fresh.param_grads)
 
 
+def _score_chunk(mixed: bool) -> list[TokenSequence]:
+    """SCORE_BATCH sequences: of 13 lengths from 5 to 36 tokens, as frozen
+    extraction and the feature passes chunk them, or all of 17 tokens, as
+    decoding chunks them."""
+    seqs = []
+    for i in range(SCORE_BATCH):
+        t_prompt = 1 + (7 * i) % 18 if mixed else 8
+        t_resp = 1 + (11 * i) % (36 - t_prompt) if mixed else 6
+        seqs.append(_random_seq(np.random.default_rng(200 + i), WIDE, t_prompt,
+                                t_resp, f"s{i}"))
+    assert len({len(s) for s in seqs}) == (13 if mixed else 1)
+    return seqs
+
+
 def test_full_score_batch_is_bit_identical_to_batches_of_one():
     """Frozen extraction runs SCORE_BATCH sequences at once; the case above
     draws only 2 to 5."""
-    seqs = []
-    for i in range(SCORE_BATCH):  # 4 to 39 tokens
-        t_prompt = 1 + (7 * i) % 18
-        seqs.append(_random_seq(np.random.default_rng(200 + i), WIDE, t_prompt,
-                                1 + (11 * i) % (36 - t_prompt), f"s{i}"))
-    assert len({len(s) for s in seqs}) > 10
+    seqs = _score_chunk(mixed=True)
     m = init_model(WIDE)
     measured = _frozen(m, seqs)
     _, _, batched = _run(m, seqs, want_param_grads=False)
@@ -377,6 +386,19 @@ def test_full_score_batch_is_bit_identical_to_batches_of_one():
         assert batched.losses[b] == one.losses[0]
         assert np.array_equal(rows.g_emb, one.g_emb[0])
         assert np.array_equal(rows.g_lm, one.g_lm)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+def test_last_only_rows_are_bit_identical_to_batches_of_one(mixed):
+    """greedy_decode's logits and representation_features' hidden rows come
+    from last_only chunks; neither may depend on the chunk mates."""
+    seqs = _score_chunk(mixed)
+    m = init_model(WIDE)
+    chunk = forward(m, Batch.of(seqs), last_only=True)
+    for b, seq in enumerate(seqs):
+        one = forward(m, Batch.of([seq]), last_only=True)
+        assert np.array_equal(chunk.logits[b], one.logits[0])
+        assert np.array_equal(chunk.hf[chunk.rows[b]], one.hf[one.rows[0]])
 
 
 def test_perplexity_uniform_equals_vocab_size():
