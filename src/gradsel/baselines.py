@@ -18,7 +18,7 @@ from .corpus import TokenSequence
 from .gradstats import token_vectors
 from .rng import ROLE_GUMBEL, ROLE_SELECT, substream
 from .selector import descending_order
-from .tinylm.model import Model, batches, forward
+from .tinylm.model import Model, batches, distinct, forward
 from .tinylm.training import frozen_gradients
 
 BM25_K1 = 1.2
@@ -200,17 +200,14 @@ def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
 
 def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
     """Final-layer hidden state at each sequence's last position, one row per
-    sequence.
-
-    Every sequence is run, repeats included. Each row is bit-identical to
-    its batch of one (test_tinylm's
-    test_last_only_rows_are_bit_identical_to_batches_of_one), so a repeat
-    could take its first copy's row; that step is not taken yet."""
-    blocks = []
-    for _, batch in batches(seqs):
+    sequence; a repeated sequence gets its first copy's row, as each
+    distinct sequence is run once (tinylm.model.distinct)."""
+    uniq, at = distinct(seqs)
+    rows = []
+    for _, batch in batches(uniq):
         trace = forward(model, batch, last_only=True)
-        blocks.append(trace.hf[trace.rows])
-    return _feature_matrix(seqs, blocks)
+        rows += list(trace.hf[trace.rows])
+    return _feature_matrix(seqs, [rows[i] for i in at])
 
 
 def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
@@ -270,8 +267,10 @@ def less_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:
-    """exp(mean response-token cross-entropy) of each sequence."""
+    """exp(mean response-token cross-entropy) of each sequence; each distinct
+    sequence is run once (tinylm.model.distinct)."""
+    uniq, at = distinct(seqs)
     out: list[float] = []
-    for _, batch in batches(seqs):
+    for _, batch in batches(uniq):
         out += map(math.exp, forward(model, batch).losses.tolist())
-    return out
+    return [out[i] for i in at]

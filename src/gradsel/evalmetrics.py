@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Tokenizer, TokenSequence
 from .gradstats import GradientRecord
-from .tinylm.model import SCORE_BATCH, Batch, Model, batches, forward
+from .tinylm.model import SCORE_BATCH, Batch, Model, batches, distinct, forward
 
 METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
@@ -262,7 +262,8 @@ def decile_slices(n: int) -> list[int]:
 
 def pilot_deciles(records: list[GradientRecord], seqs: list[TokenSequence],
                   base_model: Model) -> DecileReport:
-    """Mean loss and teacher-forced token accuracy per gradient decile."""
+    """Mean loss and teacher-forced token accuracy per gradient decile; each
+    distinct sequence is run once (tinylm.model.distinct)."""
     if len(records) < 10:
         raise ValueError("need at least 10 instances for deciles")
     by_id = {s.instance_id: s for s in seqs}
@@ -273,12 +274,14 @@ def pilot_deciles(records: list[GradientRecord], seqs: list[TokenSequence],
     losses: list[float] = []
     correct: list[int] = []
     targets: list[int] = []
-    for _, batch in batches([by_id[r.instance_id] for r in ranked]):
+    uniq, at = distinct([by_id[r.instance_id] for r in ranked])
+    for _, batch in batches(uniq):
         trace = forward(base_model, batch)
         losses += trace.losses.tolist()
         hits = trace.logits.argmax(axis=1) == batch.targets
         correct += np.add.reduceat(hits, batch.row_starts[:-1]).tolist()
         targets += np.diff(batch.row_starts).tolist()
+    losses, correct, targets = ([x[i] for i in at] for x in (losses, correct, targets))
     mean_loss = []
     token_acc = []
     mean_grad = []

@@ -123,8 +123,9 @@ def selection_from_order(strategy: str, percent: float, ids: list[str], order,
         raise ValueError(f"{len(ids)} ids for {len(scores)} scores")
     size = subset_size(len(ids), percent)
     chosen = order[:size]
-    if bandwidth is not None and size < len(order):  # also trips on NaN densities
-        assert scores[chosen].min() >= scores[order[size:]].max()
+    if bandwidth is not None and size < len(order):  # a raise, not an assert: -O keeps it
+        if not scores[chosen].min() >= scores[order[size:]].max():  # NaN trips it too
+            raise AssertionError("a kept density is below a dropped one")
     return SelectionResult(
         strategy=strategy,
         fraction_percent=percent,

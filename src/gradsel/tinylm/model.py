@@ -175,6 +175,18 @@ def batches(seqs: list[TokenSequence]):
         yield chunk, Batch.of(chunk)
 
 
+def distinct(seqs: list[TokenSequence]) -> tuple[list[TokenSequence], list[int]]:
+    """Each distinct (tokens, sep_pos) of seqs at its first copy, in the order
+    given, and for each of seqs its first copy's position among them. The
+    repeat rule of every pass that trains nothing: each forward output is
+    bit-identical to a batch of one, so a repeat would measure the same bits."""
+    firsts: dict[tuple, TokenSequence] = {}
+    for seq in seqs:
+        firsts.setdefault((seq.tokens, seq.sep_pos), seq)
+    position = {key: i for i, key in enumerate(firsts)}
+    return list(firsts.values()), [position[s.tokens, s.sep_pos] for s in seqs]
+
+
 # Row means are written as sum / n: the same bits as ndarray.mean, without
 # its Python-level overhead on these small arrays.
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..corpus import TokenSequence
 from ..rng import ROLE_SHUFFLE, substream
-from .model import Batch, Model, batches, forward, loss_and_grads, param_views
+from .model import Batch, Model, batches, distinct, forward, loss_and_grads, param_views
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -168,16 +168,12 @@ def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> list[i
 
     Runs in batches of SCORE_BATCH; each instance's gradients are
     bit-identical to a batch of one, as the tinylm tests check, so what
-    on_step measures does not depend on order or batching. A measurement then
-    reads only the tokens and sep_pos, and each distinct (tokens, sep_pos) is
-    measured once, at its first copy: a repeat would measure the same bits.
+    on_step measures does not depend on order or batching. model.distinct,
+    the repeat rule of every pass that trains nothing, picks the sequences.
     """
-    firsts: dict[tuple, TokenSequence] = {}
-    for seq in seqs:
-        firsts.setdefault((seq.tokens, seq.sep_pos), seq)
-    for chunk, batch in batches(list(firsts.values())):
+    uniq, at = distinct(seqs)
+    for chunk, batch in batches(uniq):
         res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
         _check_losses(batch, res.losses, "frozen extraction")
         on_step(chunk, batch, res, -1)
-    position = {key: i for i, key in enumerate(firsts)}
-    return [position[seq.tokens, seq.sep_pos] for seq in seqs]
+    return at

@@ -478,6 +478,29 @@ def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
         assert np.array_equal(grads[i], grads[first])
 
 
+@pytest.mark.parametrize("measure", [representation_features, baselines.sequence_perplexities],
+                         ids=["rds", "ppl"])
+def test_forward_passes_run_each_distinct_sequence_once(monkeypatch, measure):
+    """a2, a3 and b2 repeat a and b under other ids; c has a's tokens under
+    another sep_pos, so it is a sequence of its own."""
+    forwarded = []
+    real = baselines.forward
+
+    def spy(model, batch, *args, **kwargs):
+        forwarded.extend(batch.ids)
+        return real(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "forward", spy)
+    a, b = _SEQS
+    seqs = [a, b, replace(a, instance_id="a2"), replace(a, instance_id="c", sep_pos=1),
+            replace(b, instance_id="b2"), replace(a, instance_id="a3")]
+    out = measure(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
+    assert forwarded == ["a", "b", "c"]
+    assert len(out) == 6
+    for i, first in enumerate([0, 1, 0, 3, 1, 0]):
+        assert np.array_equal(out[i], out[first])
+
+
 def test_non_finite_features_are_refused_by_instance():
     m = init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0))
     m.params["emb"][8] = np.nan  # token 8 occurs in b only

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, wiring, and output files."""
 
+import ast
 import builtins
 import importlib
 import inspect
@@ -395,3 +396,17 @@ def test_readme_code_references_resolve():
     stale = "`GradientBundle`, `gradstats.combine`, `tinylm.training.GradientBundle`, `Batch.off`"
     assert _unresolved_references(stale)[1] == [
         "GradientBundle", "gradstats.combine", "tinylm.training.GradientBundle", "Batch.off"]
+
+
+def _assert_lines(source: str) -> list[int]:
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_src_has_no_assert_statements():
+    """python -O strips assert statements, so an invariant check in src/ raises
+    explicitly instead."""
+    modules = sorted(Path(gradsel.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 12
+    found = {str(m): _assert_lines(m.read_text(encoding="utf-8")) for m in modules}
+    assert not {m: lines for m, lines in found.items() if lines}
+    assert _assert_lines("x = 1\nif x:\n    assert x > 0\n") == [3]

@@ -1,11 +1,16 @@
 """Selection tests: bandwidth/KDE oracles, size rules, strategy semantics."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradsel
 from gradsel import selector
 from gradsel.gradstats import GradientRecord
 from gradsel.selector import (
@@ -227,6 +232,25 @@ def test_the_density_cut_trips_on_nan_densities():
         f = np.array(f)
         with pytest.raises(AssertionError):
             selection_from_order("grads", 50, ids, descending_order(f), f, bandwidth=1.0)
+
+
+def test_the_density_cut_trips_under_python_O():
+    """python -O strips assert statements; the density check must not be one."""
+    script = """
+import numpy as np
+from gradsel.selector import descending_order, selection_from_order
+assert False, "not stripped"  # proves -O is in effect
+f = np.array([0.3, np.nan, 0.2, 0.1])
+try:
+    selection_from_order("grads", 50, ["s0", "s1", "s2", "s3"], descending_order(f), f,
+                         bandwidth=1.0)
+except AssertionError:
+    print("tripped")
+"""
+    src = str(Path(gradsel.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout == "tripped\n"
 
 
 def test_density_selection_scale_invariant():

@@ -380,12 +380,15 @@ def test_full_score_batch_is_bit_identical_to_batches_of_one():
     seqs = _score_chunk(mixed=True)
     m = init_model(WIDE)
     measured = _frozen(m, seqs)
-    _, _, batched = _run(m, seqs, want_param_grads=False)
+    batch, trace, batched = _run(m, seqs, want_param_grads=False)
     for b, (rows, seq) in enumerate(zip(measured, seqs)):
-        _, _, one = _run(m, [seq], want_param_grads=False)
+        _, one_trace, one = _run(m, [seq], want_param_grads=False)
         assert batched.losses[b] == one.losses[0]
         assert np.array_equal(rows.g_emb, one.g_emb[0])
         assert np.array_equal(rows.g_lm, one.g_lm)
+        # the pilot's argmax hits read the loss-row logits
+        lo, hi = batch.row_starts[b], batch.row_starts[b + 1]
+        assert np.array_equal(trace.logits[lo:hi], one_trace.logits)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
