@@ -187,8 +187,8 @@ def dsir_order(logw: np.ndarray, seed: int) -> list[int]:
 
 
 def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
-    """The rows stacked into one (len(seqs), dim) array; a non-finite row is
-    refused, naming its instance."""
+    """The rows, one per sequence of seqs, stacked into one (len(seqs), dim)
+    array; a non-finite row is refused, naming its instance."""
     if not seqs:
         raise ValueError("no sequences to take features of")
     feats = np.vstack(rows)
@@ -198,35 +198,37 @@ def _feature_matrix(seqs: list[TokenSequence], rows) -> np.ndarray:
     return feats
 
 
-def representation_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
-    """Final-layer hidden state at each sequence's last position, one row per
-    sequence; a repeated sequence gets its first copy's row, as each
-    distinct sequence is run once (tinylm.model.distinct)."""
+def representation_features(model: Model, seqs: list[TokenSequence]
+                            ) -> tuple[np.ndarray, list[int]]:
+    """Final-layer hidden state at the last position of each distinct
+    sequence of seqs (tinylm.model.distinct), one row each, and for each of
+    seqs the index of its first copy's row: a repeat is run and scored once."""
     uniq, at = distinct(seqs)
     rows = []
     for _, batch in batches(uniq):
         trace = forward(model, batch, last_only=True)
         rows += list(trace.hf[trace.rows])
-    return _feature_matrix(seqs, [rows[i] for i in at])
+    return _feature_matrix(uniq, rows), at
 
 
-def gradient_features(model: Model, seqs: list[TokenSequence]) -> np.ndarray:
+def gradient_features(model: Model, seqs: list[TokenSequence]) -> tuple[np.ndarray, list[int]]:
     """Concatenated mean embedding-gradient (d) and mean logit-gradient (V) of
-    each sequence's token_vectors, one row per sequence; a repeated sequence
-    gets its first copy's row, as frozen_gradients measures it once.
+    the token_vectors of each sequence frozen_gradients measures, one row
+    each, and for each of seqs the index of its first copy's row.
 
     The logit rows have the uniform loss weight divided out, so feature
     direction does not depend on response length.
     """
-    rows = []
+    measured, rows = [], []
 
     def mean_token_vectors(chunk, batch, res, step) -> None:
         for b, seq in enumerate(chunk):
             emb_vecs, lm_vecs = token_vectors(seq, batch, res, b)
             rows.append(np.concatenate([emb_vecs.mean(axis=0), lm_vecs.mean(axis=0)]))
+        measured.extend(chunk)
 
     at = frozen_gradients(model, seqs, mean_token_vectors)
-    return _feature_matrix(seqs, [rows[i] for i in at])
+    return _feature_matrix(measured, rows), at
 
 
 def _with_norms(rows: np.ndarray) -> list[tuple[np.ndarray, float]]:

@@ -604,10 +604,13 @@ def run_selection_by_name(
             raise ValueError("perplexities must be positive")
         order, scores, bandwidth = density_order(ppls)
     else:
-        feats = (baselines.representation_features if name == "rds"
-                 else baselines.gradient_features)
-        cands, queries = (feats(ref_model, prep.seqs_for(ids)) for ids in (cand_ids, query_ids))
-        scores = (baselines.rds_scores if name == "rds" else baselines.less_scores)(cands, queries)
+        feats, score = ((baselines.representation_features, baselines.rds_scores)
+                        if name == "rds" else (baselines.gradient_features, baselines.less_scores))
+        (cands, at), (queries, q_at) = (feats(ref_model, prep.seqs_for(ids))
+                                        for ids in (cand_ids, query_ids))
+        # each distinct candidate row is scored once and its repeats take that
+        # score; the queries keep their repeats, which weight rds's mean
+        scores = score(cands, queries[q_at])[at]
         order = descending_order(scores)
     result = selection_from_order(name, fraction, cand_ids, order, scores, seed, bandwidth)
     strata = Counter(prep.strata.get(i) or "unlabeled" for i in result.selected_ids)

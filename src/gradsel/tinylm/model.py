@@ -13,13 +13,15 @@ real ones; layer norm works row by row; padded positions carry no loss
 weight. Every output of forward (hidden rows, loss-row logits and last-row
 logits) and each instance's loss, embedding gradient and logit gradient are
 bit-identical to its batch-of-one result: key-axis sums and dot products
-run over each sequence's own length, each sequence's LM head is a GEMM of
-its own, and x @ w.T runs in fixed row blocks, so neither the padding nor
-the batch mates change a rounding.
+run over each sequence's own length, and x @ w.T, the LM head's included,
+runs in fixed row blocks, so neither the padding nor the batch mates change
+a rounding. The parameter gradient is the one output that is not per
+instance: each weight's is one product over all B*T rows of the batch,
+deterministic but not the sum of the batch-of-one gradients' bits.
 
 Architecture: token + learned positional embeddings, pre-layer-norm blocks
 (LN -> causal multi-head attention -> residual; LN -> GELU MLP -> residual),
-final layer norm, untied linear LM head.
+final layer norm, untied linear LM head. The GELU is GPT-2's tanh form.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from ..corpus import Tokenizer, TokenSequence, _from_json, _json_lines, open_atomic, sha256
 from ..rng import ROLE_INIT, substream
-from .erf import erf
 
 LN_EPS = 1e-5
 
@@ -208,13 +209,23 @@ def _layernorm_backward(dy, xhat, inv, g):
     return inv * (dxhat - m1 - xhat * m2)
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# GELU(x) = 0.5 x (1 + tanh(u)), u = sqrt(2/pi) (x + 0.044715 x^3): the tanh
+# form of Hendrycks and Gimpel (2016, arXiv:1606.08415) that GPT-2 uses.
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
-def _gelu_grad(x: np.ndarray, erf1: np.ndarray) -> np.ndarray:
-    """GELU'(x), given erf1 = 1 + erf(x / sqrt 2) from the forward pass."""
-    return 0.5 * erf1 + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) and tanh1 = 1 + tanh(u), which the backward pass reuses."""
+    tanh1 = 1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * tanh1, tanh1
+
+
+def _gelu_grad(x: np.ndarray, tanh1: np.ndarray) -> np.ndarray:
+    """GELU'(x) = 0.5 (1 + tanh u) + 0.5 x (1 - tanh^2 u) du/dx, given tanh1 =
+    1 + tanh(u) from the forward pass; 1 - tanh^2 u = tanh1 (2 - tanh1)."""
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    return 0.5 * tanh1 + 0.5 * x * tanh1 * (2.0 - tanh1) * du
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -279,7 +290,7 @@ class LayerTrace:
     b_xhat: np.ndarray
     b_inv: np.ndarray
     f1: np.ndarray           # pre-GELU
-    erf1: np.ndarray         # 1 + erf(f1 / sqrt 2)
+    tanh1: np.ndarray        # 1 + tanh(u(f1)), u the GELU's inner cubic
     gact: np.ndarray         # post-GELU
 
 
@@ -301,9 +312,9 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
     Logits and probabilities exist only on the rows that need them: the loss
     rows, or with last_only the final position of every sequence (decoding,
     rds features). last_only keeps no per-layer caches, since nothing
-    backpropagates through it. Either way each sequence's LM head is a GEMM
-    over its own rows, as in a batch of one: OpenBLAS rounds a row of the
-    product by its position among the rows.
+    backpropagates through it. Either way the LM head runs over those rows
+    only, in _times_wt's fixed row blocks, so a row's logits do not depend
+    on the rows around it.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -333,28 +344,22 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
         h_mid = h + (ctx @ P[p + "wo"] + P[p + "bo"])
         b, b_xhat, b_inv = _layernorm(h_mid, P[p + "ln2.g"], P[p + "ln2.b"])
         f1 = b @ P[p + "w1"] + P[p + "b1"]
-        erf1 = 1.0 + erf(f1 * _INV_SQRT2)
-        gact = 0.5 * f1 * erf1  # GELU
+        gact, tanh1 = _gelu(f1)
         h = h_mid + (gact @ P[p + "w2"] + P[p + "b2"])
         if not last_only:
             layers.append(LayerTrace(a, a_xhat, a_inv, q, k, v, att, ctx,
-                                     b, b_xhat, b_inv, f1, erf1, gact))
+                                     b, b_xhat, b_inv, f1, tanh1, gact))
     hf, hf_xhat, hf_inv = _layernorm(h, P["lnf.g"], P["lnf.b"])
-    W = P["lm_head"]
-    if last_only:  # one row per sequence: its last
-        rows, starts = np.arange(B) * T + batch.lengths - 1, list(range(B + 1))
-    else:
-        rows, starts = batch.loss_rows, batch.row_starts.tolist()
-    logits = np.empty((rows.size, W.shape[1]))
-    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        own = slice(b * T, b * T + batch.lengths[b])
-        logits[lo:hi] = (hf[own] @ W)[rows[lo:hi] - b * T]
+    # one row per sequence with last_only, its last; else the loss rows
+    rows = np.arange(B) * T + batch.lengths - 1 if last_only else batch.loss_rows
+    logits = _times_wt(hf[rows], P["lm_head"].T)
     probs = _softmax_rows(logits)
     losses = None
     if not last_only:
         # math.log, not numpy's SIMD log, which is not correctly rounded
         p = probs[np.arange(rows.size), batch.targets].tolist()
         logp = np.array([math.log(x) if x != 0.0 else -math.inf for x in p])
+        starts = batch.row_starts.tolist()
         losses = np.array([-w * logp[lo:hi].sum()
                            for w, lo, hi in zip(batch.w.tolist(), starts, starts[1:])])
     return ForwardTrace(layers, hf, hf_xhat, hf_inv, rows, logits, probs, losses)
@@ -365,7 +370,7 @@ class BackwardResult:
     losses: np.ndarray               # (B,) mean response-token cross-entropy
     g_emb: np.ndarray                # (B, T, d): dLoss_b/de[b, t], zero on padding
     g_lm: np.ndarray                 # (R, V): one row per loss row
-    param_grads: np.ndarray | None   # batch mean of the instance gradients
+    param_grads: np.ndarray | None   # gradient of the batch's mean loss
 
 
 def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
@@ -374,11 +379,12 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
 
     g_lm is the gradient w.r.t. the pre-softmax logits: p - y, scaled by the
     instance's uniform position weight. param_grads, laid out like
-    model.flat, is the mean of the instance gradients, summed in batch order:
-    the same bits as accumulating (1/B) * gradient one instance at a time.
-    Given out, a parameter-sized vector and its param_views, param_grads is
-    written there (a training loop allocates it once) in place of a fresh
-    vector.
+    model.flat, is the gradient of the mean instance loss, taken at batch
+    level: each weight's is one x.T @ dy over the B*T rows (padding rows
+    carry zero dy), scaled by 1/B, and each bias and layer-norm gain's a row
+    sum. Given out, a parameter-sized vector and its param_views,
+    param_grads is written there (a training loop allocates it once) in
+    place of a fresh vector.
     """
     cfg = model.cfg
     if trace.losses is None:
@@ -400,35 +406,19 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         grads.fill(0.0)
     inv = 1.0 / B
 
-    def put(name: str, per_instance_grads: np.ndarray) -> None:
-        # batch mean, summed in batch order like one instance at a time
-        per_instance_grads *= inv
-        np.add.reduce(per_instance_grads, axis=0, out=G[name])
-
-    def per_instance(x: np.ndarray) -> np.ndarray:  # (B*T, n) -> (B, T, n)
-        return x.reshape(B, T, -1)
-
     def linear_grads(p: str, s: str, x: np.ndarray, dy: np.ndarray) -> None:
         # y = x @ w<s> + b<s> in layer p
-        put(p + "w" + s, np.matmul(per_instance(x).transpose(0, 2, 1), per_instance(dy)))
-        put(p + "b" + s, per_instance(dy).sum(axis=1))
+        np.multiply(x.T @ dy, inv, out=G[p + "w" + s])
+        np.multiply(dy.sum(axis=0), inv, out=G[p + "b" + s])
 
     def layernorm_grads(prefix: str, dy: np.ndarray, xhat: np.ndarray) -> None:
-        put(prefix + ".g", per_instance(dy * xhat).sum(axis=1))
-        put(prefix + ".b", per_instance(dy).sum(axis=1))
+        np.multiply((dy * xhat).sum(axis=0), inv, out=G[prefix + ".g"])
+        np.multiply(dy.sum(axis=0), inv, out=G[prefix + ".b"])
 
-    Wlm = P["lm_head"]
     dhf = np.zeros((B * T, d))
-    starts = batch.row_starts.tolist()
-    for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        own = slice(b * T, b * T + batch.lengths[b])
-        dlogits_own = np.zeros((batch.lengths[b], cfg.vocab_size))
-        dlogits_own[rows[lo:hi] - b * T] = dlogits[lo:hi]
-        dhf[own] = dlogits_own @ Wlm.T
-        if want_param_grads:  # put()'s sum of the scaled instances, in batch order
-            part = trace.hf[own].T @ dlogits_own
-            G["lm_head"] += np.multiply(part, inv, out=part)
+    dhf[rows] = _times_wt(dlogits, P["lm_head"])
     if want_param_grads:
+        np.multiply(trace.hf[rows].T @ dlogits, inv, out=G["lm_head"])
         layernorm_grads("lnf", dhf, trace.hf_xhat)
     dh = _layernorm_backward(dhf, trace.hf_xhat, trace.hf_inv, P["lnf.g"])
 
@@ -437,7 +427,7 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         tr = trace.layers[i]
         # MLP block: h_out = h_mid + gelu(LN2(h_mid) @ w1 + b1) @ w2 + b2
         dgact = _times_wt(dh, P[p + "w2"])
-        df1 = dgact * _gelu_grad(tr.f1, tr.erf1)
+        df1 = dgact * _gelu_grad(tr.f1, tr.tanh1)
         dbmlp = _times_wt(df1, P[p + "w1"])
         if want_param_grads:
             linear_grads(p, "2", tr.gact, dh)
@@ -465,13 +455,11 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
             layernorm_grads(p + "ln1", da, tr.a_xhat)
         dh = dh_mid + _layernorm_backward(da, tr.a_xhat, tr.a_inv, P[p + "ln1.g"])
 
-    g_emb = per_instance(dh)  # dLoss/de[t]: e feeds layer 0 directly
-    if want_param_grads:  # per instance, only the rows the batch uses
-        used, index = np.unique(batch.tokens, return_inverse=True)
-        emb = np.zeros((B, used.size, d))
-        np.add.at(emb, (np.repeat(np.arange(B), T), index.reshape(-1)), dh)
-        G["emb"][used] += (inv * emb).sum(axis=0)
-        G["pos"][:T] += (inv * g_emb).sum(axis=0)
+    g_emb = dh.reshape(B, T, d)  # dLoss/de[t]: e feeds layer 0 directly
+    if want_param_grads:  # a scaled copy: g_emb itself is each instance's own
+        scaled = dh * inv
+        np.add.at(G["emb"], batch.tokens.reshape(-1), scaled)
+        G["pos"][:T] = scaled.reshape(B, T, d).sum(axis=0)
     return BackwardResult(trace.losses, g_emb, dlogits, grads)
 
 

@@ -1,8 +1,8 @@
 """Adam training loop and the frozen per-instance gradient pass.
 
 The loop is deliberately plain: each update runs one forward/backward over
-the padded batch, the instance gradients are averaged into the batch
-update, and all shuffling comes from the seeded PRNG so runs are
+the padded batch, whose parameter gradient is that of the batch's mean
+loss, and all shuffling comes from the seeded PRNG so runs are
 bit-reproducible.
 """
 
@@ -59,10 +59,12 @@ class AdamState:
         self.t = 0
 
     def step(self, model: Model, grads: np.ndarray, lr: float) -> None:
-        """p -= lr * (m / b1c) / (sqrt(v / b2c) + eps), in preallocated buffers."""
+        """Kingma and Ba's efficient form of the bias-corrected update, in
+        preallocated buffers: p -= lr_t * m / (sqrt(v) + eps_t), with
+        lr_t = lr * sqrt(1 - b2^t) / (1 - b1^t) and eps_t = eps * sqrt(1 - b2^t)."""
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1**self.t
-        b2c = 1.0 - ADAM_BETA2**self.t
+        root_b2c = math.sqrt(1.0 - ADAM_BETA2**self.t)
+        lr_t = lr * root_b2c / (1.0 - ADAM_BETA1**self.t)
         step, denom = self._step, self._denom
         self.m *= ADAM_BETA1
         np.multiply(1.0 - ADAM_BETA1, grads, out=step)
@@ -71,12 +73,10 @@ class AdamState:
         np.multiply(grads, grads, out=step)
         step *= 1.0 - ADAM_BETA2
         self.v += step
-        np.divide(self.v, b2c, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(self.m, b1c, out=step)
-        step *= lr
-        step /= denom
+        np.sqrt(self.v, out=denom)
+        denom += ADAM_EPS * root_b2c
+        np.divide(self.m, denom, out=step)
+        step *= lr_t
         model.flat -= step
 
 

@@ -451,12 +451,12 @@ _SEQS = [
 
 def test_feature_extraction_shapes_and_kinds():
     m = init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0))
-    reps = representation_features(m, _SEQS)
-    assert reps.shape == (2, 8)
-    assert np.array_equal(reps[1], representation_features(m, _SEQS[1:])[0])
-    grads = gradient_features(m, _SEQS)
-    assert grads.shape == (2, 8 + 30)
-    assert np.array_equal(grads[1], gradient_features(m, _SEQS[1:])[0])
+    reps, at = representation_features(m, _SEQS)
+    assert reps.shape == (2, 8) and at == [0, 1]
+    assert np.array_equal(reps[1], representation_features(m, _SEQS[1:])[0][0])
+    grads, at = gradient_features(m, _SEQS)
+    assert grads.shape == (2, 8 + 30) and at == [0, 1]
+    assert np.array_equal(grads[1], gradient_features(m, _SEQS[1:])[0][0])
 
 
 def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
@@ -471,11 +471,10 @@ def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
     a, b = _SEQS
     seqs = [a, b, replace(a, instance_id="a2"), replace(b, instance_id="b2"),
             replace(a, instance_id="a3")]
-    grads = gradient_features(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
+    grads, at = gradient_features(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
     assert measured == ["a", "b"]
-    assert grads.shape == (5, 8 + 30)
-    for i, first in enumerate([0, 1, 0, 1, 0]):
-        assert np.array_equal(grads[i], grads[first])
+    assert grads.shape == (2, 8 + 30)
+    assert at == [0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("measure", [representation_features, baselines.sequence_perplexities],
@@ -495,6 +494,10 @@ def test_forward_passes_run_each_distinct_sequence_once(monkeypatch, measure):
     seqs = [a, b, replace(a, instance_id="a2"), replace(a, instance_id="c", sep_pos=1),
             replace(b, instance_id="b2"), replace(a, instance_id="a3")]
     out = measure(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
+    if measure is representation_features:  # the distinct rows, and each sequence's row
+        rows, at = out
+        assert len(rows) == 3 and at == [0, 1, 0, 2, 1, 0]
+        out = rows[at]
     assert forwarded == ["a", "b", "c"]
     assert len(out) == 6
     for i, first in enumerate([0, 1, 0, 3, 1, 0]):
@@ -506,7 +509,7 @@ def test_non_finite_features_are_refused_by_instance():
     m.params["emb"][8] = np.nan  # token 8 occurs in b only
     with pytest.raises(ValueError, match="^non-finite features for b$"):
         representation_features(m, _SEQS)
-    assert np.isfinite(representation_features(m, _SEQS[:1])).all()
+    assert np.isfinite(representation_features(m, _SEQS[:1])[0]).all()
     with pytest.raises(RuntimeError, match="instance b has loss nan"):
         gradient_features(m, _SEQS)
 

@@ -6,8 +6,11 @@ import importlib
 import inspect
 import json
 import pkgutil
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -410,3 +413,35 @@ def test_src_has_no_assert_statements():
     found = {str(m): _assert_lines(m.read_text(encoding="utf-8")) for m in modules}
     assert not {m: lines for m, lines in found.items() if lines}
     assert _assert_lines("x = 1\nif x:\n    assert x > 0\n") == [3]
+
+
+_SYNTH_AND_EXTRACT = """
+import json, os, sys
+import gradsel.pipeline
+from gradsel.cli import main
+root = sys.argv[1]
+assert main(["synth", "--out", os.path.join(root, "corpus"), "--seed", "7",
+             "--domain", "20", "--noise", "5", "--trivial", "5"]) == 0
+config = os.path.join(root, "config.json")
+with open(config, "w") as fh:
+    json.dump({"dataset": os.path.join(root, "corpus", "dataset.jsonl"),
+               "out_dir": os.path.join(root, "run"), "seed": 7, "d_model": 16,
+               "warmup_steps": 5, "epochs": 1}, fh)
+assert main(["extract", "--config", config]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib"))))
+"""
+
+
+def test_importing_gradsel_loads_no_scipy(tmp_path):
+    """Importing the CLI, then running synth and a frozen extract, loads neither
+    scipy nor OpenSSL's `_hashlib`, so no lazy import brings either back. The
+    `_hashlib` half is skipped where site hooks load it into a bare interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gradsel.__file__))}
+
+    def loaded(code, *args):
+        out = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                             capture_output=True, text=True, env=env)
+        return set(json.loads(out.stdout.splitlines()[-1]))
+
+    bare = loaded("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert loaded(_SYNTH_AND_EXTRACT, str(tmp_path)) <= {"_hashlib"} & bare

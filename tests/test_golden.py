@@ -14,8 +14,9 @@ GOLDEN in the same change and says why in CHANGES.md.
 The pinned bits depend on the OpenBLAS kernel and the CPU (matrix products
 round by shape). GOLDEN was pinned on Linux x86_64 (Intel Xeon with AVX-512),
 Python 3.11.7, numpy 2.4.6 with scipy-openblas 0.3.31 (DYNAMIC_ARCH),
-glibc 2.36. The GELU's erf is gradsel's own (`tinylm/erf.py`), so the bits
-do not depend on scipy; its tail takes exp from the C library. On other
+glibc 2.36. The GELU is the tanh form and takes numpy's tanh, so the bits do
+not depend on scipy, but they do depend on numpy's tanh and exp loops for
+this CPU. They are the same with one OpenBLAS thread and with two. On other
 hardware or libraries the test may fail; it does not skip, because a silent
 pass would hide a real change.
 """
@@ -38,56 +39,56 @@ from gradsel.pipeline import (
 )
 
 GOLDEN = {
-    'compare/extract_meta.json': 'cbc96df55f76c1192d931aba1f83220834e3cc7465f7831b84c9a1a9ef72ffa3',
-    'compare/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
-    'compare/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
-    'compare/report.json': 'a2e7241f554f99b4501c56775423532750b603e0d6125c76f78287fd0934974d',
-    'compare/selection_grads_50.jsonl': '1af8c0f48fcf271e49f2cf08a4c5dbed2cc50eb6a7f58d67c574a23aacaecfdd',
-    'compare/selection_grads_50_meta.json': '90ebdd05e4e1fb5f933ed967a2fa6af9fe3a42810ef66ba01531c9cb65258af0',
-    'compare/selection_random_50.jsonl': 'c6d994d0820e1468435baf4920cb6936d54e7190e4957de2b7c41d2f1bf2721b',
-    'compare/selection_random_50_meta.json': '6b3689f6f1f942ac5ce33a4acc07df21c9565eca53343f4683f18819eb816dc6',
+    'compare/extract_meta.json': 'ee5ebc4981912c5df83200f275db8ba17a69cb9c8b9d60eee6f145e0c666bebb',
+    'compare/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
+    'compare/records.jsonl': 'cabf93eb28ecabd8582894e37a82614caaf709f07e777559bf7a3bfcfa7b6813',
+    'compare/report.json': '39e5b755fa9eb729a67ec533df540690cb16f9d89893827ef9c80bbc0e23912c',
+    'compare/selection_grads_50.jsonl': '3ba5fb568a7a55abf1db2924cae315b2cbb9f31908b78c470d929013970f8988',
+    'compare/selection_grads_50_meta.json': '4f18cd9d65728c6f57ab6692e718c0b9a786ead717b4c7fe068b9edf85ecdd48',
+    'compare/selection_random_50.jsonl': '68b0e129e1af9f8317ae8a09f7dd99b0c215e3a8391d7ebce9a952ada5fceb6f',
+    'compare/selection_random_50_meta.json': '8e558f78eefa08d2368f7ee1a16103f294076eb6a844680a009f364345509f5b',
     'corpus/dataset.jsonl': '8c389d4384396df64b9b81569ae60323edab6a4d34e0519dff217f65ace41e5f',
-    'frozen/extract_meta.json': '88f935ed2ce6db3a6df28891b6847c9e68ee577dd4caf2fe160d19dcd17c76a5',
-    'frozen/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
-    'frozen/records.jsonl': '40148dca72ee21589bddb134c8fd2f3f3108a1aa4414386d82dcacd148fc7d32',
-    'frozen/selection_bm25.jsonl': '77578debbd06c61fbee0beee65062f41d5738c67b252a775b8b14aa694f48021',
-    'frozen/selection_bm25_meta.json': 'f93d5b5879f294dcfa42358f702f4425ba93b8ac4185d41a21b3705d90a020b6',
-    'frozen/selection_dsir.jsonl': '9c8fa3cb521fc0ed88e3b81727c9ee2263c36dc90868b7a38f99b2ed7bb39a4f',
-    'frozen/selection_dsir_meta.json': '39f44a1552649f8776b16a37c3c68e72e6e7c1f8e88a6106d3dbdb6ad5813069',
-    'frozen/selection_emb_only.jsonl': '3c4926e9191028f6cf19ae02e04420c746d1684dcce4ab908e0311a1fd8102e5',
-    'frozen/selection_emb_only_meta.json': 'f7ddc5e07b40ea13a6e1379538d3c04bfb4907687f5bf2f4b29b49b2beb6ab86',
-    'frozen/selection_grads.jsonl': 'dd8ea87dfa5cec9098bc4dba56d796956a48aaacebfb7bbf7b07285797fd0f1f',
-    'frozen/selection_grads_meta.json': '9c70264ddbabf014e1ee38be96047b97d01d0c8a69f13955781f59182124bc52',
-    'frozen/selection_less.jsonl': 'fe6bc7d7c399342032ddf7bdb2347e41683a0edf9a5448363e4389b5c156ef40',
-    'frozen/selection_less_meta.json': '817209e5b975e2ecd89a60408290ba6bc353bc567d6e544a883b3a504d29f679',
-    'frozen/selection_lm_only.jsonl': 'edbf0c524c45b98e4a795849debbb9e609d4d0897b4ac1a9fbeffac7c49925ee',
-    'frozen/selection_lm_only_meta.json': 'ccb7f628fb19eb6d12a4e8327b0897723c7388f818f85d8baa44270b12b13c41',
-    'frozen/selection_mid_grad.jsonl': 'b20a1740eb8a34f412bce6a15e8f509ca189c726d0c785043ba795678d8a9ab5',
-    'frozen/selection_mid_grad_meta.json': '061531aa9c0779c3281ef1283ef5318891af3f7c52a19f34fe7ea3b345878ad0',
-    'frozen/selection_ppl.jsonl': '4042fcce5874356216c6ab97f1f93ea7af152d7b6f29aa1f06418744508be790',
-    'frozen/selection_ppl_meta.json': 'bd7e4c6e44461d4496ba8f50aed3cc866cb207c3cda9e5829fad92fc2acdd79e',
-    'frozen/selection_random.jsonl': 'e0a379ca57531bb821b3e1fa4764d9c404c5d1af16610d8c2ea79fbaca19101a',
-    'frozen/selection_random_meta.json': '4330f9e2166fe71a8ab525cd7cde05e11a4663a1146090758cba5afa985b2909',
-    'frozen/selection_rds.jsonl': 'a27bf77cf5cfc8e0ffc885bcaa4ba882badfffee09adf5361924d27c915f93f5',
-    'frozen/selection_rds_meta.json': '11363d62d69ab5457f07276e8b352d9a5be3fe4e97362f6a875d44d1316262ef',
-    'frozen/selection_tail_grad.jsonl': '91c4071e46e1a28d0c6dd22d2b72c4b2de7cc38a213e64b7db270bbe46c36a70',
-    'frozen/selection_tail_grad_meta.json': 'e3210670ea7ecaf457dfcb84ff9db6938cf2e15570effb3e60ea2466e43658ca',
-    'frozen/selection_top_grad.jsonl': '948bc7704e7a2313dc702ad590401d0dcba0c9e50dd394a78bc5695e47a526db',
-    'frozen/selection_top_grad_meta.json': '4b24211a735857af8fa00a211fc05eaacef67e32b8d4e051f6d49618a771c73f',
-    'frozen/selection_weight.jsonl': '81246b6180fc18e02665289c219aab0a8c68f3a67651fa38604d3929ae387935',
-    'frozen/selection_weight_meta.json': 'c90b7f4845ccc79f7e7c485a703ae718a38a8fcbcdca413d3225acf4f08f80bc',
-    'frozen/selection_weightr.jsonl': 'df0dc8464be1a7bfb060bfb054a2fb9f94cba504bae43f83f5483672b1ff3ec4',
-    'frozen/selection_weightr_meta.json': '8a70a15a0118addf9f888b277259d4fb84d32e7196f3c7dffa45ed7d4ae73d5f',
-    'online/eval.json': 'e746e5f64b668b7ce235f5687e868ae02e42c186284a9ec85cefbcc4734cd0ee',
-    'online/extract_meta.json': 'f553f9048b08181e278f1f761da6ec1d8d88c7919bf4329fe2b6cb494d906cfc',
-    'online/extract_model.json': '95114faa0eadc127acb6a03500c16e3dadde335ff7049fbeb5649fe2f311a370',
-    'online/model.json': '98c391e1c3ff54505d3184aa8ba6b26650a7eee332dc80bbb985d81c3079cc04',
-    'online/records.jsonl': '55f08339b29111585cc5ff4a7e168089db0f01df04158a75d2d8e0cb51c309b8',
-    'online/train_meta.json': 'b3892af335f7ab2d121d9182642f05f86d0be096b00dd62a9cda8539bc52728e',
-    'pilot/deciles.csv': '96e3c9b1a50735037db5e8be7ee747381fb824711bec4375016fd286c6c0646b',
-    'pilot/pilot_meta.json': 'ffc54cf201980c1a3b094e167da2e7a7e24ef2afc0dabf752018f42a478b1db8',
-    'train/model.json': 'a225a2caee1293950e63296e51be16a479b846d0ad742086a46bfc5f84f800c8',
-    'train/train_meta.json': '66dc147ec1dce0db0feef07d7e254643f698b4f8f68f54797087c174ad9e18c8',
+    'frozen/extract_meta.json': '03cfd74ac1a26d87a2935f53a451f65e6bbffe59207e3f078e07abcb4b99fbc7',
+    'frozen/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
+    'frozen/records.jsonl': 'cabf93eb28ecabd8582894e37a82614caaf709f07e777559bf7a3bfcfa7b6813',
+    'frozen/selection_bm25.jsonl': '3dc0f53a1c4e8399d5302ee75ecfde6f27860579fdf910faff29bb582b88ff6c',
+    'frozen/selection_bm25_meta.json': '4c116e94ea1ef12b82623d612306ca7c10b9a67b3eb1c33f426a61373744d949',
+    'frozen/selection_dsir.jsonl': 'ddf51e6548cf2bef191101218c5fcdf4ea07ab576c40ca500e3f312c172e8314',
+    'frozen/selection_dsir_meta.json': '0c5b92fc31e6180983f687de97b02c0e806ba58091d79614468e461856d25ce9',
+    'frozen/selection_emb_only.jsonl': '480dd28f5b917bd340787a4f6dcba4d7c67ce6d4fa298d148e92c1fbdd357fe2',
+    'frozen/selection_emb_only_meta.json': 'fb7085fc4a8c9a2d914aaefd13087cdb0fdfe598a8244510f757736c8d4bc8f9',
+    'frozen/selection_grads.jsonl': '7e16e4c58973236bf23a1f57953448a8ef38026870404c61f4fd9beba9e83b4d',
+    'frozen/selection_grads_meta.json': '3c2143d699fdbc492540c4b163f9199064728c84ee8b4e0a4814268c77bb3692',
+    'frozen/selection_less.jsonl': '5670a98f9d941b8462505d0c4af18e0e49387eb6b6b12095ad5e7eb316ab4d66',
+    'frozen/selection_less_meta.json': 'd28c6f8b6fa7b0485d0fb1a10f18656f47d19ae8a73ad357d7e7d6a655c8d462',
+    'frozen/selection_lm_only.jsonl': 'ed7f4fc915eeb8f431cf25125c28654f554b7c6748b2c4763a0bed937383918f',
+    'frozen/selection_lm_only_meta.json': 'c4461ee3d1428a5a64bef77d8c79ce66ff815f99e760f05888d4c4c3a24ec671',
+    'frozen/selection_mid_grad.jsonl': 'c48ec024425ba00e455fc80ea8d414090245948a48252981bf51d6206866688a',
+    'frozen/selection_mid_grad_meta.json': 'c206d491530b24f48f6fbfa4498ed04333d4a0acc6635ca8da7361f630f6c892',
+    'frozen/selection_ppl.jsonl': 'fa47c66286afabdcfda4dd1360d960063883e831cb1fe36ed936f94cfe5f6692',
+    'frozen/selection_ppl_meta.json': 'ab721762946053a4d42f507f98bb89dc0fcbba72919bc2d54740de5073f6fd45',
+    'frozen/selection_random.jsonl': 'b760f5eb1aae0f089a65c334a3f44e663b3c2ca9a5e7aa9963cd86fef0735196',
+    'frozen/selection_random_meta.json': '1399415145f301cd84607aaa6d7b13b0101eaece0d16361d5685902f503b1949',
+    'frozen/selection_rds.jsonl': '5f16b5c68bbc103c4dea996b242f42d328254c97b5f1a6957f82bf811f078334',
+    'frozen/selection_rds_meta.json': '391f02e2a2265a5bda8ea0ef2545cedb7c8decc8b373657ac587c25dc50ba334',
+    'frozen/selection_tail_grad.jsonl': '88d6525aadce8361f41d968d2e0fe21902a24d464bbba969f0fa998f5393b425',
+    'frozen/selection_tail_grad_meta.json': '2a3eb63ef25d8620b48f70c8256ec3868e552fa019a719adc7d5d4c64a4b2ba5',
+    'frozen/selection_top_grad.jsonl': '1407e1ad9f4529d08a048f8b3564d0165553faf3ce2a8a0ca1869d1982ebe178',
+    'frozen/selection_top_grad_meta.json': 'a74d67d5529af3504485344a4f55f1143254689272ce34d3b830b5ec4dc46699',
+    'frozen/selection_weight.jsonl': '93390edc7f203bc55d5b1aea0471da9ca60b502f1bf5eed926ff70ed5e06ee3f',
+    'frozen/selection_weight_meta.json': 'a498d49432a2d4b0d4a3f5fec92eee1246106d3bef6aa6e6ec423947a88be860',
+    'frozen/selection_weightr.jsonl': '47c58dca7272965a99e6720eb9ef9cd4a94f45024f71c1b7c4f6fbc7665e35b6',
+    'frozen/selection_weightr_meta.json': '21161d3fb234f8966d0bc893347dd8c67b163ea3a08090b34319bf30071d8218',
+    'online/eval.json': '16cf3fefa6bc56b13635faace5eb574cda0fdad3014705cb3ebc33c5621eb042',
+    'online/extract_meta.json': 'cc084c8011341000a32da4109f868c9ff4541524db2e8d249f8ef0e5c6925d99',
+    'online/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
+    'online/model.json': 'a0db3572cb0e7f08e9b72613c211ae72e5af1ce533a1f8d16c7b2f1f959f7d04',
+    'online/records.jsonl': '100b8cddc3420d4dfb171a251a364a586e759940f757705d3d95b823d0babde9',
+    'online/train_meta.json': '59632da7e57e2b416e6a4aee3c9c9636d2da0d888f2014d5c2483969f5eabb2f',
+    'pilot/deciles.csv': 'eba4bd6bd735f2a95192feba6f44e1307f540bc53e7c99b345e99401b4956532',
+    'pilot/pilot_meta.json': '7a56c37a994f60027e16a2c47e21bbdae2a7421da755ab83240509e6e7b4d21b',
+    'train/model.json': '9f28f5eed72203207a3c65eafc183002ef6b2d82b6a4a29677ef43ad6be68d8b',
+    'train/train_meta.json': 'a1059539add095d0ab8910dfe48858d821c63cb073cc866b891e3b6c3720d8b6',
 }
 
 

@@ -594,6 +594,36 @@ def test_selection_counts_the_strata_it_keeps():
     assert every.stratum_counts == {"domain": 2, "noise": 1, "unlabeled": 1}
 
 
+@pytest.mark.parametrize("name", ["rds", "less"])
+def test_feature_baselines_score_each_distinct_row_once(extract_run, monkeypatch, name):
+    """The candidate features hold one row per distinct sequence, and the
+    scores are bit-equal to scoring every candidate's own batch-of-one row."""
+    cfg, out = extract_run
+    prep = prepare(cfg)
+    records = read_records(out["records"])
+    model = load_checkpoint(os.path.join(os.path.dirname(out["records"]), "extract_model.json"))
+    feats = {"rds": baselines.representation_features, "less": baselines.gradient_features}[name]
+    score = getattr(baselines, f"{name}_scores")
+    scored = []
+
+    def spy(cands, queries):
+        scored.append(len(cands))
+        return score(cands, queries)
+
+    monkeypatch.setattr(baselines, f"{name}_scores", spy)
+    result = pipeline.run_selection_by_name(name, 50.0, records, prep, cfg, model)
+    ids = [r.instance_id for r in records]
+    seqs = prep.seqs_for(ids)
+    assert scored == [len({(s.tokens, s.sep_pos) for s in seqs})]
+    assert scored[0] < len(seqs)  # the corpus repeats sequences
+
+    def every_row(seqs):
+        return np.vstack([feats(model, [seq])[0] for seq in seqs])
+
+    want = score(every_row(seqs), every_row(prep.seqs_for(prep.split.query)))
+    assert [result.f_values[i] for i in ids] == want.tolist()
+
+
 def test_ppl_refuses_a_perplexity_that_is_not_positive(extract_run, tmp_path, monkeypatch):
     cfg, out = extract_run
     monkeypatch.setattr(baselines, "sequence_perplexities",

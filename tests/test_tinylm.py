@@ -8,7 +8,10 @@ runs on a padded batch; a single sequence is a batch of one.
 
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -17,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradsel
 from gradsel.baselines import sequence_perplexities
 from gradsel.corpus import SynthSpec, TokenSequence, build_vocab, encode_instance, synth_corpus
 from gradsel.rng import ROLE_INIT, substream
 from gradsel.tinylm import (
     Batch,
+    Model,
     ModelConfig,
     TrainHyper,
     Trainer,
@@ -37,7 +42,8 @@ from gradsel.tinylm import (
     total_update_steps,
     warmup_lr,
 )
-from gradsel.tinylm.model import SCORE_BATCH
+from gradsel.tinylm.model import SCORE_BATCH, _gelu, _gelu_grad
+from gradsel.tinylm.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
 TINY = ModelConfig(
     d_model=16, n_layers=2, n_heads=2, d_ff=32,
@@ -268,6 +274,28 @@ def test_embedding_gradients_match_finite_differences():
     np.testing.assert_allclose(res.g_emb, fd, rtol=1e-4, atol=1e-8)
 
 
+def test_gelu_matches_the_sigmoid_form():
+    """0.5 x (1 + tanh u) = x / (1 + exp(-2u)), a form that shares no code
+    with the model's. Below about x = -3, 1 + tanh u cancels, so the tanh form
+    holds its error in absolute terms there."""
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001), [-1e-3, -0.0, 1e-3, 1e-300]])
+    u = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)
+    gelu, tanh1 = _gelu(x)
+    np.testing.assert_allclose(gelu, x / (1.0 + np.exp(-2.0 * u)), rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(tanh1, 2.0 / (1.0 + np.exp(-2.0 * u)), rtol=1e-13, atol=1e-16)
+
+
+def test_gelu_derivative_matches_central_differences():
+    """Element by element, out to |x| = 10, where the tails are flat."""
+    x = np.concatenate([np.linspace(-10.0, 10.0, 4001), [-1e-3, 0.0, 1e-3]])
+    h = 1e-6
+    fd = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2 * h)
+    grad = _gelu_grad(x, _gelu(x)[1])
+    np.testing.assert_allclose(grad, fd, rtol=1e-7, atol=1e-8)
+    assert grad[0] == pytest.approx(0.0, abs=1e-12) and grad[4000] == pytest.approx(1.0)
+    assert grad[2000] == 0.5  # GELU'(0)
+
+
 def _assert_param_grads_match_fd(m, batch, param_grads):
     eps = 1e-5
     analytic = param_views(m.cfg, param_grads)
@@ -471,6 +499,55 @@ def test_train_deterministic():
         return _train(m, seqs, _hyper(4, 5), epochs=2)
 
     assert np.array_equal(run().flat, run().flat)
+
+
+def test_adam_step_matches_the_textbook_form():
+    """Kingma and Ba's m_hat / (sqrt(v_hat) + eps) update, step by step. Each
+    parameter's gradient keeps its sign, so the updates add without
+    cancelling; magnitudes span 1e-12 to 1, so eps matters for some."""
+    rng = np.random.default_rng(12)
+    model = Model(TINY)
+    adam = AdamState(model)
+    sign = rng.choice([-1.0, 1.0], model.flat.size)
+    p, m1, m2 = model.flat.copy(), np.zeros_like(model.flat), np.zeros_like(model.flat)
+    for t in range(1, 7):
+        g = sign * rng.uniform(0.5, 1.0, p.size) * 10.0 ** rng.integers(-12, 1, p.size)
+        lr = 1e-3 * t
+        adam.step(model, g, lr)
+        m1 = ADAM_BETA1 * m1 + (1 - ADAM_BETA1) * g
+        m2 = ADAM_BETA2 * m2 + (1 - ADAM_BETA2) * g * g
+        m_hat, v_hat = m1 / (1 - ADAM_BETA1**t), m2 / (1 - ADAM_BETA2**t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.testing.assert_allclose(model.flat, p, rtol=1e-13, atol=0.0)
+    assert adam.t == 6
+
+
+_TRAIN_AT_QUICKSTART_SCALE = """
+from gradsel.corpus import SynthSpec, build_vocab, encode_instance, synth_corpus
+from gradsel.tinylm import ModelConfig, TrainHyper, Trainer, init_model, model_fingerprint
+ds = synth_corpus(SynthSpec(700, 150, 150, seed=42))
+tok = build_vocab(ds, max_vocab=512)
+seqs = [encode_instance(tok, inst, 48) for inst in ds]
+model = init_model(ModelConfig(32, 2, 2, 64, tok.vocab_size, 48, init_seed=42))
+Trainer(model, TrainHyper(3e-3, 0.1, 8, 42), 100).run(seqs)
+print(model_fingerprint(model))
+"""
+
+
+def test_training_bits_do_not_depend_on_blas_threads():
+    """Quickstart's model dimensions at batch 8: the parameter-gradient
+    products over the batch's B*T rows are large enough for OpenBLAS to split
+    them over threads, and the trained bits must not change when it does."""
+    root = os.path.dirname(os.path.dirname(gradsel.__file__))
+
+    def fingerprint(threads: str) -> str:
+        env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", _TRAIN_AT_QUICKSTART_SCALE], check=True,
+                             capture_output=True, text=True, env=env)
+        return out.stdout.strip()
+
+    one = fingerprint("1")
+    assert len(one) == 16 and one == fingerprint("2")
 
 
 def test_train_loss_decreases_on_learnable_corpus():
