@@ -18,7 +18,7 @@ from .corpus import TokenSequence
 from .gradstats import token_vectors
 from .rng import ROLE_GUMBEL, ROLE_SELECT, substream
 from .selector import descending_order
-from .tinylm.model import Model, batches, distinct, forward
+from .tinylm.model import Model, _times_wt, batches, distinct, forward
 from .tinylm.training import frozen_gradients
 
 BM25_K1 = 1.2
@@ -231,41 +231,36 @@ def gradient_features(model: Model, seqs: list[TokenSequence]) -> tuple[np.ndarr
     return _feature_matrix(measured, rows), at
 
 
-def _with_norms(rows: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Each row with its norm, taken once by the 1-D np.linalg.norm."""
-    return [(r, np.linalg.norm(r)) for r in rows]
-
-
-def _check_queries(cands: np.ndarray, queries: np.ndarray) -> None:
+def _cosines(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The (len(cands), q) cosines of each candidate row to each of the q
+    query rows of nonzero norm; a zero-norm candidate's row is all -1, below
+    any cosine. The products run in _times_wt's fixed row blocks, so a row's
+    cosines do not depend on the rows around it."""
     if not len(queries):
         raise ValueError("empty query set: no query features to score against")
     if cands.shape[1:] != queries.shape[1:]:
         raise ValueError(f"feature width mismatch: candidates {cands.shape}, "
                          f"queries {queries.shape}")
-
-
-def _cosines(u: np.ndarray, nu: float, queries) -> list[float]:
-    """Cosine of u, of norm nu, to each (row, norm) query; 0.0 where either
-    norm is zero."""
-    return [float(u @ q / (nu * nq)) if nu and nq else 0.0 for q, nq in queries]
+    nq = np.linalg.norm(queries, axis=1)
+    if not nq.any():
+        raise ValueError("all query features have zero norm")
+    keep = nq > 0
+    nc = np.linalg.norm(cands, axis=1)
+    cos = _times_wt(cands, queries[keep]) / (np.where(nc > 0, nc, 1.0)[:, None] * nq[keep])
+    cos[nc == 0] = -1.0
+    return cos
 
 
 def rds_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Mean cosine of each candidate row to the query rows; a zero-norm
-    candidate scores -1, below any cosine."""
-    _check_queries(cands, queries)
-    usable = [(q, nq) for q, nq in _with_norms(queries) if nq > 0]
-    if not usable:
-        raise ValueError("all query features have zero norm")
-    return np.array([float(np.mean(_cosines(f, nf, usable))) if nf else -1.0
-                     for f, nf in _with_norms(cands)])
+    """Mean cosine of each candidate row to the nonzero query rows; a
+    zero-norm candidate scores -1."""
+    return _cosines(cands, queries).mean(axis=1)
 
 
 def less_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Max cosine of each candidate row to the query rows."""
-    _check_queries(cands, queries)
-    qs = _with_norms(queries)
-    return np.array([max(_cosines(c, nc, qs)) for c, nc in _with_norms(cands)])
+    """Max cosine of each candidate row to the nonzero query rows; a
+    zero-norm candidate scores -1."""
+    return _cosines(cands, queries).max(axis=1)
 
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:

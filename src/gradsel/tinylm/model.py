@@ -264,7 +264,7 @@ def _times_wt(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     pad = -n % 16
     if pad:
         x = np.concatenate([x, np.zeros((pad, k))])
-    return np.matmul(x.reshape(-1, 16, k), w.T).reshape(n + pad, -1)[:n]
+    return np.matmul(x.reshape(-1, 16, k), w.T).reshape(n + pad, len(w))[:n]
 
 
 def _split_heads(x: np.ndarray, B: int, T: int, H: int) -> np.ndarray:

@@ -369,8 +369,6 @@ def test_rds_length_mismatch_rejected():
     scores = rds_scores(_rows([1.0, 2.0]), _rows([1.0, 2.0]))
     with pytest.raises(ValueError, match="^2 ids for 1 scores$"):  # one row per id
         selection_from_order("rds", 100, _ids(2), descending_order(scores), scores)
-    with pytest.raises(ValueError, match="^all query features have zero norm$"):
-        rds_scores(_rows([1.0, 2.0]), _rows([0.0, 0.0]))
 
 
 def test_less_shape_mismatch_rejected():
@@ -382,25 +380,42 @@ def test_less_shape_mismatch_rejected():
 def test_empty_query_set_rejected(scores):
     with pytest.raises(ValueError, match="^empty query set"):
         scores(_rows([1.0, 2.0]), np.empty((0, 2)))
+    with pytest.raises(ValueError, match="^all query features have zero norm$"):
+        scores(_rows([1.0, 2.0]), np.zeros((2, 2)))
 
 
-def test_rds_and_less_keep_the_bits_of_per_pair_cosines():
-    """Norms are taken once per row; every score keeps the bits of a cosine
-    that takes both norms for each (candidate, query) pair."""
+def test_rds_and_less_score_each_row_as_its_per_pair_cosines():
+    """Every score is within 1e-12 of the per-pair cosine formula and keeps
+    its bits whether its row is scored alone or inside the full matrix; a
+    zero-norm query is dropped, a zero-norm candidate scores -1, and no
+    candidates give no scores."""
     rng = np.random.default_rng(3)
     cands, queries = rng.normal(size=(40, 9)), rng.normal(size=(5, 9))
     cands[7] = queries[3] = 0.0
+    usable = [q for q in queries if np.linalg.norm(q) > 0]
 
     def cos(u, v):
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        return 0.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
+        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
-    usable = [q for q in queries if np.linalg.norm(q) > 0]
-    rds = [-1.0 if np.linalg.norm(c) == 0 else float(np.mean([cos(c, q) for q in usable]))
-           for c in cands]
-    less = [max(cos(c, q) for q in queries) for c in cands]
-    assert rds_scores(cands, queries).tolist() == rds
-    assert less_scores(cands, queries).tolist() == less
+    for scores, reduce in ((rds_scores, np.mean), (less_scores, max)):
+        got = scores(cands, queries)
+        want = [reduce([cos(c, q) for q in usable]) if c.any() else -1.0 for c in cands]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got[7] == -1.0
+        assert [scores(c[None], queries)[0] for c in cands] == got.tolist()
+        assert scores(cands, np.array(usable)).tolist() == got.tolist()
+        assert scores(cands[:0], queries).shape == (0,)
+
+
+@pytest.mark.parametrize("scores", [rds_scores, less_scores])
+def test_zero_norm_rows_follow_one_rule(scores):
+    """A zero-norm query is dropped, not counted as cosine 0.0, which would
+    lift every max cosine to at least 0; a zero-norm candidate scores -1."""
+    cands = _rows([-1.0, 0.1], [-1.0, 1.0], [0.0, 0.0])
+    got = scores(cands, _rows([0.0, 0.0], [1.0, 0.0]))
+    assert got.tolist() == scores(cands, _rows([1.0, 0.0])).tolist()
+    assert got.tolist() == pytest.approx([-0.995037, -0.707107, -1.0], abs=1e-6)
+    assert descending_order(got) == [1, 0, 2]
 
 
 def _ppl_selection(ids, ppls, percent):

@@ -86,13 +86,6 @@ def test_extract_select_train_eval_chain(workspace, capsys):
     assert "bleu=" in capsys.readouterr().out
 
 
-def test_baseline_subcommand(workspace, records, capsys):
-    root, cfg = workspace
-    assert main(["select", "--config", cfg, "--records", records,
-                 "--strategy", "random", "--fraction", "50"]) == 0
-    assert "random@50: 45 selected" in capsys.readouterr().out
-
-
 def test_select_and_baseline_flag_defaults(workspace, records, capsys):
     root, cfg = workspace
 

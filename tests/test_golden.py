@@ -59,7 +59,7 @@ GOLDEN = {
     'frozen/selection_emb_only_meta.json': 'fb7085fc4a8c9a2d914aaefd13087cdb0fdfe598a8244510f757736c8d4bc8f9',
     'frozen/selection_grads.jsonl': '7e16e4c58973236bf23a1f57953448a8ef38026870404c61f4fd9beba9e83b4d',
     'frozen/selection_grads_meta.json': '3c2143d699fdbc492540c4b163f9199064728c84ee8b4e0a4814268c77bb3692',
-    'frozen/selection_less.jsonl': '5670a98f9d941b8462505d0c4af18e0e49387eb6b6b12095ad5e7eb316ab4d66',
+    'frozen/selection_less.jsonl': '31d0cb98a2010f27e7635aab4093eecc30f044f4d775d1a4dacbd8b124ee87ff',
     'frozen/selection_less_meta.json': 'd28c6f8b6fa7b0485d0fb1a10f18656f47d19ae8a73ad357d7e7d6a655c8d462',
     'frozen/selection_lm_only.jsonl': 'ed7f4fc915eeb8f431cf25125c28654f554b7c6748b2c4763a0bed937383918f',
     'frozen/selection_lm_only_meta.json': 'c4461ee3d1428a5a64bef77d8c79ce66ff815f99e760f05888d4c4c3a24ec671',
@@ -69,7 +69,7 @@ GOLDEN = {
     'frozen/selection_ppl_meta.json': 'ab721762946053a4d42f507f98bb89dc0fcbba72919bc2d54740de5073f6fd45',
     'frozen/selection_random.jsonl': 'b760f5eb1aae0f089a65c334a3f44e663b3c2ca9a5e7aa9963cd86fef0735196',
     'frozen/selection_random_meta.json': '1399415145f301cd84607aaa6d7b13b0101eaece0d16361d5685902f503b1949',
-    'frozen/selection_rds.jsonl': '5f16b5c68bbc103c4dea996b242f42d328254c97b5f1a6957f82bf811f078334',
+    'frozen/selection_rds.jsonl': 'b3a7ac50c806cc8adf4299101c87428f890469f9e7836539f07dd7c7e81b0b07',
     'frozen/selection_rds_meta.json': '391f02e2a2265a5bda8ea0ef2545cedb7c8decc8b373657ac587c25dc50ba334',
     'frozen/selection_tail_grad.jsonl': '88d6525aadce8361f41d968d2e0fe21902a24d464bbba969f0fa998f5393b425',
     'frozen/selection_tail_grad_meta.json': '2a3eb63ef25d8620b48f70c8256ec3868e552fa019a719adc7d5d4c64a4b2ba5',

@@ -522,7 +522,10 @@ def test_adam_step_matches_the_textbook_form():
     assert adam.t == 6
 
 
-_TRAIN_AT_QUICKSTART_SCALE = """
+_RUN_AT_QUICKSTART_SCALE = """
+import hashlib
+import numpy as np
+from gradsel.baselines import less_scores, rds_scores
 from gradsel.corpus import SynthSpec, build_vocab, encode_instance, synth_corpus
 from gradsel.tinylm import ModelConfig, TrainHyper, Trainer, init_model, model_fingerprint
 ds = synth_corpus(SynthSpec(700, 150, 150, seed=42))
@@ -531,23 +534,28 @@ seqs = [encode_instance(tok, inst, 48) for inst in ds]
 model = init_model(ModelConfig(32, 2, 2, 64, tok.vocab_size, 48, init_seed=42))
 Trainer(model, TrainHyper(3e-3, 0.1, 8, 42), 100).run(seqs)
 print(model_fingerprint(model))
+rng = np.random.default_rng(0)
+c, q = rng.normal(size=(2067, 305)), rng.normal(size=(16, 305))
+print(hashlib.sha256(rds_scores(c, q).tobytes() + less_scores(c, q).tobytes()).hexdigest())
 """
 
 
 def test_training_bits_do_not_depend_on_blas_threads():
     """Quickstart's model dimensions at batch 8: the parameter-gradient
     products over the batch's B*T rows are large enough for OpenBLAS to split
-    them over threads, and the trained bits must not change when it does."""
+    them over threads, and the trained bits must not change when it does.
+    Nor may the rds and less scores of 2067 candidate rows against 16 query
+    rows at the less feature width."""
     root = os.path.dirname(os.path.dirname(gradsel.__file__))
 
-    def fingerprint(threads: str) -> str:
+    def fingerprints(threads: str) -> list[str]:
         env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": threads}
-        out = subprocess.run([sys.executable, "-c", _TRAIN_AT_QUICKSTART_SCALE], check=True,
+        out = subprocess.run([sys.executable, "-c", _RUN_AT_QUICKSTART_SCALE], check=True,
                              capture_output=True, text=True, env=env)
-        return out.stdout.strip()
+        return out.stdout.split()
 
-    one = fingerprint("1")
-    assert len(one) == 16 and one == fingerprint("2")
+    one = fingerprints("1")
+    assert [len(f) for f in one] == [16, 64] and one == fingerprints("2")
 
 
 def test_train_loss_decreases_on_learnable_corpus():
