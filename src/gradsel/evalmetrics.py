@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Tokenizer, TokenSequence
 from .gradstats import GradientRecord
-from .tinylm.model import SCORE_BATCH, Batch, Model, batches, distinct, forward
+from .tinylm.model import Batch, Model, _equal_length_chunks, batches, distinct, forward
 
 METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
@@ -26,19 +26,16 @@ def greedy_decode(model: Model, prompts: list[list[int]],
                   max_new: list[int]) -> list[list[int]]:
     """Argmax continuation of each prompt; each stops at EOS or its budget.
 
-    Prompts of equal length decode together in consecutive chunks of at most
-    SCORE_BATCH, so every step is one batched forward over the chunk members
-    still decoding, and memory does not grow with the number of prompts.
+    Prompts decode in _equal_length_chunks, shortest first, so every step
+    is one batched forward over the unpadded chunk members still decoding,
+    each row bit-identical to a batch of one, and memory does not grow with
+    the number of prompts.
     """
     outs: list[list[int]] = [[] for _ in prompts]
-    groups: dict[int, list[int]] = {}
-    for i, prompt in enumerate(prompts):
-        groups.setdefault(len(prompt), []).append(i)
-    chunks = [(length, group[lo : lo + SCORE_BATCH])
-              for length, group in sorted(groups.items())
-              for lo in range(0, len(group), SCORE_BATCH)]
-    for length, members in chunks:
-        ids = np.array([prompts[i] for i in members], dtype=np.int64).reshape(-1, length)
+    lengths = [len(p) for p in prompts]
+    order = sorted(range(len(prompts)), key=lengths.__getitem__)
+    for members in _equal_length_chunks(order, lengths):
+        ids = np.array([prompts[i] for i in members], dtype=np.int64)
         live = [r for r, i in enumerate(members) if max_new[i] > 0]
         while live and ids.shape[1] < model.cfg.max_seq_len:
             nxt = np.full(len(members), Tokenizer.eos)

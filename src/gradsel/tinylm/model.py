@@ -8,16 +8,15 @@ embedding vectors and the logits of every instance in the batch (the
 per-example gradient trick of Goodfellow 2015, arXiv:1510.01799), which
 downstream code aggregates into per-instance scores.
 
-Right padding is exact: attention is causal, so padded positions never feed
-real ones; layer norm works row by row; padded positions carry no loss
-weight. Every output of forward (hidden rows, loss-row logits and last-row
-logits) and each instance's loss, embedding gradient and logit gradient are
-bit-identical to its batch-of-one result: key-axis sums and dot products
-run over each sequence's own length, and x @ w.T, the LM head's included,
-runs in fixed row blocks, so neither the padding nor the batch mates change
-a rounding. The parameter gradient is the one output that is not per
-instance: each weight's is one product over all B*T rows of the batch,
-deterministic but not the sum of the batch-of-one gradients' bits.
+Right padding keeps each sequence's results its own: attention is causal,
+so padded positions never feed real ones; layer norm works row by row;
+padded positions carry no loss weight. An unpadded chunk is bit-identical
+to a batch of one, since every reduction runs over each sequence's own
+length and x @ w.T, the LM head's included, runs in fixed row blocks; the
+passes that train nothing run only such chunks (`batches`). A padded batch
+(training, online extraction) sums attention's key axis over the padded
+length, so it matches a batch of one to rounding only. The parameter
+gradient is one product over all B*T rows of the batch.
 
 Architecture: token + learned positional embeddings, pre-layer-norm blocks
 (LN -> causal multi-head attention -> residual; LN -> GELU MLP -> residual),
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -169,23 +169,35 @@ class Batch:
 SCORE_BATCH = 16
 
 
+def _equal_length_chunks(order, lengths: list[int]):
+    """Runs of at most SCORE_BATCH consecutive indices of order, each run of
+    one length (lengths[i]); order is sorted by length."""
+    for _, run in itertools.groupby(order, key=lengths.__getitem__):
+        run = list(run)
+        for lo in range(0, len(run), SCORE_BATCH):
+            yield run[lo : lo + SCORE_BATCH]
+
+
 def batches(seqs: list[TokenSequence]):
-    """Consecutive (sequences, Batch) chunks of at most SCORE_BATCH sequences."""
-    for lo in range(0, len(seqs), SCORE_BATCH):
-        chunk = seqs[lo : lo + SCORE_BATCH]
+    """(sequences, Batch) chunks of seqs in order, each unpadded
+    (_equal_length_chunks), so each output is bit-identical to a batch of one."""
+    for run in _equal_length_chunks(range(len(seqs)), [len(s) for s in seqs]):
+        chunk = [seqs[i] for i in run]
         yield chunk, Batch.of(chunk)
 
 
 def distinct(seqs: list[TokenSequence]) -> tuple[list[TokenSequence], list[int]]:
-    """Each distinct (tokens, sep_pos) of seqs at its first copy, in the order
-    given, and for each of seqs its first copy's position among them. The
-    repeat rule of every pass that trains nothing: each forward output is
-    bit-identical to a batch of one, so a repeat would measure the same bits."""
+    """Each distinct (tokens, sep_pos) of seqs at its first copy, shortest
+    first and in the order given within a length, and for each of seqs its
+    first copy's position among them. The repeat rule of every pass that
+    trains nothing: its batches are unpadded, so a repeat measures the same
+    bits."""
     firsts: dict[tuple, TokenSequence] = {}
     for seq in seqs:
         firsts.setdefault((seq.tokens, seq.sep_pos), seq)
-    position = {key: i for i, key in enumerate(firsts)}
-    return list(firsts.values()), [position[s.tokens, s.sep_pos] for s in seqs]
+    uniq = sorted(firsts.values(), key=len)
+    position = {(s.tokens, s.sep_pos): i for i, s in enumerate(uniq)}
+    return uniq, [position[s.tokens, s.sep_pos] for s in seqs]
 
 
 # Row means are written as sum / n: the same bits as ndarray.mean, without
@@ -232,28 +244,6 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-# Two attention reductions run over the key axis, whose length is the padded
-# one. Numpy's pairwise sums regroup at 8 or more terms, and OpenBLAS rounds
-# x @ y.T by the number of columns, so the padding would change the bits of a
-# shorter sequence; each such sequence's block is recomputed from its own rows.
-def _key_sum(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums over the key axis of (B, H, T, T), each sequence over its length."""
-    out = x.sum(axis=-1, keepdims=True)
-    for b, n in enumerate(lengths.tolist()):
-        if n < x.shape[-1]:
-            out[b, :, :n] = x[b, :, :n, :n].sum(axis=-1, keepdims=True)
-    return out
-
-
-def _dot_keys(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """x @ y^T for (B, H, T, dh) pairs, each sequence over its length."""
-    out = np.matmul(x, y.transpose(0, 1, 3, 2))
-    for b, n in enumerate(lengths.tolist()):
-        if n < x.shape[2]:
-            out[b, :, :n, :n] = np.matmul(x[b, :, :n], y[b, :, :n].transpose(0, 2, 1))
-    return out
 
 
 def _times_wt(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -337,9 +327,9 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
         p = f"l{i}."
         a, a_xhat, a_inv = _layernorm(h, P[p + "ln1.g"], P[p + "ln1.b"])
         q, k, v = (_split_heads(a @ P[p + "w" + x] + P[p + "b" + x], B, T, H) for x in "qkv")
-        scores = np.where(mask, -np.inf, _dot_keys(q, k, batch.lengths) * scale)
+        scores = np.where(mask, -np.inf, np.matmul(q, k.transpose(0, 1, 3, 2)) * scale)
         ez = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        att = ez / _key_sum(ez, batch.lengths)
+        att = ez / ez.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(np.matmul(att, v))
         h_mid = h + (ctx @ P[p + "wo"] + P[p + "bo"])
         b, b_xhat, b_inv = _layernorm(h_mid, P[p + "ln2.g"], P[p + "ln2.b"])
@@ -440,10 +430,10 @@ def loss_and_grads(model: Model, batch: Batch, trace: ForwardTrace,
         if want_param_grads:
             linear_grads(p, "o", tr.ctx, dh_mid)
         dctx_h = _split_heads(dctx, B, T, H)
-        datt = _dot_keys(dctx_h, tr.v, batch.lengths)
+        datt = np.matmul(dctx_h, tr.v.transpose(0, 1, 3, 2))
         dv = np.matmul(tr.att.transpose(0, 1, 3, 2), dctx_h)
         # softmax rows: ds = att * (datt - sum(datt * att))
-        dscores = tr.att * (datt - _key_sum(datt * tr.att, batch.lengths))
+        dscores = tr.att * (datt - (datt * tr.att).sum(axis=-1, keepdims=True))
         dq = _merge_heads(np.matmul(dscores, tr.k) * scale)
         dk = _merge_heads(np.matmul(dscores.transpose(0, 1, 3, 2), tr.q) * scale)
         dv = _merge_heads(dv)

@@ -162,12 +162,12 @@ class Trainer:
 
 def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> list[int]:
     """on_step(chunk, batch, BackwardResult, -1) for every chunk of the
-    distinct sequences of seqs, in the order given, against fixed parameters;
+    distinct sequences of seqs, shortest first, against fixed parameters;
     returns, for each of seqs, the position of its first copy among the
     sequences measured.
 
-    Runs in batches of SCORE_BATCH; each instance's gradients are
-    bit-identical to a batch of one, as the tinylm tests check, so what
+    Runs in model.batches' unpadded chunks, so each instance's gradients are
+    bit-identical to a batch of one, as the tinylm tests check, and what
     on_step measures does not depend on order or batching. model.distinct,
     the repeat rule of every pass that trains nothing, picks the sequences.
     """

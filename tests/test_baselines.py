@@ -496,7 +496,8 @@ def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
                          ids=["rds", "ppl"])
 def test_forward_passes_run_each_distinct_sequence_once(monkeypatch, measure):
     """a2, a3 and b2 repeat a and b under other ids; c has a's tokens under
-    another sep_pos, so it is a sequence of its own."""
+    another sep_pos, so it is a sequence of its own. The distinct sequences
+    run shortest first, in the order given within a length: a, c, then b."""
     forwarded = []
     real = baselines.forward
 
@@ -511,9 +512,9 @@ def test_forward_passes_run_each_distinct_sequence_once(monkeypatch, measure):
     out = measure(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
     if measure is representation_features:  # the distinct rows, and each sequence's row
         rows, at = out
-        assert len(rows) == 3 and at == [0, 1, 0, 2, 1, 0]
+        assert len(rows) == 3 and at == [0, 2, 0, 1, 2, 0]
         out = rows[at]
-    assert forwarded == ["a", "b", "c"]
+    assert forwarded == ["a", "c", "b"]
     assert len(out) == 6
     for i, first in enumerate([0, 1, 0, 3, 1, 0]):
         assert np.array_equal(out[i], out[first])

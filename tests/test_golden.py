@@ -39,56 +39,56 @@ from gradsel.pipeline import (
 )
 
 GOLDEN = {
-    'compare/extract_meta.json': 'ee5ebc4981912c5df83200f275db8ba17a69cb9c8b9d60eee6f145e0c666bebb',
-    'compare/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
-    'compare/records.jsonl': 'cabf93eb28ecabd8582894e37a82614caaf709f07e777559bf7a3bfcfa7b6813',
-    'compare/report.json': '39e5b755fa9eb729a67ec533df540690cb16f9d89893827ef9c80bbc0e23912c',
-    'compare/selection_grads_50.jsonl': '3ba5fb568a7a55abf1db2924cae315b2cbb9f31908b78c470d929013970f8988',
-    'compare/selection_grads_50_meta.json': '4f18cd9d65728c6f57ab6692e718c0b9a786ead717b4c7fe068b9edf85ecdd48',
-    'compare/selection_random_50.jsonl': '68b0e129e1af9f8317ae8a09f7dd99b0c215e3a8391d7ebce9a952ada5fceb6f',
-    'compare/selection_random_50_meta.json': '8e558f78eefa08d2368f7ee1a16103f294076eb6a844680a009f364345509f5b',
+    'compare/extract_meta.json': '213ba124d68cc6946bfaa7c8b3e89339eefc6f7e37c3190c0d01101784ef1e68',
+    'compare/extract_model.json': '47120ea1d421ea7556cf0bae36dec1e92e8797d511e96ec2b74345d1e5812f87',
+    'compare/records.jsonl': '40e61c4647fdf773e5a11b102cf059f937adf8b0214afc33c1f44b37f2156f95',
+    'compare/report.json': '324e7d43cd1903973991262f1c870fec8f5282fa45f0a1d004251b315d108fb5',
+    'compare/selection_grads_50.jsonl': 'e0e11ae6bf4d67f8c6a1f845d0934756f2180d5c78e751a14d638b6bf99436bb',
+    'compare/selection_grads_50_meta.json': 'f01e7ef1ad56dc312ff5d0c6fd573ef00ee2b0ceafdfee9e6a11b2b92a1e02d2',
+    'compare/selection_random_50.jsonl': 'f0c2b6f19db6156d9dea30c2b0d3aff10af11a0ab74382ac9a37383d189aa167',
+    'compare/selection_random_50_meta.json': '82894ffaf4a35fd945d12039cfe176bb85294344075783d1778389f4e399fcd1',
     'corpus/dataset.jsonl': '8c389d4384396df64b9b81569ae60323edab6a4d34e0519dff217f65ace41e5f',
-    'frozen/extract_meta.json': '03cfd74ac1a26d87a2935f53a451f65e6bbffe59207e3f078e07abcb4b99fbc7',
-    'frozen/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
-    'frozen/records.jsonl': 'cabf93eb28ecabd8582894e37a82614caaf709f07e777559bf7a3bfcfa7b6813',
-    'frozen/selection_bm25.jsonl': '3dc0f53a1c4e8399d5302ee75ecfde6f27860579fdf910faff29bb582b88ff6c',
-    'frozen/selection_bm25_meta.json': '4c116e94ea1ef12b82623d612306ca7c10b9a67b3eb1c33f426a61373744d949',
-    'frozen/selection_dsir.jsonl': 'ddf51e6548cf2bef191101218c5fcdf4ea07ab576c40ca500e3f312c172e8314',
-    'frozen/selection_dsir_meta.json': '0c5b92fc31e6180983f687de97b02c0e806ba58091d79614468e461856d25ce9',
-    'frozen/selection_emb_only.jsonl': '480dd28f5b917bd340787a4f6dcba4d7c67ce6d4fa298d148e92c1fbdd357fe2',
-    'frozen/selection_emb_only_meta.json': 'fb7085fc4a8c9a2d914aaefd13087cdb0fdfe598a8244510f757736c8d4bc8f9',
-    'frozen/selection_grads.jsonl': '7e16e4c58973236bf23a1f57953448a8ef38026870404c61f4fd9beba9e83b4d',
-    'frozen/selection_grads_meta.json': '3c2143d699fdbc492540c4b163f9199064728c84ee8b4e0a4814268c77bb3692',
-    'frozen/selection_less.jsonl': '31d0cb98a2010f27e7635aab4093eecc30f044f4d775d1a4dacbd8b124ee87ff',
-    'frozen/selection_less_meta.json': 'd28c6f8b6fa7b0485d0fb1a10f18656f47d19ae8a73ad357d7e7d6a655c8d462',
-    'frozen/selection_lm_only.jsonl': 'ed7f4fc915eeb8f431cf25125c28654f554b7c6748b2c4763a0bed937383918f',
-    'frozen/selection_lm_only_meta.json': 'c4461ee3d1428a5a64bef77d8c79ce66ff815f99e760f05888d4c4c3a24ec671',
-    'frozen/selection_mid_grad.jsonl': 'c48ec024425ba00e455fc80ea8d414090245948a48252981bf51d6206866688a',
-    'frozen/selection_mid_grad_meta.json': 'c206d491530b24f48f6fbfa4498ed04333d4a0acc6635ca8da7361f630f6c892',
-    'frozen/selection_ppl.jsonl': 'fa47c66286afabdcfda4dd1360d960063883e831cb1fe36ed936f94cfe5f6692',
-    'frozen/selection_ppl_meta.json': 'ab721762946053a4d42f507f98bb89dc0fcbba72919bc2d54740de5073f6fd45',
-    'frozen/selection_random.jsonl': 'b760f5eb1aae0f089a65c334a3f44e663b3c2ca9a5e7aa9963cd86fef0735196',
-    'frozen/selection_random_meta.json': '1399415145f301cd84607aaa6d7b13b0101eaece0d16361d5685902f503b1949',
-    'frozen/selection_rds.jsonl': 'b3a7ac50c806cc8adf4299101c87428f890469f9e7836539f07dd7c7e81b0b07',
-    'frozen/selection_rds_meta.json': '391f02e2a2265a5bda8ea0ef2545cedb7c8decc8b373657ac587c25dc50ba334',
-    'frozen/selection_tail_grad.jsonl': '88d6525aadce8361f41d968d2e0fe21902a24d464bbba969f0fa998f5393b425',
-    'frozen/selection_tail_grad_meta.json': '2a3eb63ef25d8620b48f70c8256ec3868e552fa019a719adc7d5d4c64a4b2ba5',
-    'frozen/selection_top_grad.jsonl': '1407e1ad9f4529d08a048f8b3564d0165553faf3ce2a8a0ca1869d1982ebe178',
-    'frozen/selection_top_grad_meta.json': 'a74d67d5529af3504485344a4f55f1143254689272ce34d3b830b5ec4dc46699',
-    'frozen/selection_weight.jsonl': '93390edc7f203bc55d5b1aea0471da9ca60b502f1bf5eed926ff70ed5e06ee3f',
-    'frozen/selection_weight_meta.json': 'a498d49432a2d4b0d4a3f5fec92eee1246106d3bef6aa6e6ec423947a88be860',
-    'frozen/selection_weightr.jsonl': '47c58dca7272965a99e6720eb9ef9cd4a94f45024f71c1b7c4f6fbc7665e35b6',
-    'frozen/selection_weightr_meta.json': '21161d3fb234f8966d0bc893347dd8c67b163ea3a08090b34319bf30071d8218',
-    'online/eval.json': '16cf3fefa6bc56b13635faace5eb574cda0fdad3014705cb3ebc33c5621eb042',
-    'online/extract_meta.json': 'cc084c8011341000a32da4109f868c9ff4541524db2e8d249f8ef0e5c6925d99',
-    'online/extract_model.json': 'c528b042e5c7d58949df65e44c85806b6ca1a4f0f05fd6d61d71f42da4282135',
-    'online/model.json': 'a0db3572cb0e7f08e9b72613c211ae72e5af1ce533a1f8d16c7b2f1f959f7d04',
-    'online/records.jsonl': '100b8cddc3420d4dfb171a251a364a586e759940f757705d3d95b823d0babde9',
+    'frozen/extract_meta.json': '8df99b60119d3324c99e4e50ac64894ea46d383da4074f83ade5710e76f25e1b',
+    'frozen/extract_model.json': '47120ea1d421ea7556cf0bae36dec1e92e8797d511e96ec2b74345d1e5812f87',
+    'frozen/records.jsonl': '40e61c4647fdf773e5a11b102cf059f937adf8b0214afc33c1f44b37f2156f95',
+    'frozen/selection_bm25.jsonl': 'd86dd10503d6d1aaa48dc5bc9c61444f415130f207e15c786a008dc98d8b84be',
+    'frozen/selection_bm25_meta.json': '37aee20a9dc388865ff0276928a43201e790c577cfb4fdef59639b22163e7bcf',
+    'frozen/selection_dsir.jsonl': 'f921667418990221b484e16d4f0edc8cf781c370d3a3a5cbbfa780a6ab25e66e',
+    'frozen/selection_dsir_meta.json': '113d823059266dca256b30f7cbef6593aeaea630fcefe34ca55efbb14cb0f7d1',
+    'frozen/selection_emb_only.jsonl': 'a393212a195486aaef35a04816c043aafe59905541fafc0115b589c53bdc9b8e',
+    'frozen/selection_emb_only_meta.json': 'ed9512ec82ca497d5b793fb8891290a3cfadec1e67c4d8f81b53a43b4f468a12',
+    'frozen/selection_grads.jsonl': '817d71b02da7d28fa90eef28cb58e1c55ae07abf11ae7dbc177f5348350ed73a',
+    'frozen/selection_grads_meta.json': '603540a59f294467d7e31c75ea89fa5491407be856f7dddf63f5676da8790eca',
+    'frozen/selection_less.jsonl': '85783d8737e2891f4554dc3d2217cd567a4be4b559df4318b3e15c750fc6eeeb',
+    'frozen/selection_less_meta.json': 'b13707af96a49664e379affee93fbc42fca09c540f0ffbb927e12bcbf135fc3b',
+    'frozen/selection_lm_only.jsonl': '4809672d79fd4cade6a6d0792f02e55a58f6b3136c65c906866a1676279bcdfe',
+    'frozen/selection_lm_only_meta.json': '1284d1c09168fed39546214b8ab4710e7456ea4dd0266db5d419948d1244293a',
+    'frozen/selection_mid_grad.jsonl': '89210abd56e20faa17a86a99187a7513c66956f5d0943146496fd0e98347e867',
+    'frozen/selection_mid_grad_meta.json': '8bc197e915abdb50a85ed796a0b970bfe6109bd49d49be1a4694b4b841a1d6cf',
+    'frozen/selection_ppl.jsonl': '16c4f32d2e6d3f1cedec925e918f4ad8c0b176ac20e7c156f3a5751d1e4dd6be',
+    'frozen/selection_ppl_meta.json': '52a9a0233ff7369e582f757a67f3716f129e382eeeaecbbf87d98031ed8e7d0b',
+    'frozen/selection_random.jsonl': '326a70e7ca6a72bdf11757feb9b1de8888fa06b97eac7bc6d9188359b565e0f0',
+    'frozen/selection_random_meta.json': '1c16926ff0ea3d15128a2cc5dc237e031b3ae127b1d5d32019adf080c6254c14',
+    'frozen/selection_rds.jsonl': 'f381dbe9dac1075e24be421c9d40601b2f2edf3c13c5ff1913d034902833c28a',
+    'frozen/selection_rds_meta.json': '1e81e5ec50a1d11385a385e92a64d9d6fe13f84b87702d1b93932b34078262d6',
+    'frozen/selection_tail_grad.jsonl': 'af9d40a6eb32c6447429f2c8d21a6dd64cfe097f2d918495067e5ab7ec4a6db3',
+    'frozen/selection_tail_grad_meta.json': '1b7a8a3b11e06866be6a0a9012068e20114de8a4b041042b258358e7751770d5',
+    'frozen/selection_top_grad.jsonl': 'a875ce883db9fd889e6ad86c2b367e35ef2864632069915b6f0ed04edd5bc763',
+    'frozen/selection_top_grad_meta.json': '7116c7277ef78712a50c233c7991c5d88e8e236aef6a5c5c18d825912f8f07ea',
+    'frozen/selection_weight.jsonl': 'a4121d5f7c06684b3191df9fa1b755838b8c0a0a844b7b49c3a7faad5c875cfa',
+    'frozen/selection_weight_meta.json': 'e768b6310342bfdb825b9cf7ac893d6bcd82dd624046be923748e65299e7e9e6',
+    'frozen/selection_weightr.jsonl': 'e41f75071cdbab573a9132d06fad4c82f865aface02ebf49ee99b35d1160e9e7',
+    'frozen/selection_weightr_meta.json': '9f1eb7df80224821e38222fee17c495f47f7577612dbceda04a910075c714eb7',
+    'online/eval.json': 'f25d73ed0bff2a6ece840234792fd9a3faa8bc72b37e8f7bd6298445fb6be92c',
+    'online/extract_meta.json': '46c10df53d7fdd11f8dbbd256009c581b714688792385116e4eddc254afc36c4',
+    'online/extract_model.json': '47120ea1d421ea7556cf0bae36dec1e92e8797d511e96ec2b74345d1e5812f87',
+    'online/model.json': '2bd6b7c4df2c59eeda155fc81a79f85947975f4680d0bab123bc96cc7050cfac',
+    'online/records.jsonl': 'e7a48d40bc88a74be7708c4e4f4e851be01bb878e8dedc7779a609230c5b5fab',
     'online/train_meta.json': '59632da7e57e2b416e6a4aee3c9c9636d2da0d888f2014d5c2483969f5eabb2f',
-    'pilot/deciles.csv': 'eba4bd6bd735f2a95192feba6f44e1307f540bc53e7c99b345e99401b4956532',
-    'pilot/pilot_meta.json': '7a56c37a994f60027e16a2c47e21bbdae2a7421da755ab83240509e6e7b4d21b',
-    'train/model.json': '9f28f5eed72203207a3c65eafc183002ef6b2d82b6a4a29677ef43ad6be68d8b',
-    'train/train_meta.json': 'a1059539add095d0ab8910dfe48858d821c63cb073cc866b891e3b6c3720d8b6',
+    'pilot/deciles.csv': '14674fceeeea326515467e1b5d5459850e425f09f8ba6322c586381404aaab54',
+    'pilot/pilot_meta.json': 'd4f265df434ae6a5a8fba273074ca64e680af122cb8d62bc31202040c897e9eb',
+    'train/model.json': 'ad08249bcb4bac5b14484481f91976b9afe03b56844074ebad04115c8a326e93',
+    'train/train_meta.json': '3092de52b8afc9f36bd3bc776a22c40ddbe4c62a420f8bdd1c050a669900b557',
 }
 
 

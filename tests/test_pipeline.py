@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradsel import baselines, pipeline
+from gradsel import baselines, evalmetrics, pipeline
 from gradsel.corpus import sha256
 from gradsel.gradstats import GradientRecord, aggregate_instance, read_records, write_records
 from gradsel.pipeline import (
@@ -33,7 +33,7 @@ from gradsel.pipeline import (
 from gradsel.selector import silverman_bandwidth
 from gradsel.tinylm import (Batch, Trainer, frozen_gradients, init_model, load_checkpoint,
                             model_fingerprint, save_checkpoint, total_update_steps, training)
-from gradsel.tinylm.model import BackwardResult
+from gradsel.tinylm.model import SCORE_BATCH, BackwardResult
 
 
 def _cfg(corpus_dir, out_dir, **kw):
@@ -187,7 +187,9 @@ def test_frozen_extract_measures_each_distinct_sequence_once(corpus_dir, tmp_pat
     for seq in prep.seqs:
         firsts.setdefault((seq.tokens, seq.sep_pos), seq)
     assert len(firsts) < len(prep.seqs)  # the corpus repeats sequences
-    assert measured == [seq.instance_id for seq in firsts.values()]
+    # shortest first, in dataset order within a length (a stable sort)
+    assert measured == [seq.instance_id for seq in sorted(firsts.values(), key=len)]
+    assert measured != [seq.instance_id for seq in firsts.values()]
     ids = [r.instance_id for r in records]
     assert ids == sorted(prep.by_id)
     by_id = {r.instance_id: r for r in records}
@@ -206,11 +208,54 @@ def test_frozen_extract_names_the_first_non_finite_instance(corpus_dir, tmp_path
 
     monkeypatch.setattr(pipeline, "build_reference_model", non_finite)
     cfg = _cfg(corpus_dir, str(tmp_path))
-    first = prepare(cfg).seqs[0].instance_id
+    # the first sequence measured: the first of the shortest
+    first = min(prepare(cfg).seqs, key=len).instance_id
     with pytest.raises(RuntimeError, match=rf"^NaN loss at frozen extraction: "
                                            rf"instance {re.escape(first)} has loss nan"):
         run_extract(cfg)
     assert os.listdir(tmp_path) == []  # no records, meta, checkpoint or manifest
+
+
+def test_passes_that_train_nothing_forward_only_unpadded_chunks(corpus_dir, tmp_path,
+                                                               monkeypatch):
+    """Frozen extraction, the rds, less and ppl features, the pilot and eval's
+    decoding forward chunks of one length and at most SCORE_BATCH sequences,
+    so each row is bit-identical to a batch of one. Only training pads: the
+    warmup inside run_extract is left out."""
+    chunks, warming_up = [], []
+    real_build = pipeline.build_reference_model
+
+    def build(cfg, prep):
+        warming_up.append(True)
+        try:
+            return real_build(cfg, prep)
+        finally:
+            warming_up.pop()
+
+    monkeypatch.setattr(pipeline, "build_reference_model", build)
+    for module in (training, baselines, evalmetrics):
+        def spy(model, batch, *args, real=module.forward, **kwargs):
+            if not warming_up:
+                chunks.append((len(batch.ids), set(batch.lengths.tolist()),
+                               batch.tokens.shape[1]))
+            return real(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(module, "forward", spy)
+    cfg = _cfg(corpus_dir, str(tmp_path))
+    paths = run_extract(cfg)
+    seen = {"extract": chunks[:]}
+    for name, run, *args in [("rds", run_select, paths["records"], "rds", 50.0),
+                             ("less", run_select, paths["records"], "less", 50.0),
+                             ("ppl", run_select, paths["records"], "ppl", 50.0),
+                             ("pilot", run_pilot, paths["records"]),
+                             ("eval", run_eval, paths["model"])]:
+        del chunks[:]
+        run(replace(cfg, out_dir=str(tmp_path / name)), *args)
+        seen[name] = chunks[:]
+    for name, shapes in seen.items():
+        assert shapes, name
+        for rows, lengths, width in shapes:
+            assert rows <= SCORE_BATCH and lengths == {width}, (name, rows, lengths, width)
 
 
 def test_prepared_index_built_once(corpus_dir, tmp_path):

@@ -3,7 +3,9 @@
 The finite-difference checks are the ground truth for every gradient the
 package reports; they re-derive each derivative numerically from the loss
 alone, sharing no code with the backward pass. Every forward and backward
-runs on a padded batch; a single sequence is a batch of one.
+runs on a right-padded batch; a single sequence is a batch of one. An
+unpadded chunk, as every pass that trains nothing runs, is bit-identical to
+batches of one; a padded batch, as training runs, matches them to rounding.
 """
 
 import copy
@@ -42,7 +44,7 @@ from gradsel.tinylm import (
     total_update_steps,
     warmup_lr,
 )
-from gradsel.tinylm.model import SCORE_BATCH, _gelu, _gelu_grad
+from gradsel.tinylm.model import SCORE_BATCH, _gelu, _gelu_grad, batches, distinct
 from gradsel.tinylm.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
 TINY = ModelConfig(
@@ -50,7 +52,7 @@ TINY = ModelConfig(
     vocab_size=50, max_seq_len=12, init_seed=7,
 )
 # Long enough for key sums of 8+ terms, where numpy's pairwise summation
-# would regroup if padding were summed.
+# regroups, so the padding of a padded batch moves the rounding.
 WIDE = ModelConfig(
     d_model=16, n_layers=2, n_heads=2, d_ff=32,
     vocab_size=50, max_seq_len=40, init_seed=11,
@@ -351,9 +353,48 @@ def _mixed_batch(draw):
     return seqs
 
 
+@st.composite
+def _mixed_list(draw):
+    """A _mixed_batch and up to 6 repeats of its sequences under other ids,
+    in any order."""
+    seqs = draw(_mixed_batch())
+    firsts = draw(st.lists(st.integers(0, len(seqs) - 1), max_size=6))
+    seqs += [replace(seqs[j], instance_id=f"r{k}") for k, j in enumerate(firsts)]
+    return draw(st.permutations(seqs))
+
+
+def _close(got, want):
+    """Within 1e-12 of want, relative to want's largest magnitude."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mixed_list())
+def test_distinct_chunks_are_unpadded_and_bit_identical_to_batches_of_one(seqs):
+    uniq, at = distinct(seqs)
+    keys = [(s.tokens, s.sep_pos) for s in uniq]
+    assert len(set(keys)) == len(uniq)
+    assert [keys[i] for i in at] == [(s.tokens, s.sep_pos) for s in seqs]
+    assert [len(s) for s in uniq] == sorted(len(s) for s in uniq)
+    chunks = list(batches(uniq))
+    assert [s for chunk, _ in chunks for s in chunk] == uniq
+    for chunk, batch in chunks:
+        assert len(chunk) <= SCORE_BATCH and {len(s) for s in chunk} == {batch.tokens.shape[1]}
+    m = init_model(WIDE)
+    measured = _frozen(m, seqs)
+    assert [r.instance_id for r in measured] == [s.instance_id for s in uniq]
+    for rows, seq in zip(measured, uniq):
+        _, _, one = _run(m, [seq], want_param_grads=False)
+        assert rows.loss == one.losses[0]
+        assert np.array_equal(rows.g_emb, one.g_emb[0])
+        assert np.array_equal(rows.g_lm, one.g_lm)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_mixed_batch())
-def test_padded_batch_is_bit_identical_to_batches_of_one(seqs):
+def test_padded_batch_matches_batches_of_one_to_rounding(seqs):
+    """Training pads its batches: attention's key sums then run over the
+    padded length, so a padded batch agrees with batches of one to rounding."""
     m = init_model(WIDE)
     batch, _, res = _run(m, seqs)
     starts = batch.row_starts
@@ -361,15 +402,14 @@ def test_padded_batch_is_bit_identical_to_batches_of_one(seqs):
     inv = 1.0 / len(seqs)
     for b, seq in enumerate(seqs):
         _, _, one = _run(m, [seq])
-        assert res.losses[b] == one.losses[0]
-        assert np.array_equal(res.g_emb[b, : len(seq)], one.g_emb[0])
+        assert _close(res.losses[b], one.losses[0])
+        assert _close(res.g_emb[b, : len(seq)], one.g_emb[0])
         assert not res.g_emb[b, len(seq):].any()
-        assert np.array_equal(res.g_lm[starts[b] : starts[b + 1]], one.g_lm)
+        assert _close(res.g_lm[starts[b] : starts[b + 1]], one.g_lm)
         ordered_mean += inv * one.param_grads
     # relative to the whole gradient: some tensors (the key bias) have an
     # exactly-zero true gradient and hold rounding noise only
-    worst = np.abs(res.param_grads - ordered_mean).max()
-    assert worst <= 1e-12 * np.abs(ordered_mean).max()
+    assert _close(res.param_grads, ordered_mean)
 
 
 def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one():
@@ -388,48 +428,54 @@ def test_a_reused_gradient_buffer_gives_the_bits_of_a_fresh_one():
         assert np.array_equal(buf, fresh.param_grads)
 
 
-def _score_chunk(mixed: bool) -> list[TokenSequence]:
+def _score_chunk(mixed: bool, prefix: str = "s") -> list[TokenSequence]:
     """SCORE_BATCH sequences: of 13 lengths from 5 to 36 tokens, as frozen
-    extraction and the feature passes chunk them, or all of 17 tokens, as
-    decoding chunks them."""
+    extraction and the feature passes meet them, or all of 17 tokens, as
+    one full chunk."""
     seqs = []
     for i in range(SCORE_BATCH):
         t_prompt = 1 + (7 * i) % 18 if mixed else 8
         t_resp = 1 + (11 * i) % (36 - t_prompt) if mixed else 6
         seqs.append(_random_seq(np.random.default_rng(200 + i), WIDE, t_prompt,
-                                t_resp, f"s{i}"))
+                                t_resp, f"{prefix}{i}"))
     assert len({len(s) for s in seqs}) == (13 if mixed else 1)
     return seqs
 
 
 def test_full_score_batch_is_bit_identical_to_batches_of_one():
-    """Frozen extraction runs SCORE_BATCH sequences at once; the case above
-    draws only 2 to 5."""
-    seqs = _score_chunk(mixed=True)
+    """Frozen extraction measures SCORE_BATCH sequences at once where that
+    many share a length; the cases above draw only 2 to 5 distinct ones.
+    Measured rows come shortest first, so they are matched by id."""
+    seqs = _score_chunk(mixed=True) + _score_chunk(mixed=False, prefix="e")
     m = init_model(WIDE)
-    measured = _frozen(m, seqs)
-    batch, trace, batched = _run(m, seqs, want_param_grads=False)
-    for b, (rows, seq) in enumerate(zip(measured, seqs)):
-        _, one_trace, one = _run(m, [seq], want_param_grads=False)
-        assert batched.losses[b] == one.losses[0]
-        assert np.array_equal(rows.g_emb, one.g_emb[0])
-        assert np.array_equal(rows.g_lm, one.g_lm)
-        # the pilot's argmax hits read the loss-row logits
-        lo, hi = batch.row_starts[b], batch.row_starts[b + 1]
-        assert np.array_equal(trace.logits[lo:hi], one_trace.logits)
+    measured = {rows.instance_id: rows for rows in _frozen(m, seqs)}
+    assert measured.keys() == {s.instance_id for s in seqs}
+    chunks = list(batches(distinct(seqs)[0]))
+    assert max(len(chunk) for chunk, _ in chunks) == SCORE_BATCH
+    for chunk, batch in chunks:
+        trace = forward(m, batch)
+        for b, seq in enumerate(chunk):
+            _, one_trace, one = _run(m, [seq], want_param_grads=False)
+            rows = measured[seq.instance_id]
+            assert rows.loss == one.losses[0]
+            assert np.array_equal(rows.g_emb, one.g_emb[0])
+            assert np.array_equal(rows.g_lm, one.g_lm)
+            # the pilot's argmax hits read the loss-row logits
+            lo, hi = batch.row_starts[b], batch.row_starts[b + 1]
+            assert np.array_equal(trace.logits[lo:hi], one_trace.logits)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
 def test_last_only_rows_are_bit_identical_to_batches_of_one(mixed):
     """greedy_decode's logits and representation_features' hidden rows come
-    from last_only chunks; neither may depend on the chunk mates."""
-    seqs = _score_chunk(mixed)
+    from last_only chunks of batches; neither may depend on the chunk mates."""
     m = init_model(WIDE)
-    chunk = forward(m, Batch.of(seqs), last_only=True)
-    for b, seq in enumerate(seqs):
-        one = forward(m, Batch.of([seq]), last_only=True)
-        assert np.array_equal(chunk.logits[b], one.logits[0])
-        assert np.array_equal(chunk.hf[chunk.rows[b]], one.hf[one.rows[0]])
+    for chunk, batch in batches(distinct(_score_chunk(mixed))[0]):
+        trace = forward(m, batch, last_only=True)
+        for b, seq in enumerate(chunk):
+            one = forward(m, Batch.of([seq]), last_only=True)
+            assert np.array_equal(trace.logits[b], one.logits[0])
+            assert np.array_equal(trace.hf[trace.rows[b]], one.hf[one.rows[0]])
 
 
 def test_perplexity_uniform_equals_vocab_size():
@@ -625,13 +671,14 @@ def test_warmup_schedule_shape():
 
 
 def _keep(kept: list):
-    """A step hook that appends each instance's own raw gradient rows, its id
-    and the step that measured it to kept."""
+    """A step hook that appends each instance's loss, its own raw gradient
+    rows, its id and the step that measured it to kept."""
     def hook(chunk, batch, res, step):
         for b, seq in enumerate(chunk):
             rows = slice(batch.row_starts[b], batch.row_starts[b + 1])
             kept.append(SimpleNamespace(instance_id=seq.instance_id, step_index=step,
-                                        g_emb=res.g_emb[b, : len(seq)], g_lm=res.g_lm[rows]))
+                                        loss=res.losses[b], g_emb=res.g_emb[b, : len(seq)],
+                                        g_lm=res.g_lm[rows]))
     return hook
 
 
