@@ -265,9 +265,15 @@ def less_scores(cands: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def sequence_perplexities(model: Model, seqs: list[TokenSequence]) -> list[float]:
     """exp(mean response-token cross-entropy) of each sequence; each distinct
-    sequence is run once (tinylm.model.distinct)."""
+    sequence is run once (tinylm.model.distinct). A loss whose exp overflows
+    a float is refused, naming its instance."""
     uniq, at = distinct(seqs)
     out: list[float] = []
-    for _, batch in batches(uniq):
-        out += map(math.exp, forward(model, batch).losses.tolist())
+    for chunk, batch in batches(uniq):
+        for seq, loss in zip(chunk, forward(model, batch).losses.tolist()):
+            try:
+                out.append(math.exp(loss))
+            except OverflowError:
+                raise RuntimeError(f"instance {seq.instance_id}: loss {loss} "
+                                   "overflows its perplexity") from None
     return [out[i] for i in at]

@@ -20,6 +20,7 @@ METEOR_ALPHA = 0.9
 METEOR_GAMMA = 0.5
 METEOR_BETA = 3.0
 BLEU_MAX_ORDER = 4
+METEOR_NODE_CAP = 200_000
 
 
 def greedy_decode(model: Model, prompts: list[list[int]],
@@ -62,12 +63,6 @@ def _clipped_matches(cand: list, ref: list, n: int) -> tuple[int, int]:
     return matches, max(len(cand) - n + 1, 0)
 
 
-def _brevity_penalty(c: int, r: int) -> float:
-    if c == 0:
-        return 0.0
-    return 1.0 if c > r else math.exp(1.0 - r / c)
-
-
 def bleu(candidates: list[list], references: list[list]) -> float:
     """Corpus BLEU, unsmoothed: 0.0 when some n-gram order has no match."""
     if not candidates:
@@ -88,13 +83,12 @@ def bleu(candidates: list[list], references: list[list]) -> float:
     if any(m == 0 for m in match_sum):
         return 0.0
     logs = sum(math.log(m / t) for m, t in zip(match_sum, total_sum))
-    return _brevity_penalty(c, r) * math.exp(logs / BLEU_MAX_ORDER)
+    brevity_penalty = 1.0 if c > r else math.exp(1.0 - r / c)  # c > 0: all orders match
+    return brevity_penalty * math.exp(logs / BLEU_MAX_ORDER)
 
 
 def _lcs_len(a: list, b: list) -> int:
     # classic O(nm) table, rolling rows
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)
@@ -118,12 +112,11 @@ def rouge_l(candidate: list, reference: list) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def _min_chunks(candidate: list, reference: list, quota: Counter,
-                node_cap: int = 200_000) -> int:
+def _min_chunks(candidate: list, reference: list, quota: Counter) -> int:
     """Fewest contiguous aligned runs over alignments achieving all matches.
 
     Exhaustive branch-and-bound; falls back to a greedy left-to-right
-    alignment if the search exceeds node_cap (never hit at sane lengths).
+    alignment past METEOR_NODE_CAP search nodes (never hit at sane lengths).
     """
     m = sum(quota.values())
     ref_positions: dict = {}
@@ -140,7 +133,7 @@ def _min_chunks(candidate: list, reference: list, quota: Counter,
     def dfs(i: int, need: Counter, used: set, last_c: int, last_r: int, chunks: int):
         nonlocal best, nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > METEOR_NODE_CAP:
             return
         if chunks >= best:
             return

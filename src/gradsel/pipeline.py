@@ -599,10 +599,8 @@ def run_selection_by_name(
             scores = baselines.dsir_log_weights(cands, queries)
             order = baselines.dsir_order(scores, seed)
     elif name == "ppl":
-        ppls = np.array(baselines.sequence_perplexities(ref_model, prep.seqs_for(cand_ids)))
-        if np.any(ppls <= 0):
-            raise ValueError("perplexities must be positive")
-        order, scores, bandwidth = density_order(ppls)
+        order, scores, bandwidth = density_order(
+            baselines.sequence_perplexities(ref_model, prep.seqs_for(cand_ids)))
     else:
         feats, score = ((baselines.representation_features, baselines.rds_scores)
                         if name == "rds" else (baselines.gradient_features, baselines.less_scores))

@@ -304,7 +304,8 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
     rds features). last_only keeps no per-layer caches, since nothing
     backpropagates through it. Either way the LM head runs over those rows
     only, in _times_wt's fixed row blocks, so a row's logits do not depend
-    on the rows around it.
+    on the rows around it. Every loss any pass reads is made here, so here
+    a NaN or infinite one is refused, naming each instance that has one.
     """
     cfg = model.cfg
     tokens = batch.tokens
@@ -352,6 +353,10 @@ def forward(model: Model, batch: Batch, last_only: bool = False) -> ForwardTrace
         starts = batch.row_starts.tolist()
         losses = np.array([-w * logp[lo:hi].sum()
                            for w, lo, hi in zip(batch.w.tolist(), starts, starts[1:])])
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if bad.size:
+            raise RuntimeError("non-finite loss: " + ", ".join(
+                f"instance {batch.ids[b]} has loss {losses[b]}" for b in bad))
     return ForwardTrace(layers, hf, hf_xhat, hf_inv, rows, logits, probs, losses)
 
 
@@ -491,7 +496,7 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
-    """Inverse of save_checkpoint; a malformed file raises a named ValueError."""
+    """Inverse of save_checkpoint; a malformed file or NaN/inf value is a named ValueError."""
     (_, payload), = _json_lines(path, whole=True)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a model checkpoint: {path}")
@@ -513,4 +518,6 @@ def load_checkpoint(path: str) -> Model:
         if len(raw) != 8 * param.size:
             raise ValueError(f"checkpoint data size mismatch for {name}")
         param[...] = np.frombuffer(raw, dtype="<f8").reshape(param.shape)
+        if not np.isfinite(param).all():
+            raise ValueError(f"checkpoint parameter {name} has a non-finite value")
     return model

@@ -40,14 +40,6 @@ class TrainHyper:
             raise ValueError("batch_size must be >= 1")
 
 
-def _check_losses(batch: Batch, losses: np.ndarray, where: str) -> None:
-    """Abort on a NaN or infinite instance loss, naming the instance."""
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if bad.size:
-        named = ", ".join(f"instance {batch.ids[b]} has loss {losses[b]}" for b in bad)
-        raise RuntimeError(f"NaN loss at {where}: {named}")
-
-
 class AdamState:
     """First/second moment accumulators over the flat parameter vector."""
 
@@ -129,8 +121,11 @@ class Trainer:
         applied. The result's param_grads is a buffer every step reuses.
         """
         padded = Batch.of(batch)
-        res = loss_and_grads(self.model, padded, forward(self.model, padded), out=self._grads)
-        _check_losses(padded, res.losses, f"step {self.adam.t + 1}")
+        try:
+            res = loss_and_grads(self.model, padded, forward(self.model, padded),
+                                 out=self._grads)
+        except RuntimeError as exc:  # forward's non-finite loss
+            raise RuntimeError(f"step {self.adam.t + 1}: {exc}") from None
         if on_step is not None:
             on_step(batch, padded, res, self.adam.t)
         lr = warmup_lr(self.hyper.learning_rate, self.adam.t + 1,
@@ -174,6 +169,5 @@ def frozen_gradients(model: Model, seqs: list[TokenSequence], on_step) -> list[i
     uniq, at = distinct(seqs)
     for chunk, batch in batches(uniq):
         res = loss_and_grads(model, batch, forward(model, batch), want_param_grads=False)
-        _check_losses(batch, res.losses, "frozen extraction")
         on_step(chunk, batch, res, -1)
     return at

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gradsel import baselines
+from gradsel import baselines, evalmetrics
 from gradsel.baselines import (
     BM25_B,
     BM25_K1,
@@ -26,6 +26,8 @@ from gradsel.baselines import (
     select_random,
 )
 from gradsel.corpus import TokenSequence
+from gradsel.evalmetrics import pilot_deciles
+from gradsel.gradstats import GradientRecord
 from gradsel.rng import ROLE_SELECT, substream
 from gradsel.selector import density_order, descending_order, selection_from_order, subset_size
 from gradsel.tinylm import ModelConfig, init_model, training
@@ -474,49 +476,45 @@ def test_feature_extraction_shapes_and_kinds():
     assert np.array_equal(grads[1], gradient_features(m, _SEQS[1:])[0][0])
 
 
-def test_gradient_features_measure_each_distinct_sequence_once(monkeypatch):
-    measured = []
-    real = training.loss_and_grads
-
-    def counted(model, batch, *args, **kwargs):
-        measured.extend(batch.ids)
-        return real(model, batch, *args, **kwargs)
-
-    monkeypatch.setattr(training, "loss_and_grads", counted)
-    a, b = _SEQS
-    seqs = [a, b, replace(a, instance_id="a2"), replace(b, instance_id="b2"),
-            replace(a, instance_id="a3")]
-    grads, at = gradient_features(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
-    assert measured == ["a", "b"]
-    assert grads.shape == (2, 8 + 30)
-    assert at == [0, 1, 0, 1, 0]
-
-
-@pytest.mark.parametrize("measure", [representation_features, baselines.sequence_perplexities],
-                         ids=["rds", "ppl"])
-def test_forward_passes_run_each_distinct_sequence_once(monkeypatch, measure):
-    """a2, a3 and b2 repeat a and b under other ids; c has a's tokens under
+@pytest.mark.parametrize("name", ["rds", "less", "ppl", "pilot"])
+def test_passes_that_train_nothing_run_each_distinct_sequence_once(monkeypatch, name):
+    """The repeat rule of rds, less, ppl and the pilot. a2, a3, b2, b3, c2
+    and d2 repeat a, b, c and d under other ids; c has a's tokens under
     another sep_pos, so it is a sequence of its own. The distinct sequences
-    run shortest first, in the order given within a length: a, c, then b."""
+    run shortest first, in the order given within a length: a, c, b, then
+    d. Each repeat gets its first copy's output."""
+    a, b = _SEQS
+    c = replace(a, instance_id="c", sep_pos=1)
+    d = TokenSequence("d", (1, 10, 11, 3, 12, 13, 2), 3)
+    seqs = [b, a, replace(b, instance_id="b2"), c, replace(a, instance_id="a2"), d,
+            replace(a, instance_id="a3"), replace(d, instance_id="d2"),
+            replace(c, instance_id="c2"), replace(b, instance_id="b3")]
+    firsts = [0, 1, 0, 3, 1, 5, 1, 5, 3, 0]
     forwarded = []
-    real = baselines.forward
+    module = {"less": training, "pilot": evalmetrics}.get(name, baselines)
+    real = module.forward
 
     def spy(model, batch, *args, **kwargs):
         forwarded.extend(batch.ids)
         return real(model, batch, *args, **kwargs)
 
-    monkeypatch.setattr(baselines, "forward", spy)
-    a, b = _SEQS
-    seqs = [a, b, replace(a, instance_id="a2"), replace(a, instance_id="c", sep_pos=1),
-            replace(b, instance_id="b2"), replace(a, instance_id="a3")]
-    out = measure(init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0)), seqs)
-    if measure is representation_features:  # the distinct rows, and each sequence's row
-        rows, at = out
-        assert len(rows) == 3 and at == [0, 2, 0, 1, 2, 0]
+    monkeypatch.setattr(module, "forward", spy)
+    model = init_model(ModelConfig(8, 1, 2, 16, 30, 12, 0))
+    if name == "pilot":  # ranked in list order, one instance per decile
+        recs = [GradientRecord(s.instance_id, 10.0 - j, 0.0, 10.0 - j, 4, 2, "00" * 8, -1)
+                for j, s in enumerate(seqs)]
+        rep = pilot_deciles(recs, seqs, model)
+        assert rep.counts == (1,) * 10
+        out = list(zip(rep.mean_loss, rep.token_acc))
+    elif name == "ppl":
+        out = baselines.sequence_perplexities(model, seqs)
+    else:  # the distinct rows, and each sequence's row
+        rows, at = (representation_features if name == "rds" else gradient_features)(model, seqs)
+        assert len(rows) == 4 and at == [2, 0, 2, 1, 0, 3, 0, 3, 1, 2]
         out = rows[at]
-    assert forwarded == ["a", "c", "b"]
-    assert len(out) == 6
-    for i, first in enumerate([0, 1, 0, 3, 1, 0]):
+    assert forwarded == ["a", "c", "b", "d"]
+    assert len(out) == len(seqs)
+    for i, first in enumerate(firsts):
         assert np.array_equal(out[i], out[first])
 
 

@@ -19,8 +19,9 @@ import pytest
 import gradsel
 from gradsel import pipeline
 from gradsel.cli import build_parser, main
+from gradsel.corpus import Tokenizer
 from gradsel.gradstats import read_records, write_records
-from gradsel.tinylm import init_model, save_checkpoint
+from gradsel.tinylm import init_model, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,25 @@ def _beside_meta(records, where) -> Path:
     (where / "extract_meta.json").write_bytes(
         (Path(records).parent / "extract_meta.json").read_bytes())
     return where / "records.jsonl"
+
+
+def _beside_checkpoint(records, where, edit) -> str:
+    """The records path in a new directory that holds a copy of the extracted
+    records and their meta, beside their checkpoint after edit(params)."""
+    path = _beside_meta(records, where)
+    path.write_bytes(Path(records).read_bytes())
+    model = load_checkpoint(str(Path(records).parent / "extract_model.json"))
+    edit(model.params)
+    save_checkpoint(model, str(where / "extract_model.json"))
+    return str(path)
+
+
+def _logits_are_lm_head_row_0(params) -> None:
+    """Make every final hidden row the unit vector e_0, so that every
+    position's logits are lm_head[0]."""
+    params["lnf.g"][:] = 0.0
+    params["lnf.b"][:] = 0.0
+    params["lnf.b"][0] = 1.0
 
 
 def test_synth_writes_dataset_and_manifest(workspace, capsys):
@@ -177,6 +197,44 @@ def test_runtime_failure_exits_one(workspace, records, capsys):
                  "--out", str(root / "bad_out")]) == 1
     manifest = root / "bad_out" / "manifest.json"
     assert capsys.readouterr().err == f"error: {manifest}: not a JSON object\n"
+    # degenerate checkpoints: an infinite loss for the shortest instance
+    # alone, a loss whose perplexity overflows, a NaN weight
+    prep = pipeline.prepare(pipeline.load_config(cfg))
+    bad, *rest = sorted(prep.seqs, key=len)
+    assert len(bad) < len(rest[0]) and bad.instance_id in prep.split.train
+    token = next(t for t in bad.response if all(t not in seq.response for seq in rest))
+
+    def infinite(params):  # token, which only bad predicts, gets probability 0
+        _logits_are_lm_head_row_0(params)
+        params["lm_head"][0, token] = -1e4
+
+    def overflowing(params):  # each response token's loss is about 730
+        _logits_are_lm_head_row_0(params)
+        params["lm_head"][0] = -730.0
+        params["lm_head"][0, Tokenizer.pad] = 0.0  # no response predicts pad
+
+    def nan_weight(params):
+        params["l0.w1"][0, 0] = float("nan")
+
+    loss_error = f"non-finite loss: instance {bad.instance_id} has loss inf"
+    inf_records = _beside_checkpoint(records, root / "inf_loss", infinite)
+    for command in (["select", "--strategy", "ppl"], ["pilot"]):
+        assert main([*command, "--config", cfg, "--records", inf_records,
+                     "--out", str(root / "inf_out")]) == 1
+        assert capsys.readouterr().err == f"error: {loss_error}\n"
+    assert main(["compare", "--config", cfg, "--strategy", "ppl", "--fraction", "50",
+                 "--records", inf_records, "--out", str(root / "inf_cmp")]) == 1
+    assert f"ppl@50: ERROR {loss_error}\n" in capsys.readouterr().out
+    assert (root / "inf_cmp" / "report.json").is_file()
+    overflow_records = _beside_checkpoint(records, root / "overflow", overflowing)
+    assert main(["select", "--config", cfg, "--records", overflow_records,
+                 "--strategy", "ppl", "--out", str(root / "overflow_out")]) == 1
+    assert re.fullmatch(rf"error: instance {bad.instance_id}: loss \S+ overflows its "
+                        r"perplexity\n", capsys.readouterr().err)
+    _beside_checkpoint(records, root / "nan", nan_weight)
+    assert main(["eval", "--config", cfg,
+                 "--model", str(root / "nan" / "extract_model.json")]) == 1
+    assert capsys.readouterr().err == "error: checkpoint parameter l0.w1 has a non-finite value\n"
 
 
 def test_compare_smoke_and_error_cells(workspace, capsys, monkeypatch):

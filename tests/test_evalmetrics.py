@@ -4,14 +4,13 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from gradsel import evalmetrics
-from gradsel.corpus import SynthSpec, TokenSequence, build_vocab, encode_instance, synth_corpus
+from gradsel.corpus import SynthSpec, build_vocab, encode_instance, synth_corpus
 from gradsel.evalmetrics import (
     _min_chunks,
     bleu,
@@ -218,17 +217,24 @@ def test_meteor_chunks_match_exhaustive_oracle():
         assert meteor_lite(cand, ref) == pytest.approx(expected, rel=1e-12)
 
 
-def test_meteor_greedy_fallback_hand_value():
-    # node_cap=0 stops the exact search at its first node. Greedy aligns
-    # a->0, x->2, then b->1 in three runs; the exact search skips the first
-    # "a" and takes "a b" as one run, plus "x": two.
+def _greedy_chunks(monkeypatch, cand, ref, quota):
+    """_min_chunks with a node cap of 0, which stops the exact search at its
+    first node, so the greedy fallback answers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(evalmetrics, "METEOR_NODE_CAP", 0)
+        return _min_chunks(cand, ref, quota)
+
+
+def test_meteor_greedy_fallback_hand_value(monkeypatch):
+    # Greedy aligns a->0, x->2, then b->1 in three runs; the exact search
+    # skips the first "a" and takes "a b" as one run, plus "x": two.
     cand, ref = ["a", "x", "a", "b"], ["a", "b", "x"]
     quota = Counter(cand) & Counter(ref)
-    assert _min_chunks(cand, ref, quota, node_cap=0) == 3
+    assert _greedy_chunks(monkeypatch, cand, ref, quota) == 3
     assert _min_chunks(cand, ref, quota) == _chunks_oracle(cand, ref) == 2
 
 
-def test_meteor_greedy_fallback_never_beats_the_exact_search():
+def test_meteor_greedy_fallback_never_beats_the_exact_search(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(60):
         cand = [f"w{int(x)}" for x in rng.integers(0, 4, rng.integers(1, 9))]
@@ -236,7 +242,7 @@ def test_meteor_greedy_fallback_never_beats_the_exact_search():
         quota = Counter(cand) & Counter(ref)
         if quota:
             exact = _min_chunks(cand, ref, quota)
-            assert exact <= _min_chunks(cand, ref, quota, node_cap=0) <= sum(quota.values())
+            assert exact <= _greedy_chunks(monkeypatch, cand, ref, quota) <= sum(quota.values())
 
 
 def test_scores_bounded():
@@ -409,33 +415,6 @@ def test_pilot_deciles_match_one_instance_at_a_time():
         pos += size
         assert rep.mean_loss[i] == float(np.mean(losses))
         assert rep.token_acc[i] == hits / total
-
-
-def test_pilot_runs_each_distinct_sequence_once(monkeypatch):
-    """Ten instances, one per decile, ranked in list order: the last three
-    repeat the first, the third and the first again under other ids, so each
-    decile of a repeat must read its first copy's loss and hits."""
-    rng = np.random.default_rng(11)
-    seqs = [TokenSequence(f"p{j}", tuple(rng.integers(4, 30, 9).tolist()), 4) for j in range(7)]
-    assert len({s.tokens for s in seqs}) == 7
-    firsts = [0, 2, 0]
-    seqs += [replace(seqs[i], instance_id=f"r{k}") for k, i in enumerate(firsts)]
-    recs = [GradientRecord(s.instance_id, 10.0 - j, 0.0, 10.0 - j, 4, 2, "00" * 8, -1)
-            for j, s in enumerate(seqs)]
-    forwarded = []
-    real = evalmetrics.forward
-
-    def spy(model, batch, *args, **kwargs):
-        forwarded.extend(batch.ids)
-        return real(model, batch, *args, **kwargs)
-
-    monkeypatch.setattr(evalmetrics, "forward", spy)
-    rep = pilot_deciles(recs, seqs, init_model(ModelConfig(16, 1, 2, 32, 30, 32, 6)))
-    assert forwarded == [s.instance_id for s in seqs[:7]]
-    assert rep.counts == (1,) * 10
-    for repeat, first in zip(range(7, 10), firsts):
-        assert rep.mean_loss[repeat] == rep.mean_loss[first]
-        assert rep.token_acc[repeat] == rep.token_acc[first]
 
 
 def test_pilot_records_must_cover_dataset():

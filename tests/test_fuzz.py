@@ -1,10 +1,12 @@
 """Fuzz the artifact readers: on any malformed input, only ValueError may
 escape, so the CLI reports it as an error instead of a traceback."""
 
+import base64
 import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -260,6 +262,9 @@ def test_load_checkpoint_raises_only_value_errors(tmp_path, checkpoint_payload, 
 def test_load_checkpoint_names_the_fault(tmp_path, checkpoint_payload):
     p = checkpoint_payload
     config = p["config"]
+    w1 = np.frombuffer(base64.b64decode(p["params"]["l0.w1"]["data"]), dtype="<f8").copy()
+    w1[3] = np.nan
+    nan_w1 = {**p["params"]["l0.w1"], "data": base64.b64encode(w1.tobytes()).decode("ascii")}
     cases = [
         ([1, 2], "not a model checkpoint"),
         ({k: v for k, v in p.items() if k != "params"}, "checkpoint params is not"),
@@ -279,6 +284,8 @@ def test_load_checkpoint_names_the_fault(tmp_path, checkpoint_payload):
          "checkpoint shape mismatch for emb"),
         ({**p, "params": {**p["params"], "emb": {**p["params"]["emb"], "data": "AAAA"}}},
          "checkpoint data size mismatch for emb"),
+        ({**p, "params": {**p["params"], "l0.w1": nan_w1}},
+         "checkpoint parameter l0.w1 has a non-finite value"),
     ]
     path = tmp_path / "ck.json"
     for payload, message in cases:

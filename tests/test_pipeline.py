@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gradsel import baselines, evalmetrics, pipeline
-from gradsel.corpus import sha256
+from gradsel.corpus import Tokenizer, sha256
 from gradsel.gradstats import GradientRecord, aggregate_instance, read_records, write_records
 from gradsel.pipeline import (
     RunConfig,
@@ -196,24 +196,6 @@ def test_frozen_extract_measures_each_distinct_sequence_once(corpus_dir, tmp_pat
     for seq in prep.seqs:
         first = by_id[firsts[seq.tokens, seq.sep_pos].instance_id]
         assert by_id[seq.instance_id] == replace(first, instance_id=seq.instance_id)
-
-
-def test_frozen_extract_names_the_first_non_finite_instance(corpus_dir, tmp_path, monkeypatch):
-    real = pipeline.build_reference_model
-
-    def non_finite(cfg, prep):
-        model = real(cfg, prep)
-        model.params["lnf.g"][0] = float("nan")
-        return model
-
-    monkeypatch.setattr(pipeline, "build_reference_model", non_finite)
-    cfg = _cfg(corpus_dir, str(tmp_path))
-    # the first sequence measured: the first of the shortest
-    first = min(prepare(cfg).seqs, key=len).instance_id
-    with pytest.raises(RuntimeError, match=rf"^NaN loss at frozen extraction: "
-                                           rf"instance {re.escape(first)} has loss nan"):
-        run_extract(cfg)
-    assert os.listdir(tmp_path) == []  # no records, meta, checkpoint or manifest
 
 
 def test_passes_that_train_nothing_forward_only_unpadded_chunks(corpus_dir, tmp_path,
@@ -669,12 +651,72 @@ def test_feature_baselines_score_each_distinct_row_once(extract_run, monkeypatch
     assert [result.f_values[i] for i in ids] == want.tolist()
 
 
-def test_ppl_refuses_a_perplexity_that_is_not_positive(extract_run, tmp_path, monkeypatch):
+def _logits_are_lm_head_row_0(params) -> None:
+    """Make every final hidden row the unit vector e_0, so that every
+    position's logits are lm_head[0]."""
+    params["lnf.g"][:] = 0.0
+    params["lnf.b"][:] = 0.0
+    params["lnf.b"][0] = 1.0
+
+
+def _beside_a_checkpoint(out, where, model) -> str:
+    """A copy of the extracted records and their meta, beside model."""
+    save_checkpoint(model, str(where / "extract_model.json"))
+    return _records_without_checkpoint(out, where)
+
+
+@pytest.mark.parametrize("name", ["train", "extract", "less", "ppl", "pilot"])
+def test_every_pass_that_computes_a_loss_refuses_a_non_finite_one(extract_run, tmp_path,
+                                                                  monkeypatch, name):
+    """The loss rule, in forward: a response token only the shortest
+    sequence predicts gets probability exactly 0, so that sequence, the first
+    each pass that trains nothing measures, has an infinite loss. Each pass
+    names it and no other instance, and writes nothing; training names the
+    step too and applies no update."""
     cfg, out = extract_run
-    monkeypatch.setattr(baselines, "sequence_perplexities",
-                        lambda model, seqs: [1.0] * (len(seqs) - 1) + [-2.0])
-    with pytest.raises(ValueError, match="^perplexities must be positive$"):
-        run_select(replace(cfg, out_dir=str(tmp_path / "sel")), out["records"], "ppl", 50.0)
+    prep = prepare(cfg)
+    shortest = sorted(prep.seqs, key=len)
+    assert len(shortest[0]) < len(shortest[1])
+    bad = shortest[0]
+    others = {t for seq in shortest[1:] for t in seq.response}
+    model = load_checkpoint(out["model"])
+    _logits_are_lm_head_row_0(model.params)
+    model.params["lm_head"][0, next(t for t in bad.response if t not in others)] = -1e4
+    message = f"non-finite loss: instance {re.escape(bad.instance_id)} has loss inf$"
+    if name == "train":
+        before = model.flat.copy()
+        with pytest.raises(RuntimeError, match="^step 1: " + message):
+            Trainer(model, cfg.train_hyper(), 1).apply_batch([*prep.seqs[:2], bad, prep.seqs[2]])
+        assert np.array_equal(before, model.flat)  # no update was applied
+        return
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    cfg = replace(cfg, out_dir=str(run_dir))
+    if name == "extract":
+        monkeypatch.setattr(pipeline, "build_reference_model", lambda cfg, prep: model)
+        run, args = run_extract, ()
+    else:
+        records = _beside_a_checkpoint(out, tmp_path, model)
+        run, args = (run_pilot, (records,)) if name == "pilot" else (run_select,
+                                                                      (records, name, 50.0))
+    with pytest.raises(RuntimeError, match="^" + message):
+        run(cfg, *args)
+    assert os.listdir(run_dir) == []  # no records, checkpoint, selection, deciles.csv
+
+
+def test_ppl_refuses_a_perplexity_that_overflows(extract_run, tmp_path):
+    """Every response token gets a logit 730 below the pad token's, so every
+    loss is about 730, finite, but its exp overflows a float."""
+    cfg, out = extract_run
+    model = load_checkpoint(out["model"])
+    _logits_are_lm_head_row_0(model.params)
+    model.params["lm_head"][0] = -730.0
+    model.params["lm_head"][0, Tokenizer.pad] = 0.0
+    first = min(prepare(cfg).seqs, key=len).instance_id
+    with pytest.raises(RuntimeError, match=rf"^instance {re.escape(first)}: loss 7\d\d\.\d+ "
+                                           "overflows its perplexity$"):
+        run_select(replace(cfg, out_dir=str(tmp_path / "sel")),
+                   _beside_a_checkpoint(out, tmp_path, model), "ppl", 50.0)
     assert not (tmp_path / "sel").exists()
 
 
