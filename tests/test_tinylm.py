@@ -750,6 +750,35 @@ def test_extract_online_one_bundle_per_instance():
     assert max(steps.values()) == total_update_steps(len(seqs), 2, 1) - 1
 
 
+def test_nan_loss_aborts_with_step_index():
+    m = init_model(TINY)
+    m.params["lnf.g"][0] = float("nan")
+    seq = _random_seq(np.random.default_rng(90), TINY)
+    hyper = _hyper()
+    trainer = Trainer(m, hyper, 1)
+    with pytest.raises(RuntimeError, match=r"^step 1: non-finite loss: .* has loss nan$"):
+        trainer.apply_batch([seq])
+
+
+def test_nonfinite_instance_loss_is_named():
+    # every final hidden row is the unit vector e_0, so the logits are
+    # lm_head[0]; token 40 gets probability exactly 0, i.e. infinite loss
+    m = init_model(TINY)
+    m.params["lnf.g"][:] = 0.0
+    m.params["lnf.b"][:] = 0.0
+    m.params["lnf.b"][0] = 1.0
+    m.params["lm_head"][0, 40] = -1e4
+    seqs = [_seq([1, 7, 3, 8 + i, 9, 2], 2, f"ok{i}") for i in range(3)]
+    seqs.insert(2, _seq([1, 7, 3, 8, 40, 2], 2, "bad"))
+    before = m.flat.copy()
+    with pytest.raises(RuntimeError,
+                       match=r"^step 1: non-finite loss: instance bad has loss inf$"):
+        Trainer(m, _hyper(), 1).apply_batch(seqs)
+    assert np.array_equal(before, m.flat)  # no update was applied
+    with pytest.raises(RuntimeError, match=r"^non-finite loss: instance bad has loss inf$"):
+        _frozen(m, seqs)
+
+
 def test_last_only_trace_keeps_no_caches_and_refuses_backward():
     m = init_model(TINY)
     batch = Batch.of([_random_seq(np.random.default_rng(95), TINY)])
